@@ -20,11 +20,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.fft import next_fast_len
 
 from .flows import FlowSpec, SpectralVelocity, time_average
 from .reports import BoundReport, make_report
-from .shear import FieldTrajectory, _segment_steps
+from .shear import FieldTrajectory, _check_times, _segment_steps
 from .spectral import (
     FieldError,
     Lattice,
@@ -123,18 +122,84 @@ def _mode_list(cutoff: Lattice) -> np.ndarray:
     return np.array(modes, dtype=int)
 
 
-def averaged_operator(
-    flow: FlowSpec | SpectralVelocity, nu: float, cutoff: Lattice | int
-) -> AveragedOperator:
+_TIME_MODES = ("const", "cos", "sin")
+
+
+def _shift(p: int, kmax: int) -> tuple[slice, slice]:
+    """Destination and source slices along one axis for a frequency shift by p."""
+    n = 2 * kmax + 1
+    if p >= 0:
+        return slice(p, n), slice(0, n - p)
+    return slice(0, n + p), slice(-p, n)
+
+
+class _Drift:
+    """Galerkin drift u . grad on a lattice: a truncated spectral convolution.
+
+    A velocity harmonic (p, q) with coefficients (a, b) sends the field
+    coefficient c(k, l) to (k + p, l + q) with weight i (k a + l b); products
+    that leave the lattice are dropped.  Row m of ``u`` and ``v`` holds the
+    coefficients of ``velocities[m]``, one column per harmonic that any of
+    them excites, so a time-periodic flow is applied at phase theta with the
+    weights (1, cos omega theta, sin omega theta) of its time modes.
+    """
+
+    def __init__(self, velocities: list[SpectralVelocity], lattice: Lattice):
+        vlat = velocities[0].lattice
+        u = np.array([sv.u.ravel() for sv in velocities])
+        v = np.array([sv.v.ravel() for sv in velocities])
+        cols = np.flatnonzero(np.any(u != 0, axis=0) | np.any(v != 0, axis=0))
+        p, q = np.unravel_index(cols, vlat.shape)
+        p, q = p - vlat.kmax, q - vlat.lmax
+        # a shift beyond the lattice diameter moves every coefficient out
+        reach = (np.abs(p) <= 2 * lattice.kmax) & (np.abs(q) <= 2 * lattice.lmax)
+        self.lattice = lattice
+        self.p, self.q = p[reach], q[reach]
+        self.u, self.v = u[:, cols[reach]], v[:, cols[reach]]
+        # per harmonic, the (destination, source) index pair of the shifted product
+        self.slices = [
+            tuple(zip(_shift(int(a), lattice.kmax), _shift(int(b), lattice.lmax)))
+            for a, b in zip(self.p, self.q)
+        ]
+        self.ik = 1j * lattice.k_values()[:, None]
+        self.il = 1j * lattice.l_values()[None, :]
+
+    def apply(self, coeff: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """(u . grad) applied to a coefficient array, the (0,0) mode dropped."""
+        dx = self.ik * coeff
+        dy = self.il * coeff
+        out = np.zeros_like(coeff)
+        for a, b, (dst, src) in zip(weights @ self.u, weights @ self.v, self.slices):
+            out[dst] += a * dx[src] + b * dy[src]
+        out[self.lattice.kmax, self.lattice.lmax] = 0.0
+        return out
+
+    def add_to_matrix(self, matrix: np.ndarray, modes: np.ndarray) -> None:
+        """Add the drift of the first velocity to ``matrix`` over the mode list ``modes``."""
+        kmax, lmax = self.lattice.kmax, self.lattice.lmax
+        index = np.full(self.lattice.shape, -1)
+        index[modes[:, 0] + kmax, modes[:, 1] + lmax] = np.arange(modes.shape[0])
+        k, l = modes[:, 0], modes[:, 1]
+        for p, q, a, b in zip(self.p, self.q, self.u[0], self.v[0]):
+            kr, lr = k + p, l + q
+            inside = np.flatnonzero((np.abs(kr) <= kmax) & (np.abs(lr) <= lmax))
+            rows = index[kr[inside] + kmax, lr[inside] + lmax]
+            keep = rows >= 0  # the (0,0) mode is not in the list
+            cols = inside[keep]
+            matrix[rows[keep], cols] += 1j * (k[cols] * a + l[cols] * b)
+
+
+def averaged_operator(flow: FlowSpec, nu: float, cutoff: Lattice | int) -> AveragedOperator:
     """Assemble the averaged drift-diffusion operator as a dense matrix.
 
-    The drift block is the spectral convolution with the coefficients of
-    ubar; products falling outside the truncation are dropped, so ubar should
-    be band-limited within cutoff/2 for the convolution to be exact.
+    The drift block is the Galerkin drift of ubar, the spectral convolution
+    ``evolve_2d`` also steps with; products falling outside the truncation are
+    dropped, so ubar should be band-limited within cutoff/2 for the
+    convolution to be exact.
     """
     if isinstance(cutoff, int):
         cutoff = Lattice(cutoff, cutoff)
-    ubar = time_average(flow) if isinstance(flow, FlowSpec) else flow
+    ubar = time_average(flow)
     band = ubar.max_band()
     if band > min(cutoff.kmax, cutoff.lmax) // 2:
         warnings.warn(
@@ -144,25 +209,10 @@ def averaged_operator(
         )
     modes = _mode_list(cutoff)
     n = modes.shape[0]
-    idx = {(int(k), int(l)): i for i, (k, l) in enumerate(modes)}
     matrix = np.zeros((n, n), dtype=complex)
     w = modes[:, 0] ** 2 + modes[:, 1] ** 2
     matrix[np.arange(n), np.arange(n)] = -nu * w.astype(float)
-
-    vk = ubar.lattice.k_values()
-    vl = ubar.lattice.l_values()
-    for ip, p in enumerate(vk):
-        for iq, q in enumerate(vl):
-            u1 = ubar.u[ip, iq]
-            u2 = ubar.v[ip, iq]
-            if abs(u1) < 1e-15 and abs(u2) < 1e-15:
-                continue
-            for col, (k, l) in enumerate(modes):
-                kr, lr = int(k) + int(p), int(l) + int(q)
-                row = idx.get((kr, lr))
-                if row is None:
-                    continue
-                matrix[row, col] += 1j * (k * u1 + l * u2)
+    _Drift([ubar], cutoff).add_to_matrix(matrix, modes)
     return AveragedOperator(nu, cutoff, matrix, modes)
 
 
@@ -598,53 +648,6 @@ def fast_certificate(
     )
 
 
-class _Advection2D:
-    """Dealiased pseudospectral evaluation of -u . grad rho on a fixed lattice."""
-
-    def __init__(self, lattice: Lattice, flow: FlowSpec):
-        self.lattice = lattice
-        self.nx = next_fast_len(2 * (2 * lattice.kmax + 1))
-        self.ny = next_fast_len(2 * (2 * lattice.lmax + 1))
-        self.kx = lattice.k_values()
-        self.ly = lattice.l_values()
-        self.sel = np.ix_(self.kx % self.nx, self.ly % self.ny)
-        x = 2.0 * np.pi * np.arange(self.nx) / self.nx
-        y = 2.0 * np.pi * np.arange(self.ny) / self.ny
-        self.terms = []
-        for term in flow.terms:
-            one_term = FlowSpec((type(term)(term.ampl, term.kx, term.ky, term.phase, "const"),), flow.period)
-            u1, u2 = one_term.velocity_grid(0.0, x, y)
-            self.terms.append((term.time_mode, u1, u2))
-        self.omega = flow.omega
-
-    def velocity(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        u1 = np.zeros((self.nx, self.ny))
-        u2 = np.zeros((self.nx, self.ny))
-        for mode, t1, t2 in self.terms:
-            if mode == "const":
-                tau = 1.0
-            elif mode == "cos":
-                tau = math.cos(self.omega * theta)
-            else:
-                tau = math.sin(self.omega * theta)
-            u1 += tau * t1
-            u2 += tau * t2
-        return u1, u2
-
-    def rhs(self, theta: float, coeff: np.ndarray) -> np.ndarray:
-        u1, u2 = self.velocity(theta)
-        spec = np.zeros((self.nx, self.ny), dtype=complex)
-        spec[self.sel] = 1j * self.kx[:, None] * coeff
-        rx = np.fft.ifft2(spec) * (self.nx * self.ny)
-        spec = np.zeros((self.nx, self.ny), dtype=complex)
-        spec[self.sel] = 1j * self.ly[None, :] * coeff
-        ry = np.fft.ifft2(spec) * (self.nx * self.ny)
-        prod = np.fft.fft2(u1 * rx + u2 * ry) / (self.nx * self.ny)
-        out = -prod[self.sel]
-        out[self.lattice.kmax, self.lattice.lmax] = 0.0
-        return out
-
-
 def evolve_2d(
     rho0: SpectralField2D,
     flow: FlowSpec,
@@ -653,25 +656,31 @@ def evolve_2d(
     times: np.ndarray,
     dt: float | None = None,
 ) -> FieldTrajectory:
-    """Pseudospectral integration of d_t rho + u(A t) . grad rho = nu Laplacian rho.
+    """Galerkin spectral integration of d_t rho + u(A t) . grad rho = nu Laplacian rho.
 
     Strang splitting: exact diffusion half-steps around a classical RK4
-    advection substep with the velocity sampled at the moving phase A t.
-    A = 0 means the steady flow frozen at phase 0.  The step size is forced
-    below the fast-phase CFL cap 0.2 / (A 2 pi / L + lip kmax).
+    advection substep.  The drift is the truncated spectral convolution that
+    ``averaged_operator`` assembles, one per time mode, weighted by 1,
+    cos(omega A t) and sin(omega A t).  A = 0 means the steady flow frozen at
+    phase 0.  The step size is forced below the fast-phase CFL cap
+    0.2 / (A 2 pi / L + lip kmax).
     """
     if nu <= 0:
         raise FieldError("evolve_2d requires nu > 0")
     if A < 0:
         raise FieldError("fast frequency A must be >= 0")
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or times[0] < 0 or np.any(np.diff(times) <= 0):
-        raise FieldError("times must be a nonempty increasing list with times[0] >= 0")
+    times = _check_times(times)
     lattice = rho0.lattice
     cfl = 0.2 / (A * flow.omega + flow.lip * lattice.kmax + 1e-30)
     dt_target = min(dt, cfl) if dt is not None else min(1e-2, cfl)
 
-    adv = _Advection2D(lattice, flow)
+    drift = _Drift([flow.mode_velocity(m) for m in _TIME_MODES], lattice)
+
+    def rhs(theta: float, c: np.ndarray) -> np.ndarray:
+        """-(u . grad) c at phase theta; the sign rides on the time-mode weights."""
+        phase = flow.omega * theta
+        return drift.apply(c, np.array([-1.0, -math.cos(phase), -math.sin(phase)]))
+
     w = lattice.weight_grid()
     coeff = rho0.coeff.copy()
     t = 0.0
@@ -689,11 +698,10 @@ def evolve_2d(
                 t0 = t + i * h
                 coeff = coeff * half
                 if has_advection:
-                    th0 = A * t0
-                    k1 = adv.rhs(th0, coeff)
-                    k2 = adv.rhs(A * (t0 + 0.5 * h), coeff + 0.5 * h * k1)
-                    k3 = adv.rhs(A * (t0 + 0.5 * h), coeff + 0.5 * h * k2)
-                    k4 = adv.rhs(A * (t0 + h), coeff + h * k3)
+                    k1 = rhs(A * t0, coeff)
+                    k2 = rhs(A * (t0 + 0.5 * h), coeff + 0.5 * h * k1)
+                    k3 = rhs(A * (t0 + 0.5 * h), coeff + 0.5 * h * k2)
+                    k4 = rhs(A * (t0 + h), coeff + h * k3)
                     coeff = coeff + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 coeff = coeff * half
                 coeff[lattice.kmax, lattice.lmax] = 0.0

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import averaging, certificates, harness, inviscid, shear
+from . import certificates, harness, inviscid, shear
 from .harness import Scenario
-from .spectral import field_from_terms, l2_norm, Lattice
+from .spectral import l2_norm
 
 
 def _load_scenario(args) -> Scenario:
@@ -71,13 +71,7 @@ def _cmd_certify(args) -> int:
             _emit(mixcert.to_json(), args.out)
         return 0
     # fast
-    cutoff = Lattice(scenario.cutoff, scenario.cutoff)
-    rho_spec = field_from_terms(cutoff, scenario.initial_terms) if scenario.initial_terms else scenario.rho0
-    op = averaging.averaged_operator(scenario.flow_spec, scenario.nu, cutoff)
-    spectrum = averaging.detecting_spectrum(op, rho_spec)
-    syl = averaging.sylvester_constant(op, spectrum)
-    cert = averaging.fast_certificate(scenario.flow_spec, scenario.rho0, scenario.nu, scenario.eta, spectrum, syl)
-    _emit(cert.to_json(), args.out)
+    _emit(harness._certify_fast(scenario).to_json(), args.out)
     return 0
 
 
@@ -138,10 +132,7 @@ def _cmd_spectrum(args) -> int:
     if scenario.flow_spec is None:
         print("spectrum requires a fast_oscillation scenario (a 2D flow)", file=sys.stderr)
         return 2
-    cutoff = Lattice(scenario.cutoff, scenario.cutoff)
-    rho_spec = field_from_terms(cutoff, scenario.initial_terms) if scenario.initial_terms else scenario.rho0
-    op = averaging.averaged_operator(scenario.flow_spec, scenario.nu, cutoff)
-    spectrum = averaging.detecting_spectrum(op, rho_spec)
+    _, spectrum = harness._fast_spectrum(scenario)
     payload = {
         "cutoff": scenario.cutoff,
         "eigenvalues": [[z.real, z.imag] for z in spectrum.eigenvalues],

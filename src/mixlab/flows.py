@@ -38,11 +38,6 @@ _TWO_PI = 2.0 * np.pi
 # Declared analytic bounds must dominate sampled values within this slack.
 _BOUND_TOL = 1e-9
 
-# Composite Gauss-Legendre quadrature: panels per period and nodes per panel.
-_GL_PANELS = 64
-_GL_NODES = 5
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
-
 
 class FlowSpecError(ValueError):
     """A shear/flow specification is inconsistent with its declared bounds."""
@@ -58,24 +53,19 @@ def _time_factor(mode: str, omega: float, t: np.ndarray | float) -> np.ndarray |
     raise FlowSpecError(f"unknown time mode {mode!r}")
 
 
-def _integrate_time(mode: str, omega: float, t: float, panels_per_period: int = _GL_PANELS) -> float:
-    """Integral of the time factor over [0, t].
+def _integrate_time(mode: str, omega: float, t: float) -> float:
+    """Integral of the time factor over [0, t], in closed form.
 
-    Constant factors integrate exactly to t; oscillating factors use composite
-    Gauss-Legendre quadrature with ``panels_per_period`` panels per period.
+    The sine antiderivative is written as 2 sin^2(omega t / 2) / omega, which
+    avoids the cancellation in 1 - cos(omega t) for small omega t.
     """
-    if t == 0.0:
-        return 0.0
     if mode == "const":
         return t
-    period = _TWO_PI / omega
-    n_panels = max(1, int(np.ceil(panels_per_period * abs(t) / period)))
-    edges = np.linspace(0.0, t, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
-    vals = _time_factor(mode, omega, nodes)
-    return float(np.sum(half[:, None] * _GL_W[None, :] * vals))
+    if mode == "cos":
+        return float(np.sin(omega * t) / omega)
+    if mode == "sin":
+        return float(2.0 * np.sin(0.5 * omega * t) ** 2 / omega)
+    raise FlowSpecError(f"unknown time mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -227,8 +217,8 @@ def mean_zero_reduce(shear: ShearSpec) -> tuple[ShearSpec, Callable[[float], flo
 def phase_integral(shear: ShearSpec, t: float, lmax: int | None = None) -> np.ndarray:
     """Fourier coefficients over l of Phi(., t) = int_0^t U(., s) ds.
 
-    The shear should be mean-zero-reduced first; steady terms integrate to
-    exactly t*U, oscillating terms by Gauss-Legendre quadrature.
+    The shear should be mean-zero-reduced first; every time factor is
+    integrated in closed form.
     """
     lmax = shear.max_ky if lmax is None else lmax
     lmax = max(lmax, 1)
@@ -280,13 +270,6 @@ class SpectralVelocity:
         l = np.abs(idx[:, 1] - self.lattice.lmax)
         return int(max(k.max(), l.max()))
 
-    def sup_norm_estimate(self, n: int = 256) -> float:
-        """Sampled sup of |u| over a grid (diagnostic, not a certified bound)."""
-        x = np.linspace(0.0, _TWO_PI, n, endpoint=False)
-        u1 = _eval_coeffs_grid(self.lattice, self.u, x, x)
-        u2 = _eval_coeffs_grid(self.lattice, self.v, x, x)
-        return float(np.max(np.sqrt(np.abs(u1) ** 2 + np.abs(u2) ** 2)))
-
 
 def _eval_coeffs_grid(lattice: Lattice, coeff: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ks = lattice.k_values()
@@ -336,11 +319,21 @@ class FlowSpec:
 
     def velocity_coeffs(self, theta: float, lattice: Lattice | None = None) -> SpectralVelocity:
         """Spectral representation of u(theta, .) on the given lattice."""
+        return self._velocity(
+            ((term, term.ampl * _time_factor(term.time_mode, self.omega, theta)) for term in self.terms),
+            lattice,
+        )
+
+    def mode_velocity(self, mode: str) -> SpectralVelocity:
+        """Velocity of the terms with time mode ``mode``, their time factor left out."""
+        return self._velocity(((term, term.ampl) for term in self.terms if term.time_mode == mode), None)
+
+    def _velocity(self, weighted_terms, lattice: Lattice | None) -> SpectralVelocity:
+        """Sum of the velocities of (term, streamfunction amplitude) pairs."""
         lattice = self.velocity_lattice() if lattice is None else lattice
         u = np.zeros(lattice.shape, dtype=complex)
         v = np.zeros(lattice.shape, dtype=complex)
-        for term in self.terms:
-            a = term.ampl * _time_factor(term.time_mode, self.omega, theta)
+        for term, a in weighted_terms:
             if abs(term.kx) > lattice.kmax or abs(term.ky) > lattice.lmax:
                 raise FieldError(f"flow harmonic ({term.kx},{term.ky}) outside lattice {lattice}")
             i, j = term.kx + lattice.kmax, term.ky + lattice.lmax
@@ -385,27 +378,13 @@ class FlowSpec:
         return worst
 
 
-def time_average(flow: FlowSpec, panels: int = _GL_PANELS) -> SpectralVelocity:
-    """Phase average (1/L) int_0^L u(theta, .) dtheta by Gauss-Legendre quadrature.
+def time_average(flow: FlowSpec) -> SpectralVelocity:
+    """Phase average (1/L) int_0^L u(theta, .) dtheta, exactly.
 
-    Averaging acts on the time factor only, so the result stays
-    divergence-free; quadrature error is spectrally small for the smooth
-    phase dependence allowed here.
+    cos and sin factors average to 0 over a full period, so the average is
+    the velocity of the constant terms; it stays divergence-free.
     """
-    lattice = flow.velocity_lattice()
-    u = np.zeros(lattice.shape, dtype=complex)
-    v = np.zeros(lattice.shape, dtype=complex)
-    edges = np.linspace(0.0, flow.period, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    for p in range(panels):
-        for xg, wg in zip(_GL_X, _GL_W):
-            theta = mid[p] + half[p] * xg
-            sv = flow.velocity_coeffs(theta, lattice)
-            w = half[p] * wg / flow.period
-            u += w * sv.u
-            v += w * sv.v
-    return SpectralVelocity(lattice, u, v)
+    return flow.mode_velocity("const")
 
 
 def preset_shear(name: str) -> ShearSpec:

@@ -81,6 +81,8 @@ class Scenario:
     @classmethod
     def from_json(cls, data: dict) -> "Scenario":
         name = str(_require(data, "name", ""))
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise SchemaError(f"invalid field: name must be a plain file stem, got {name!r}")
         regime = _require(data, "regime", "")
         if regime not in _REGIMES:
             raise SchemaError(f"invalid field: regime must be one of {_REGIMES}, got {regime!r}")
@@ -144,6 +146,12 @@ class Scenario:
         if times.size == 0 or times[0] < 0 or np.any(np.diff(times) <= 0):
             raise SchemaError("invalid field: times must be increasing with times[0] >= 0")
 
+        dt = data.get("dt")
+        if dt is not None:
+            dt = float(dt)
+            if not dt > 0:
+                raise SchemaError(f"invalid field: dt must be positive, got {dt}")
+
         tol = float(data.get("tolerances", {}).get("margin", 1e-6))
         return cls(
             name=name,
@@ -156,7 +164,7 @@ class Scenario:
             nu=nu,
             A=A,
             times=times,
-            dt=(float(data["dt"]) if data.get("dt") is not None else None),
+            dt=dt,
             cutoff=int(data.get("cutoff", 16)),
             eta=(float(data["eta"]) if data.get("eta") is not None else None),
             tol=tol,
@@ -237,23 +245,33 @@ def run(scenario: Scenario) -> ScenarioReport:
         return _finish(scenario.name, scenario.regime, checks, t0, trajectory=traj)
 
     # fast_oscillation
-    flow = scenario.flow_spec
-    cutoff = Lattice(scenario.cutoff, scenario.cutoff)
-    if scenario.initial_terms:
-        rho_spec = field_from_terms(cutoff, scenario.initial_terms)
-    else:
-        rho_spec = scenario.rho0
-    op = averaging.averaged_operator(flow, scenario.nu, cutoff)
-    spectrum = averaging.detecting_spectrum(op, rho_spec)
-    syl = averaging.sylvester_constant(op, spectrum)
-    cert = averaging.fast_certificate(
-        flow, scenario.rho0, scenario.nu, scenario.eta, spectrum, syl
-    )
+    cert = _certify_fast(scenario)
     traj = averaging.evolve_2d(
-        scenario.rho0, flow, scenario.A, scenario.nu, scenario.times, dt=scenario.dt
+        scenario.rho0, scenario.flow_spec, scenario.A, scenario.nu, scenario.times, dt=scenario.dt
     )
     rep = averaging.check_fast_bound(traj, cert, scenario.A, scenario.tol, scenario.name)
     return _finish(scenario.name, scenario.regime, {"fast_floor": rep}, t0, trajectory=traj)
+
+
+def _fast_spectrum(scenario: Scenario) -> tuple[averaging.AveragedOperator, averaging.DetectingSpectrum]:
+    """Averaged operator at the scenario cutoff and the datum's detecting spectrum.
+
+    The datum is rebuilt on the cutoff lattice from its harmonic terms when it
+    has them, so the spectrum sees it at the operator's resolution.
+    """
+    cutoff = Lattice(scenario.cutoff, scenario.cutoff)
+    rho_spec = field_from_terms(cutoff, scenario.initial_terms) if scenario.initial_terms else scenario.rho0
+    op = averaging.averaged_operator(scenario.flow_spec, scenario.nu, cutoff)
+    return op, averaging.detecting_spectrum(op, rho_spec)
+
+
+def _certify_fast(scenario: Scenario) -> averaging.FastCertificate:
+    """The fast-oscillation certificate of a scenario: spectrum, Sylvester constant, threshold."""
+    op, spectrum = _fast_spectrum(scenario)
+    syl = averaging.sylvester_constant(op, spectrum)
+    return averaging.fast_certificate(
+        scenario.flow_spec, scenario.rho0, scenario.nu, scenario.eta, spectrum, syl
+    )
 
 
 def write_timeseries_csv(report: ScenarioReport, path: str | Path, kreport: int = 2) -> None:

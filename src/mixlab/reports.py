@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["BoundSample", "BoundReport", "make_report", "log_margin", "report_to_json"]
+__all__ = ["BoundSample", "BoundReport", "make_report", "log_margin"]
 
 # Margins are ratios measured/envelope; certified exponents can be enormous
 # (e.g. resolvent-block constants), so margins are evaluated in log space and
@@ -55,7 +54,6 @@ class BoundReport:
     min_margin: float
     tol: float
     verdict: str
-    runtime: float = 0.0
     extras: dict = field(default_factory=dict)
 
     @property
@@ -71,7 +69,6 @@ class BoundReport:
             "min_margin": self.min_margin,
             "tol": self.tol,
             "verdict": self.verdict,
-            "runtime": self.runtime,
             "extras": self.extras,
         }
 
@@ -108,7 +105,3 @@ def make_report(
         verdict="PASS" if ok else "FAIL",
         extras=extras or {},
     )
-
-
-def report_to_json(report: BoundReport, indent: int = 2) -> str:
-    return json.dumps(report.to_json(), indent=indent, sort_keys=True)

@@ -121,7 +121,18 @@ def step_mode(profile: ModeProfile, shear: ShearSpec, nu: float, t: float, dt: f
     return ModeProfile(profile.k, profile.lmax, stepper.step(profile.coeff, t, dt))
 
 
+def _check_times(times) -> np.ndarray:
+    """Sample times as an array; they must be nonempty, increasing and start at t >= 0."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0 or times[0] < 0 or np.any(np.diff(times) <= 0):
+        raise FieldError("times must be a nonempty increasing list with times[0] >= 0")
+    return times
+
+
 def _segment_steps(t0: float, t1: float, dt_target: float) -> tuple[int, float]:
+    """Number and size of equal steps covering [t0, t1] with steps at most dt_target."""
+    if not dt_target > 0:
+        raise FieldError(f"step size must be positive, got {dt_target}")
     span = t1 - t0
     n = max(1, int(np.ceil(span / dt_target - 1e-12)))
     return n, span / n
@@ -135,9 +146,7 @@ def evolve_mode(
     dt: float | None = None,
 ) -> ModeTrajectory:
     """Integrate one mode from t=0 through the increasing sample times."""
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or times[0] < 0 or np.any(np.diff(times) <= 0):
-        raise FieldError("times must be a nonempty increasing list with times[0] >= 0")
+    times = _check_times(times)
     dt_target = default_dt(profile.k, shear.M) if dt is None else dt
     stepper = _ModeStepper(profile.k, profile.lmax, shear, nu)
     coeff = profile.coeff.copy()
@@ -167,9 +176,7 @@ def evolve_shear(
     All modes share one step grid (the most restrictive per-mode cap) so the
     step-edge diagnostics form a single dense series for the energy identity.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or times[0] < 0 or np.any(np.diff(times) <= 0):
-        raise FieldError("times must be a nonempty increasing list with times[0] >= 0")
+    times = _check_times(times)
     lattice = rho0.lattice
     ks = [k for k in range(-lattice.kmax, lattice.kmax + 1)]
     active = [k for k in ks if np.any(np.abs(rho0.coeff[k + lattice.kmax, :]) > 0.0)]

@@ -122,11 +122,6 @@ class SpectralField2D:
     def with_coeff(self, coeff: np.ndarray) -> "SpectralField2D":
         return SpectralField2D(self.lattice, coeff)
 
-    def is_real_symmetric(self, tol: float = 1e-10) -> bool:
-        mirrored = np.conj(self.coeff[::-1, ::-1])
-        scale = max(1.0, float(np.max(np.abs(self.coeff))))
-        return float(np.max(np.abs(self.coeff - mirrored))) <= tol * scale
-
 
 @dataclass(frozen=True)
 class ModeProfile:

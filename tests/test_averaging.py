@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
+from mixlab import averaging
 from mixlab.averaging import (
     ClusterIsolationError,
     DetectionError,
@@ -22,8 +24,10 @@ from mixlab.averaging import DetectingSpectrum, SylvesterEstimate
 from mixlab.flows import FlowSpec, FlowTerm, preset_shear
 from mixlab.shear import evolve_shear
 from mixlab.spectral import (
+    FieldError,
     HarmonicTerm,
     Lattice,
+    SpectralField2D,
     field_from_terms,
     grid_sample,
     synthesize,
@@ -108,6 +112,42 @@ class TestAveragedOperator:
             skew = abs(np.real(np.vdot(v, drift @ v)))
             bound = 1e-10 * np.linalg.norm(v) * math.sqrt(grad_l2_sq(f))
             assert skew <= bound
+
+
+flow_terms = st.lists(
+    st.tuples(
+        st.floats(-2.0, 2.0),
+        st.integers(-2, 2),
+        st.integers(-2, 2),
+        st.sampled_from(["cos", "sin"]),
+        st.sampled_from(["const", "cos", "sin"]),
+    ).filter(lambda t: (t[1], t[2]) != (0, 0)),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestGalerkinDrift:
+    @given(flow_terms, st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_grid_space_oracle(self, terms, theta, seed):
+        flow = FlowSpec(tuple(FlowTerm(*t) for t in terms), period=1.7)
+        lattice = Lattice(5, 4)
+        rng = np.random.default_rng(seed)
+        coeff = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
+        coeff = 0.5 * (coeff + np.conj(coeff[::-1, ::-1]))
+        coeff[lattice.kmax, lattice.lmax] = 0.0
+        f = SpectralField2D(lattice, coeff)
+
+        drift = averaging._Drift([flow.mode_velocity(m) for m in averaging._TIME_MODES], lattice)
+        phase = flow.omega * theta
+        got = drift.apply(f.coeff, np.array([1.0, math.cos(phase), math.sin(phase)]))
+
+        n = 32  # the product has band 7, so no alias of it lands on |k| <= 5
+        x = 2 * np.pi * np.arange(n) / n
+        u1, u2 = flow.velocity_grid(theta, x, x)
+        want = synthesize(u1 * grid_sample(_dx(f), n, n) + u2 * grid_sample(_dy(f), n, n), lattice)
+        assert np.max(np.abs(got - want.coeff)) <= 1e-10
 
 
 def _weighted(f, fn):
@@ -292,6 +332,12 @@ class TestEvolve2D:
         traj = evolve_2d(rho0, flow, 30.0, NU, np.array([0.5]))
         assert np.all(np.diff(traj.diag_energy) <= 1e-12)
         assert abs(traj.fields[0][(0, 0)]) == 0.0
+
+    def test_nonpositive_dt_rejected(self):
+        rho0 = cos_y(Lattice(4, 4))
+        for dt in (0.0, -0.005):
+            with pytest.raises(FieldError, match="step size must be positive"):
+                evolve_2d(rho0, SHEAR_FLOW, 1.0, NU, np.array([0.1]), dt=dt)
 
     def test_error_halves_when_A_doubles(self):
         # phase-locked: A*T multiple of the phase period for both A values

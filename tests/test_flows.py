@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from mixlab.flows import (
+    _integrate_time,
+    _time_factor,
     FlowSpec,
     FlowSpecError,
     FlowTerm,
@@ -107,6 +110,40 @@ class TestTimeAverage:
             period=3.0,
         )
         assert time_average(flow).divergence_max() <= 1e-12
+
+
+class TestClosedForms:
+    """The closed forms against fine numerical integrals."""
+
+    def test_time_average_matches_phase_quadrature(self):
+        flow = FlowSpec(
+            (
+                FlowTerm(0.8, 1, 2, "cos", "const"),
+                FlowTerm(-0.6, 2, 1, "sin", "cos"),
+                FlowTerm(1.1, 0, 1, "cos", "sin"),
+                FlowTerm(0.4, 1, 2, "sin", "sin"),
+            ),
+            period=2.5,
+        )
+        ubar = time_average(flow)
+        # the trapezoid rule over a full period is exact for these trig polynomials
+        thetas = np.linspace(0.0, flow.period, 64, endpoint=False)
+        samples = [flow.velocity_coeffs(th, ubar.lattice) for th in thetas]
+        assert np.max(np.abs(ubar.u - np.mean([s.u for s in samples], axis=0))) <= 1e-14
+        assert np.max(np.abs(ubar.v - np.mean([s.v for s in samples], axis=0))) <= 1e-14
+
+    @pytest.mark.parametrize("mode", ["const", "cos", "sin"])
+    @pytest.mark.parametrize("t", [1e-7, 0.3, 2.0, 17.25])
+    def test_integrate_time_matches_quadrature(self, mode, t):
+        omega = TWO_PI / 1.3
+        want, err = quad(lambda s: float(_time_factor(mode, omega, s)), 0.0, t, epsabs=1e-14, epsrel=1e-12, limit=500)
+        assert err <= 1e-11
+        assert _integrate_time(mode, omega, t) == pytest.approx(want, rel=1e-11, abs=1e-13)
+
+    def test_sin_integral_keeps_relative_accuracy_at_small_t(self):
+        omega, t = 1.0, 1e-9
+        # int_0^t sin(s) ds = t^2/2 - t^4/24 + ...; 1 - cos(t) rounds to 0 here
+        assert _integrate_time("sin", omega, t) == pytest.approx(0.5 * t * t, rel=1e-12)
 
 
 class TestDeclaredBounds:

@@ -55,6 +55,21 @@ class TestSchema:
             Scenario.from_json({"name": "x", "regime": "warp"})
 
 
+    @pytest.mark.parametrize("dt", [0.0, -0.005])
+    def test_nonpositive_dt_rejected(self, dt):
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["sinshear_cosx"]))
+        raw["dt"] = dt
+        with pytest.raises(SchemaError, match="dt must be positive"):
+            Scenario.from_json(raw)
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b"])
+    def test_name_must_be_plain_stem(self, name):
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["heat_cosy"]))
+        raw["name"] = name
+        with pytest.raises(SchemaError, match="plain file stem"):
+            Scenario.from_json(raw)
+
+
 class TestRun:
     def test_builtin_sharpness_margin_exactly_two(self):
         report = run(builtin_scenario("sharpness_p1_nu025"))
@@ -123,6 +138,19 @@ class TestCorpus:
         with open(tmp_path / "reports" / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
+
+    def test_escaping_name_writes_nothing_outside(self, tmp_path):
+        src = tmp_path / "in"
+        out = tmp_path / "reports"
+        src.mkdir()
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["heat_cosy"]))
+        raw["name"] = "../escaped"
+        (src / "evil.json").write_text(json.dumps(raw))
+        summary = corpus_run(src, out_dir=out)
+        assert [r["verdict"] for r in summary.rows] == ["ERROR"]
+        assert "plain file stem" in summary.rows[0]["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "reports"]
+        assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
 
     def test_threads_env_cap(self, tmp_path, monkeypatch):
         (tmp_path / "a.json").write_text(json.dumps(BUILTIN_SCENARIOS["heat_cosy"]))

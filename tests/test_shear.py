@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from mixlab.averaging import evolve_2d
 from mixlab.certificates import c2_certificate
-from mixlab.flows import ShearSpec, ShearTerm, preset_shear
+from mixlab.flows import FlowSpec, ShearSpec, ShearTerm, preset_shear
 from mixlab.shear import (
     default_dt,
     dissipation_report,
@@ -115,6 +116,26 @@ class TestEvolveShear:
             assert v <= n0 * math.exp(-nu * t) * (1 + 1e-8)
             # margin check in log space: log v + c2 t >= log n0 - 1e-6
             assert math.log(v) + cert.c2 * t >= math.log(n0) - 1e-6
+
+
+class TestStepGrid:
+    @pytest.mark.parametrize("dt", [0.0, -0.005])
+    def test_nonpositive_dt_rejected(self, dt):
+        rho0 = field_from_terms(Lattice(2, 8), [HarmonicTerm(1.0, 1, 0)])
+        with pytest.raises(FieldError, match="step size must be positive"):
+            evolve_shear(rho0, SIN_Y, 0.1, np.array([1.0]), dt=dt)
+        with pytest.raises(FieldError, match="step size must be positive"):
+            evolve_mode(x_mode(rho0, 1), SIN_Y, 0.1, np.array([1.0]), dt=dt)
+
+    @pytest.mark.parametrize("times", [[], [-0.5, 1.0], [1.0, 1.0], [2.0, 1.0]])
+    def test_bad_sample_times_rejected(self, times):
+        rho0 = field_from_terms(Lattice(2, 8), [HarmonicTerm(1.0, 1, 0)])
+        with pytest.raises(FieldError, match="times must be"):
+            evolve_shear(rho0, SIN_Y, 0.1, np.array(times))
+        with pytest.raises(FieldError, match="times must be"):
+            evolve_mode(x_mode(rho0, 1), SIN_Y, 0.1, np.array(times))
+        with pytest.raises(FieldError, match="times must be"):
+            evolve_2d(rho0, FlowSpec(()), 0.0, 0.1, np.array(times))
 
 
 class TestDissipation:

@@ -1,0 +1,54 @@
+"""The names perfbench/tracer.py patches must resolve, and patched names must be called.
+
+The tracer replaces module attributes where callers look them up, so a
+rename, or a call that binds a function before the tracer can patch it,
+would silently drop a span from the traced benchmark run; these checks make
+it fail here instead.
+"""
+
+import dataclasses
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from mixlab import averaging, harness
+from mixlab.shear import FieldTrajectory
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_targets_resolve(tracer):
+    for name, module, attr, _ in tracer.TARGETS:
+        assert callable(getattr(module, attr, None)), name
+    assert callable(averaging.sla.schur)
+    assert isinstance(harness.Scenario.__dict__["from_file"], classmethod)
+    assert "diag_times" in {f.name for f in dataclasses.fields(FieldTrajectory)}
+
+
+def test_fast_certificate_spans_land(tracer):
+    raw = json.loads((ROOT / "scenarios" / "extra" / "fast_shear_mean.json").read_text())
+    raw["cutoff"] = 4
+    scenario = harness.Scenario.from_json(raw)
+    with tracer.Tracer().patched() as tr:
+        harness._certify_fast(scenario)
+    names = [s[tracer.NAME] for s in tr.spans]
+    edges = {(s[tracer.NAME], tr.spans[s[tracer.PARENT]][tracer.NAME]) for s in tr.spans if s[tracer.PARENT] >= 0}
+    for name in (
+        "averaging.averaged_operator",
+        "averaging.detecting_spectrum",
+        "averaging.sylvester_constant",
+        "averaging.fast_certificate",
+    ):
+        assert name in names
+    assert ("flows.time_average", "averaging.averaged_operator") in edges
+    assert ("scipy.linalg.schur", "averaging.detecting_spectrum") in edges
