@@ -74,12 +74,18 @@ class ClusterIsolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class AveragedOperator:
-    """Dense matrix of nu*Laplacian + ubar.grad on mean-zero lattice modes."""
+    """Dense matrix of nu*Laplacian + ubar.grad on mean-zero lattice modes.
+
+    ``classes`` are the mode classes: the connected components of the
+    matrix's nonzero pattern, each an ascending index array, ordered by first
+    index.  No entry links two classes, so each is an invariant block.
+    """
 
     nu: float
     cutoff: Lattice
     matrix: np.ndarray
     modes: np.ndarray  # (n, 2) integer rows (k, l)
+    classes: tuple = dataclass_field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -213,16 +219,60 @@ def averaged_operator(flow: FlowSpec, nu: float, cutoff: Lattice | int) -> Avera
     w = modes[:, 0] ** 2 + modes[:, 1] ** 2
     matrix[np.arange(n), np.arange(n)] = -nu * w.astype(float)
     _Drift([ubar], cutoff).add_to_matrix(matrix, modes)
-    return AveragedOperator(nu, cutoff, matrix, modes)
+    return AveragedOperator(nu, cutoff, matrix, modes, _mode_classes(matrix))
+
+
+def _mode_classes(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Connected components of the nonzero pattern of ``matrix``.
+
+    Union-find over the nonzero entries, each root kept at the smallest index
+    of its component; components come out ordered by that index, members
+    ascending.
+    """
+    n = matrix.shape[0]
+    parent = list(range(n))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]  # path halving
+            i = parent[i]
+        return i
+
+    rows, cols = np.nonzero(matrix)
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        a, b = root(r), root(c)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    labels = np.array([root(i) for i in range(n)])
+    order = np.argsort(labels, kind="stable")
+    return tuple(np.split(order, np.flatnonzero(np.diff(labels[order])) + 1))
+
+
+def _size_groups(classes) -> dict[int, list]:
+    """Classes grouped by size, so equal-size blocks stack into one batched call."""
+    groups: dict[int, list] = {}
+    for idx in classes:
+        groups.setdefault(idx.size, []).append(idx)
+    return groups
+
+
+def _stacked_blocks(matrix: np.ndarray, group: list) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal blocks of equal-size classes as an (m, s, s) stack, with their (m, s) indices."""
+    idx = np.array(group)
+    return matrix[idx[:, :, None], idx[:, None, :]], idx
 
 
 @dataclass(frozen=True)
 class DetectingSpectrum:
     """Detecting root-space data of the averaged operator for a given datum.
 
-    ``basis_matrix`` has orthonormal columns (Schur vectors of the cluster)
-    with matrix @ basis = basis @ G exactly at truncation; lambda_nu is the
-    cluster eigenvalue and gamma_nu = -Re lambda_nu its decay rate.
+    ``basis_matrix`` has orthonormal columns (Schur vectors of the cluster,
+    one column group per member class) with matrix @ basis = basis @ G
+    exactly at truncation, G block-diagonal over those classes; lambda_nu is
+    the cluster eigenvalue and gamma_nu = -Re lambda_nu its decay rate.
+    ``schur_blocks`` holds, per member class, ``(idx, T, Z, d)``: its mode
+    indices, its sorted complex Schur form and the number of leading cluster
+    columns.
     """
 
     eigenvalues: np.ndarray  # all eigenvalues sorted by -Re ascending
@@ -239,8 +289,7 @@ class DetectingSpectrum:
     g_norm: float
     residual: float
     cluster_tol: float
-    schur_T: np.ndarray = dataclass_field(repr=False, default=None)
-    schur_Z: np.ndarray = dataclass_field(repr=False, default=None)
+    schur_blocks: tuple = dataclass_field(repr=False, default=None)
 
     def to_json(self) -> dict:
         return {
@@ -292,9 +341,13 @@ def detecting_spectrum(
 ) -> DetectingSpectrum:
     """Find the slowest-decaying eigenvalue cluster whose root space sees rho0.
 
+    The operator is evaluated class by class (``op.classes``): eigenvalues
+    come from each class's diagonal block and are clustered together.
     Clusters are visited by increasing decay rate; for each, the invariant
-    subspace is taken from a sorted Schur decomposition and the datum's
-    bilinear pairing with its columns decides detection.  Fails when no
+    subspace is taken from a sorted Schur decomposition of every class that
+    holds a cluster eigenvalue, and the datum's bilinear pairing with its
+    columns decides detection.  The cost follows the largest class, not the
+    number of modes; a fully coupled operator is one class.  Fails when no
     cluster pairs above eps_detect * ||rho0||_2 (truncation too small or the
     datum is orthogonal to everything resolvable).
     """
@@ -307,20 +360,42 @@ def detecting_spectrum(
     flip = op.flip_permutation()
     rho_flipped = rho_vec[flip]
 
-    eigs = np.linalg.eigvals(op.matrix)
+    eig_parts, owner_parts = [], []
+    for group in _size_groups(op.classes).values():
+        blocks, idx = _stacked_blocks(op.matrix, group)
+        eig_parts.append(np.linalg.eigvals(blocks).ravel())
+        owner_parts.append(np.repeat(idx[:, 0], idx.shape[1]))  # a class is named by its first index
+    eigs = np.concatenate(eig_parts)
+    owner = np.concatenate(owner_parts)
     clusters = _cluster_eigenvalues(eigs, cluster_tol)
+    class_of = {int(idx[0]): idx for idx in op.classes}
 
     for cluster in clusters:
         center = complex(np.mean(eigs[cluster]))
+
+        def near(z: complex) -> bool:
+            return abs(z - center) <= cluster_tol
+
         # detection needs the full root space, not just eigenvectors, so each
-        # candidate cluster costs one sorted Schur decomposition
-        T, Z, sdim = sla.schur(
-            op.matrix, output="complex", sort=lambda z: abs(z - center) <= cluster_tol
-        )
+        # candidate cluster costs one sorted Schur decomposition per class
+        # holding a cluster eigenvalue or one the sort would select
+        members = np.union1d(owner[cluster], owner[np.abs(eigs - center) <= cluster_tol])
+        schur_blocks = []
+        for first in members.tolist():
+            idx = class_of[first]
+            T, Z, sdim = sla.schur(op.matrix[np.ix_(idx, idx)], output="complex", sort=near)
+            if sdim:
+                schur_blocks.append((idx, T, Z, int(sdim)))
+        sdim = sum(b[3] for b in schur_blocks)
         if sdim == 0:
             continue
-        basis_matrix = Z[:, :sdim]
-        G = T[:sdim, :sdim]
+        basis_matrix = np.zeros((op.dim, sdim), dtype=complex)
+        G = np.zeros((sdim, sdim), dtype=complex)
+        j = 0
+        for idx, T, Z, d in schur_blocks:
+            basis_matrix[idx, j : j + d] = Z[:, :d]
+            G[j : j + d, j : j + d] = T[:d, :d]
+            j += d
         q0 = basis_matrix.T @ rho_flipped  # bilinear pairing <rho0, phi_j>
         Q = float(np.linalg.norm(q0))
         if Q <= eps_detect * rho_norm:
@@ -346,8 +421,7 @@ def detecting_spectrum(
             g_norm=float(np.linalg.norm(G, 2)),
             residual=residual,
             cluster_tol=cluster_tol,
-            schur_T=T,
-            schur_Z=Z,
+            schur_blocks=tuple(schur_blocks),
         )
     raise DetectionError(
         "no detecting cluster: enlarge the truncation or check that the datum "
@@ -463,11 +537,16 @@ def sylvester_constant(
 ) -> SylvesterEstimate:
     """Numerically estimate the Sylvester-resolvent constant for the detecting cluster.
 
-    Dense evaluation: each node costs one LU solve for the full resolvent and
-    three largest-singular-value computations, so keep the truncation modest
-    (cutoff around 16 at most) when this constant is needed.
+    Evaluated class by class (``op.classes``): the resolvent, the Riesz
+    projector and the H^1/H^2 weights are all block-diagonal over the mode
+    classes, so each 2-norm is the largest over the classes.  A member class
+    of the cluster gets its projector from its sorted Schur form and one LU
+    solve and three largest-singular-value computations per node; on every
+    other class the projector vanishes, and equal-size classes are inverted
+    and normed as one batched stack.  The cost follows the largest class,
+    not the number of modes.
     """
-    if spectrum.schur_T is None or spectrum.schur_Z is None:
+    if spectrum.schur_blocks is None:
         raise ValueError("spectrum must carry its Schur factors (rerun detecting_spectrum)")
     lam = spectrum.lambda_nu
     others = np.array(
@@ -481,16 +560,6 @@ def sylvester_constant(
         raise ClusterIsolationError(f"spectral gap {gap:.3e} below isolation floor {floor:.3e}")
     radius = 0.5 * gap
 
-    n = op.dim
-    d = spectrum.d_nu
-    T, Z = spectrum.schur_T, spectrum.schur_Z
-    # Riesz projection of the cluster from the block-decoupled Schur form:
-    # P = Z [[I, X], [0, 0]] Z^H with T11 X - X T22 = T12; rank d.
-    T11, T12, T22 = T[:d, :d], T[:d, d:], T[d:, d:]
-    X = sla.solve_sylvester(T11, -T22, T12)
-    p_left = Z[:, :d]
-    p_right = np.hstack([np.eye(d, dtype=complex), X]) @ Z.conj().T
-
     weights = 1.0 + (op.modes[:, 0] ** 2 + op.modes[:, 1] ** 2).astype(float)
     w_half = np.sqrt(weights)
 
@@ -499,20 +568,45 @@ def sylvester_constant(
     plain = np.zeros(n_nodes)
     h1w = np.zeros(n_nodes)
     h2w = np.zeros(n_nodes)
-    g_inv_max = 0.0
-    eye = np.eye(n, dtype=complex)
-    for j, z in enumerate(nodes):
-        lu = sla.lu_factor(z * eye - op.matrix)
-        resolvent = sla.lu_solve(lu, eye)
-        plain[j] = float(np.linalg.norm(resolvent, 2))
-        # R Pi_perp = R - (R p_left) p_right: rank-d correction
-        r_proj = resolvent - (resolvent @ p_left) @ p_right
-        h1w[j] = float(np.linalg.norm(w_half[:, None] * r_proj * w_half[None, :], 2))
-        h2w[j] = float(np.linalg.norm(weights[:, None] * r_proj, 2))
-        g_inv_max = max(
-            g_inv_max,
-            float(np.linalg.norm(np.linalg.inv(z * np.eye(d) - spectrum.G), 2)),
-        )
+
+    def record(j: int, resolvent: np.ndarray, r_proj: np.ndarray, idx: np.ndarray) -> None:
+        """Fold the 2-norms of one block, or of a stack of blocks, into node j."""
+        wh, w = w_half[idx], weights[idx]
+        plain[j] = max(plain[j], float(np.max(np.linalg.norm(resolvent, 2, axis=(-2, -1)))))
+        h1 = np.linalg.norm(wh[..., :, None] * r_proj * wh[..., None, :], 2, axis=(-2, -1))
+        h1w[j] = max(h1w[j], float(np.max(h1)))
+        h2 = np.linalg.norm(w[..., :, None] * r_proj, 2, axis=(-2, -1))
+        h2w[j] = max(h2w[j], float(np.max(h2)))
+
+    for idx, T, Z, d in spectrum.schur_blocks:
+        # Riesz projection of the cluster from the block-decoupled Schur form:
+        # P = Z [[I, X], [0, 0]] Z^H with T11 X - X T22 = T12; rank d.
+        T11, T12, T22 = T[:d, :d], T[:d, d:], T[d:, d:]
+        X = sla.solve_sylvester(T11, -T22, T12)
+        p_left = Z[:, :d]
+        p_right = np.hstack([np.eye(d, dtype=complex), X]) @ Z.conj().T
+        block = op.matrix[np.ix_(idx, idx)]
+        eye = np.eye(idx.size, dtype=complex)
+        for j, z in enumerate(nodes):
+            lu = sla.lu_factor(z * eye - block)
+            resolvent = sla.lu_solve(lu, eye)
+            # R Pi_perp = R - (R p_left) p_right: rank-d correction
+            record(j, resolvent, resolvent - (resolvent @ p_left) @ p_right, idx)
+
+    # off the member classes P = 0, so R Pi_perp is the resolvent itself
+    member = {int(b[0][0]) for b in spectrum.schur_blocks}
+    rest = [idx for idx in op.classes if int(idx[0]) not in member]
+    for group in _size_groups(rest).values():
+        blocks, idx = _stacked_blocks(op.matrix, group)
+        eye = np.eye(idx.shape[1], dtype=complex)
+        for j, z in enumerate(nodes):
+            resolvent = np.linalg.inv(z * eye - blocks)
+            record(j, resolvent, resolvent, idx)
+
+    d = spectrum.d_nu
+    g_inv_max = max(
+        float(np.linalg.norm(np.linalg.inv(z * np.eye(d) - spectrum.G), 2)) for z in nodes
+    )
 
     contour_factor = radius * g_inv_max
     value = max(1.0, contour_factor * float(np.max(np.maximum(h1w, h2w))))

@@ -38,6 +38,14 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
+def _lacks_flow(scenario: Scenario, command: str) -> bool:
+    """True, after saying so on stderr, when a fast-regime command gets a scenario without a 2D flow."""
+    if scenario.flow_spec is not None:
+        return False
+    print(f"{command} requires a fast_oscillation scenario (a 2D flow)", file=sys.stderr)
+    return True
+
+
 def _cmd_simulate(args) -> int:
     scenario = _load_scenario(args)
     report = harness.run(scenario)
@@ -71,6 +79,8 @@ def _cmd_certify(args) -> int:
             _emit(mixcert.to_json(), args.out)
         return 0
     # fast
+    if _lacks_flow(scenario, "certify fast"):
+        return 2
     _emit(harness._certify_fast(scenario).to_json(), args.out)
     return 0
 
@@ -129,8 +139,7 @@ def _cmd_sharpness(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     scenario = _load_scenario(args)
-    if scenario.flow_spec is None:
-        print("spectrum requires a fast_oscillation scenario (a 2D flow)", file=sys.stderr)
+    if _lacks_flow(scenario, "spectrum"):
         return 2
     _, spectrum = harness._fast_spectrum(scenario)
     payload = {

@@ -30,6 +30,8 @@ from mixlab.spectral import (
     SpectralField2D,
     field_from_terms,
     grid_sample,
+    h2_norm,
+    l2_norm,
     synthesize,
 )
 
@@ -166,6 +168,152 @@ def _dy(f):
 
 def _lap(f):
     return _weighted(f, lambda k, l: -(k**2 + l**2).astype(float))
+
+
+SHEAR_MEAN = FlowSpec(  # fast_shear_mean: ubar = (cos y, 0) up to sign, the x-harmonic averages out
+    (FlowTerm(1.0, 0, 1, "cos", "const"), FlowTerm(1.0, 1, 0, "cos", "cos")), period=1.0
+)
+COUPLED_FLOW = FlowSpec((FlowTerm(1.0, 0, 1, "cos"), FlowTerm(0.7, 1, 0, "cos")))
+
+
+class TestModeClasses:
+    @staticmethod
+    def _check_partition(op):
+        labels = np.full(op.dim, -1)
+        for c, idx in enumerate(op.classes):
+            assert np.all(labels[idx] == -1)
+            labels[idx] = c
+        assert np.all(labels >= 0)
+        rows, cols = np.nonzero(op.matrix)
+        assert np.array_equal(labels[rows], labels[cols])
+
+    def test_zero_flow_has_singletons(self):
+        op = averaged_operator(ZERO_FLOW, NU, 4)
+        self._check_partition(op)
+        assert len(op.classes) == op.dim
+
+    def test_shear_mean_splits_by_x_wavenumber(self):
+        op = averaged_operator(SHEAR_MEAN, NU, 10)
+        self._check_partition(op)
+        assert len(op.classes) == 40  # 20 nonzero k of 21 modes each, 20 lone k = 0 modes
+        assert max(idx.size for idx in op.classes) == 21
+        for idx in op.classes:
+            k = np.unique(op.modes[idx, 0])
+            assert k.size == 1 and (idx.size == 21) == (k[0] != 0)
+
+    def test_coupled_flow_is_one_class(self):
+        op = averaged_operator(COUPLED_FLOW, NU, 8)
+        self._check_partition(op)
+        assert len(op.classes) == 1 and op.classes[0].size == op.dim == 288
+
+
+def _dense_oracle(op, rho0, n_nodes=8):
+    """The whole-matrix algorithm: a sorted Schur form of the full matrix per
+    candidate cluster, the Riesz projector from it, and dense resolvents."""
+    tol = 1e-6 * op.nu
+    rho_flipped = op.field_to_vec(rho0)[op.flip_permutation()]
+    eigs = np.linalg.eigvals(op.matrix)
+    for cluster in averaging._cluster_eigenvalues(eigs, tol):
+        center = complex(np.mean(eigs[cluster]))
+        T, Z, d = sla.schur(op.matrix, output="complex", sort=lambda z: abs(z - center) <= tol)
+        if d == 0:
+            continue
+        basis, G = Z[:, :d], T[:d, :d]
+        q0 = basis.T @ rho_flipped
+        if np.linalg.norm(q0) > averaging.EPS_DETECT * l2_norm(rho0):
+            break
+    else:
+        raise DetectionError("oracle found no detecting cluster")
+    lam = complex(np.mean(np.diag(G)))
+    fields = [op.vec_to_field(basis[:, j]) for j in range(d)]
+    spectrum = {
+        "gamma_nu": -lam.real,
+        "d_nu": d,
+        "Q": np.linalg.norm(q0),
+        "K0": np.linalg.norm(basis),
+        "K2": math.sqrt(sum(h2_norm(f) ** 2 for f in fields)),
+        "g_norm": np.linalg.norm(G, 2),
+    }
+    gap = float(np.min(np.abs(eigs[np.abs(eigs - lam) > tol] - lam)))
+    if gap <= 10.0 * tol:
+        raise ClusterIsolationError("oracle gap below the isolation floor")
+    X = sla.solve_sylvester(T[:d, :d], -T[d:, d:], T[:d, d:])
+    p_right = np.hstack([np.eye(d), X]) @ Z.conj().T
+    weights = 1.0 + (op.modes[:, 0] ** 2 + op.modes[:, 1] ** 2).astype(float)
+    w_half = np.sqrt(weights)
+    norms = {"plain": [], "h1w": [], "h2w": []}
+    for theta in 2.0 * np.pi * np.arange(n_nodes) / n_nodes:
+        z = lam + 0.5 * gap * np.exp(1j * theta)
+        resolvent = np.linalg.inv(z * np.eye(op.dim) - op.matrix)
+        r_proj = resolvent - (resolvent @ basis) @ p_right
+        norms["plain"].append(np.linalg.norm(resolvent, 2))
+        norms["h1w"].append(np.linalg.norm(w_half[:, None] * r_proj * w_half[None, :], 2))
+        norms["h2w"].append(np.linalg.norm(weights[:, None] * r_proj, 2))
+    return spectrum, gap, norms
+
+
+@st.composite
+def averaged_flows(draw):
+    """Band-limited flows whose mean is a shear, zero, or coupled in x and y."""
+    kind = draw(st.sampled_from(["shear", "zero_mean", "coupled"]))
+    ampl = st.floats(0.2, 1.5)
+    phase = st.sampled_from(["cos", "sin"])
+
+    def terms(kx, ky, time_mode=st.just("const"), **size):
+        return draw(st.lists(st.builds(FlowTerm, ampl, kx, ky, phase, time_mode), **size))
+
+    if kind == "shear":
+        # an oscillating term averages out and leaves the shear mean
+        flow = terms(st.just(0), st.integers(1, 2), min_size=1, max_size=3)
+        flow += terms(st.just(1), st.just(1), st.just("cos"), max_size=1)
+    elif kind == "zero_mean":
+        oscillating = st.sampled_from(["cos", "sin"])
+        flow = terms(st.integers(0, 2), st.integers(1, 2), oscillating, min_size=1, max_size=3)
+    else:
+        flow = [FlowTerm(draw(ampl), 0, 1, draw(phase)), FlowTerm(draw(ampl), 1, 0, draw(phase))]
+        flow += terms(st.integers(1, 2), st.integers(-2, 2), max_size=2)
+    return FlowSpec(tuple(flow), period=1.0)
+
+
+datum_terms = st.lists(
+    st.builds(
+        lambda a, kl, kind: HarmonicTerm(a, *kl, kind),
+        st.floats(0.2, 1.0),
+        st.sampled_from([(0, 1), (1, 0), (1, 1), (1, -1), (0, 2), (2, 1)]),
+        st.sampled_from(["cos", "sin"]),
+    ),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda t: (t.kx, t.ky, t.kind),
+)
+
+
+class TestPerClassAlgebra:
+    @given(averaged_flows(), datum_terms, st.integers(4, 6), st.floats(0.05, 0.5))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_dense_oracle(self, flow, terms, cutoff, nu):
+        op = averaged_operator(flow, nu, cutoff)
+        rho0 = field_from_terms(Lattice(cutoff, cutoff), terms)
+        try:
+            want_spec, want_gap, want_norms = _dense_oracle(op, rho0)
+        except (DetectionError, ClusterIsolationError) as exc:
+            with pytest.raises(type(exc)):
+                sylvester_constant(op, detecting_spectrum(op, rho0))
+            return
+        spec = detecting_spectrum(op, rho0)
+        for key, want in want_spec.items():
+            assert getattr(spec, key) == pytest.approx(want, rel=1e-10, abs=0.0), key
+        assert np.max(np.abs(op.matrix @ spec.basis_matrix - spec.basis_matrix @ spec.G)) <= 1e-10 * np.max(
+            np.abs(op.matrix)
+        )
+        syl = sylvester_constant(op, spec)
+        assert syl.gap == pytest.approx(want_gap, rel=1e-10, abs=0.0)
+        for got, key in (
+            (syl.plain_resolvent_norms, "plain"),
+            (syl.h1_weighted_norms, "h1w"),
+            (syl.h2_weighted_norms, "h2w"),
+        ):
+            np.testing.assert_allclose(got, want_norms[key], rtol=1e-10, atol=0.0, err_msg=key)
 
 
 class TestDetectingSpectrum:

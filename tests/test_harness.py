@@ -106,6 +106,14 @@ class TestRun:
         a["runtime"] = b["runtime"] = 0.0
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_fast_determinism_byte_identical(self):
+        raw = json.loads((EXTRA_DIR / "fast_shear_mean.json").read_text())
+        raw["cutoff"] = 6
+        a = run(Scenario.from_json(raw)).to_json()
+        b = run(Scenario.from_json(raw)).to_json()
+        a["runtime"] = b["runtime"] = 0.0
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
     def test_timeseries_csv_columns(self, tmp_path):
         report = run(builtin_scenario("heat_cosy"))
         out = tmp_path / "series.csv"
@@ -263,6 +271,13 @@ class TestCli:
         assert cert["A0"] == pytest.approx(max(cert["a0_terms"].values()))
         assert cert["eta"] == 0.5
         assert "not rigorous" in cert["sylvester_flag"]
+
+    @pytest.mark.parametrize("command", [["certify", "fast"], ["spectrum"]])
+    def test_fast_command_rejects_scenario_without_flow(self, command, capsys):
+        rc = cli_main(command + ["--scenario", str(CORPUS_DIR / "heat_cosy.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == " ".join(command) + " requires a fast_oscillation scenario (a 2D flow)\n"
 
     def test_spectrum_command(self, tmp_path):
         out = tmp_path / "spec.json"
