@@ -50,9 +50,7 @@ from .inviscid import (
 )
 from .shear import (
     FieldTrajectory,
-    ModeTrajectory,
     dissipation_report,
-    evolve_mode,
     evolve_shear,
     step_mode,
 )

@@ -23,7 +23,7 @@ import scipy.linalg as sla
 
 from .flows import FlowSpec, SpectralVelocity, time_average
 from .reports import BoundReport, make_report
-from .shear import FieldTrajectory, _check_times, _segment_steps
+from .shear import FieldTrajectory, _march
 from .spectral import (
     FieldError,
     Lattice,
@@ -763,7 +763,6 @@ def evolve_2d(
         raise FieldError("evolve_2d requires nu > 0")
     if A < 0:
         raise FieldError("fast frequency A must be >= 0")
-    times = _check_times(times)
     lattice = rho0.lattice
     cfl = 0.2 / (A * flow.omega + flow.lip * lattice.kmax + 1e-30)
     dt_target = min(dt, cfl) if dt is not None else min(1e-2, cfl)
@@ -776,37 +775,28 @@ def evolve_2d(
         return drift.apply(c, np.array([-1.0, -math.cos(phase), -math.sin(phase)]))
 
     w = lattice.weight_grid()
-    coeff = rho0.coeff.copy()
-    t = 0.0
-    fields: list[SpectralField2D] = []
-    diag_times = [0.0]
-    diag_energy = [float(np.sum(np.abs(coeff) ** 2))]
-    diag_grad = [float(np.sum(w * np.abs(coeff) ** 2))]
     has_advection = bool(flow.terms)
 
-    for t_next in times:
-        if t_next > t:
-            n, h = _segment_steps(t, t_next, dt_target)
-            half = np.exp(-0.5 * nu * w * h)
-            for i in range(n):
-                t0 = t + i * h
-                coeff = coeff * half
-                if has_advection:
-                    k1 = rhs(A * t0, coeff)
-                    k2 = rhs(A * (t0 + 0.5 * h), coeff + 0.5 * h * k1)
-                    k3 = rhs(A * (t0 + 0.5 * h), coeff + 0.5 * h * k2)
-                    k4 = rhs(A * (t0 + h), coeff + h * k3)
-                    coeff = coeff + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                coeff = coeff * half
-                coeff[lattice.kmax, lattice.lmax] = 0.0
-                diag_times.append(t0 + h)
-                diag_energy.append(float(np.sum(np.abs(coeff) ** 2)))
-                diag_grad.append(float(np.sum(w * np.abs(coeff) ** 2)))
-            t = t_next
-        fields.append(SpectralField2D(lattice, coeff.copy()))
-    return FieldTrajectory(
-        nu, times, fields, np.array(diag_times), np.array(diag_energy), np.array(diag_grad)
-    )
+    def step(coeff: np.ndarray, t0: float, h: float) -> np.ndarray:
+        half = np.exp(-0.5 * nu * w * h)
+        coeff = coeff * half
+        if has_advection:
+            k1 = rhs(A * t0, coeff)
+            k2 = rhs(A * (t0 + 0.5 * h), coeff + 0.5 * h * k1)
+            k3 = rhs(A * (t0 + 0.5 * h), coeff + 0.5 * h * k2)
+            k4 = rhs(A * (t0 + h), coeff + h * k3)
+            coeff = coeff + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        coeff = coeff * half
+        coeff[lattice.kmax, lattice.lmax] = 0.0
+        return coeff
+
+    def diag(coeff: np.ndarray) -> tuple[float, float]:
+        return float(np.sum(np.abs(coeff) ** 2)), float(np.sum(w * np.abs(coeff) ** 2))
+
+    def snapshot(coeff: np.ndarray) -> SpectralField2D:
+        return SpectralField2D(lattice, coeff.copy())
+
+    return _march(nu, times, dt_target, rho0.coeff, step, diag, snapshot)
 
 
 def observable_series(trajectory: FieldTrajectory, basis: list[SpectralField2D]) -> np.ndarray:

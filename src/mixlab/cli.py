@@ -9,11 +9,10 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import certificates, harness, inviscid, shear
+from . import certificates, harness, inviscid
+from .flows import flow_to_json
 from .harness import Scenario
-from .spectral import l2_norm
+from .spectral import field_to_json, l2_norm
 
 
 def _load_scenario(args) -> Scenario:
@@ -38,11 +37,25 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _lacks_flow(scenario: Scenario, command: str) -> bool:
-    """True, after saying so on stderr, when a fast-regime command gets a scenario without a 2D flow."""
-    if scenario.flow_spec is not None:
+# certificate kind -> (the regime whose scenarios carry it, its report checks)
+_KINDS = {
+    "inviscid": ("inviscid", ["inviscid"]),
+    "c2": ("diffusive_shear", ["c2_floor", "heat_ceiling"]),
+    "mix": ("diffusive_shear", ["mixing_floor"]),
+    "fast": ("fast_oscillation", ["fast_floor"]),
+}
+_NEEDS = {
+    "inviscid": "a shear and no nu",
+    "diffusive_shear": "a shear and nu",
+    "fast_oscillation": "a 2D flow",
+}
+
+
+def _rejects(scenario: Scenario, command: str, regime: str) -> bool:
+    """True, after saying so on stderr, when a command for one regime gets a scenario of another."""
+    if scenario.regime == regime:
         return False
-    print(f"{command} requires a fast_oscillation scenario (a 2D flow)", file=sys.stderr)
+    print(f"{command} requires a {regime} scenario ({_NEEDS[regime]})", file=sys.stderr)
     return True
 
 
@@ -57,47 +70,27 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_certify(args) -> int:
     scenario = _load_scenario(args)
-    kind = args.kind
-    if kind == "inviscid":
-        cert = inviscid.inviscid_certificate(scenario.rho0, scenario.shear_spec)
-        _emit(cert.to_json(), args.out)
-        return 0
-    if kind in ("c2", "mix"):
-        M = scenario.shear_spec.M
-        c2cert = certificates.c2_certificate(scenario.rho0, M, scenario.nu)
-        if args.csv:
-            nus = [scenario.nu, scenario.nu / 2.0, scenario.nu / 4.0]
-            rows = certificates.nu_scaling_report(scenario.rho0, M, nus)
-            with open(args.csv, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=["nu", "c2", "c2_times_nu", "c2_over_nu", "branch"])
-                writer.writeheader()
-                writer.writerows([r.to_json() for r in rows])
-        if kind == "c2":
-            _emit(c2cert.to_json(), args.out)
-        else:
-            mixcert = certificates.mixing_certificate(scenario.rho0, M, scenario.nu, c2cert.c2)
-            _emit(mixcert.to_json(), args.out)
-        return 0
-    # fast
-    if _lacks_flow(scenario, "certify fast"):
+    if _rejects(scenario, f"certify {args.kind}", _KINDS[args.kind][0]):
         return 2
-    _emit(harness._certify_fast(scenario).to_json(), args.out)
+    cert = harness._certify(scenario)[args.kind]
+    if args.csv and args.kind in ("c2", "mix"):
+        nus = [scenario.nu, scenario.nu / 2.0, scenario.nu / 4.0]
+        rows = certificates.nu_scaling_report(scenario.rho0, scenario.shear_spec.M, nus)
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=["nu", "c2", "c2_times_nu", "c2_over_nu", "branch"])
+            writer.writeheader()
+            writer.writerows([r.to_json() for r in rows])
+    _emit(cert.to_json(), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     scenario = _load_scenario(args)
-    report = harness.run(scenario)
-    wanted = {
-        "inviscid": ["inviscid"],
-        "c2": ["c2_floor", "heat_ceiling"],
-        "mix": ["mixing_floor"],
-        "fast": ["fast_floor"],
-    }[args.kind]
-    checks = {k: v for k, v in report.checks.items() if k in wanted}
-    if not checks:
-        print(f"scenario regime {report.regime} has no {args.kind} check", file=sys.stderr)
+    regime, wanted = _KINDS[args.kind]
+    if _rejects(scenario, f"verify {args.kind}", regime):
         return 2
+    report = harness.run(scenario)
+    checks = {k: v for k, v in report.checks.items() if k in wanted}
     if args.csv:
         if args.kind == "inviscid":
             rep = checks["inviscid"]
@@ -116,20 +109,29 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sharpness(args) -> int:
     family = certificates.sharpness_family(args.nu, args.p)
-    times = np.linspace(0.0, args.t_max, args.n_times)
-    c2cert = certificates.c2_certificate(family.rho0, 0.0, args.nu)
-    mixcert = certificates.mixing_certificate(family.rho0, 0.0, args.nu, c2cert.c2)
-    traj = shear.evolve_shear(family.rho0, family.shear, args.nu, times)
-    mix_rep = certificates.check_mixing_bound(traj, mixcert, scenario="sharpness")
-    exp_rep = certificates.check_exponential_bound(traj, c2cert, scenario="sharpness")
-    l2s = traj.l2_series()
+    lattice = family.rho0.lattice
+    scenario = Scenario.from_json(
+        {
+            "name": "sharpness",
+            "regime": "diffusive_shear",
+            "lattice": {"kmax": lattice.kmax, "lmax": lattice.lmax},
+            "initial_data": field_to_json(family.rho0),
+            "shear": flow_to_json(family.shear),
+            "nu": args.nu,
+            "times": {"t_max": args.t_max, "n": args.n_times},
+        }
+    )
+    report = harness.run(scenario)
+    mix_rep, exp_rep = report.checks["mixing_floor"], report.checks["c2_floor"]
+    times = scenario.times
+    l2s = report.trajectory.l2_series()
     fitted = float(-(math.log(l2s[-1]) - math.log(l2s[0])) / (times[-1] - times[0]))
     payload = {
         "family": family.to_json(),
-        "certificate_c_star": mixcert.c_star,
+        "certificate_c_star": mix_rep.certificate["c_star"],
         "measured_over_certified": mix_rep.extras["slack_factor"],
         "fitted_decay_rate": fitted,
-        "c2": c2cert.c2,
+        "c2": exp_rep.certificate["c2"],
         "checks": {"mixing_floor": mix_rep.to_json(), "c2_floor": exp_rep.to_json()},
     }
     _emit(payload, args.out)
@@ -139,7 +141,7 @@ def _cmd_sharpness(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     scenario = _load_scenario(args)
-    if _lacks_flow(scenario, "spectrum"):
+    if _rejects(scenario, "spectrum", "fast_oscillation"):
         return 2
     _, spectrum = harness._fast_spectrum(scenario)
     payload = {

@@ -153,6 +153,8 @@ class Scenario:
                 raise SchemaError(f"invalid field: dt must be positive, got {dt}")
 
         tol = float(data.get("tolerances", {}).get("margin", 1e-6))
+        if not 0.0 <= tol < 1.0:
+            raise SchemaError(f"invalid field: tolerances.margin must be finite and in [0, 1), got {tol}")
         return cls(
             name=name,
             regime=regime,
@@ -217,40 +219,23 @@ def _finish(name: str, regime: str, checks: dict[str, BoundReport], t0: float, t
     )
 
 
-def run(scenario: Scenario) -> ScenarioReport:
-    """Certify, evolve and check one scenario; deterministic, no randomness."""
-    t0 = time.perf_counter()
+def _certify(scenario: Scenario) -> dict:
+    """The certificates of a scenario's regime, keyed by certificate kind.
+
+    inviscid -> {"inviscid"}; diffusive_shear -> {"c2", "mix"};
+    fast_oscillation -> {"fast"}.
+    """
     if scenario.regime == "inviscid":
-        cert = inviscid.inviscid_certificate(scenario.rho0, scenario.shear_spec)
-        rep = inviscid.check_inviscid_bound(
-            scenario.rho0,
-            scenario.shear_spec,
-            cert,
-            list(scenario.times),
-            tol=scenario.tol,
-            scenario=scenario.name,
-        )
-        return _finish(scenario.name, scenario.regime, {"inviscid": rep}, t0)
-
+        return {"inviscid": inviscid.inviscid_certificate(scenario.rho0, scenario.shear_spec)}
     if scenario.regime == "diffusive_shear":
-        sh = scenario.shear_spec
-        c2cert = certificates.c2_certificate(scenario.rho0, sh.M, scenario.nu)
-        mixcert = certificates.mixing_certificate(scenario.rho0, sh.M, scenario.nu, c2cert.c2)
-        traj = shear.evolve_shear(scenario.rho0, sh, scenario.nu, scenario.times, dt=scenario.dt)
-        checks = {
-            "c2_floor": certificates.check_exponential_bound(traj, c2cert, scenario.tol, scenario.name),
-            "heat_ceiling": certificates.check_upper_envelope(traj, c2cert, tol=scenario.tol, scenario=scenario.name),
-            "mixing_floor": certificates.check_mixing_bound(traj, mixcert, scenario.tol, scenario.name),
-        }
-        return _finish(scenario.name, scenario.regime, checks, t0, trajectory=traj)
-
-    # fast_oscillation
-    cert = _certify_fast(scenario)
-    traj = averaging.evolve_2d(
-        scenario.rho0, scenario.flow_spec, scenario.A, scenario.nu, scenario.times, dt=scenario.dt
-    )
-    rep = averaging.check_fast_bound(traj, cert, scenario.A, scenario.tol, scenario.name)
-    return _finish(scenario.name, scenario.regime, {"fast_floor": rep}, t0, trajectory=traj)
+        M = scenario.shear_spec.M
+        c2cert = certificates.c2_certificate(scenario.rho0, M, scenario.nu)
+        return {"c2": c2cert, "mix": certificates.mixing_certificate(scenario.rho0, M, scenario.nu, c2cert.c2)}
+    op, spectrum = _fast_spectrum(scenario)
+    syl = averaging.sylvester_constant(op, spectrum)
+    return {
+        "fast": averaging.fast_certificate(scenario.flow_spec, scenario.rho0, scenario.nu, scenario.eta, spectrum, syl)
+    }
 
 
 def _fast_spectrum(scenario: Scenario) -> tuple[averaging.AveragedOperator, averaging.DetectingSpectrum]:
@@ -265,13 +250,31 @@ def _fast_spectrum(scenario: Scenario) -> tuple[averaging.AveragedOperator, aver
     return op, averaging.detecting_spectrum(op, rho_spec)
 
 
-def _certify_fast(scenario: Scenario) -> averaging.FastCertificate:
-    """The fast-oscillation certificate of a scenario: spectrum, Sylvester constant, threshold."""
-    op, spectrum = _fast_spectrum(scenario)
-    syl = averaging.sylvester_constant(op, spectrum)
-    return averaging.fast_certificate(
-        scenario.flow_spec, scenario.rho0, scenario.nu, scenario.eta, spectrum, syl
-    )
+def run(scenario: Scenario) -> ScenarioReport:
+    """Certify, evolve and check one scenario; deterministic, no randomness."""
+    t0 = time.perf_counter()
+    certs = _certify(scenario)
+    name, tol = scenario.name, scenario.tol
+    traj = None
+    if scenario.regime == "inviscid":
+        checks = {
+            "inviscid": inviscid.check_inviscid_bound(
+                scenario.rho0, scenario.shear_spec, certs["inviscid"], list(scenario.times), tol=tol, scenario=name
+            )
+        }
+    elif scenario.regime == "diffusive_shear":
+        traj = shear.evolve_shear(scenario.rho0, scenario.shear_spec, scenario.nu, scenario.times, dt=scenario.dt)
+        checks = {
+            "c2_floor": certificates.check_exponential_bound(traj, certs["c2"], tol, name),
+            "heat_ceiling": certificates.check_upper_envelope(traj, certs["c2"], tol=tol, scenario=name),
+            "mixing_floor": certificates.check_mixing_bound(traj, certs["mix"], tol, name),
+        }
+    else:
+        traj = averaging.evolve_2d(
+            scenario.rho0, scenario.flow_spec, scenario.A, scenario.nu, scenario.times, dt=scenario.dt
+        )
+        checks = {"fast_floor": averaging.check_fast_bound(traj, certs["fast"], scenario.A, tol, name)}
+    return _finish(name, scenario.regime, checks, t0, trajectory=traj)
 
 
 def write_timeseries_csv(report: ScenarioReport, path: str | Path, kreport: int = 2) -> None:

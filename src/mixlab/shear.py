@@ -20,11 +20,9 @@ from .flows import ShearSpec
 from .spectral import FieldError, ModeProfile, SpectralField2D
 
 __all__ = [
-    "ModeTrajectory",
     "FieldTrajectory",
     "default_dt",
     "step_mode",
-    "evolve_mode",
     "evolve_shear",
     "dissipation_report",
     "DissipationReport",
@@ -34,20 +32,6 @@ __all__ = [
 def default_dt(k: int, M: float) -> float:
     """Step-size cap min(1e-2, 0.1/(|k| M + 1)); shrinks with the advective phase rate."""
     return min(1e-2, 0.1 / (abs(k) * M + 1.0))
-
-
-@dataclass(frozen=True)
-class ModeTrajectory:
-    """One x-mode's profiles and energies at sample times; energies never increase."""
-
-    k: int
-    nu: float
-    times: np.ndarray
-    profiles: list[ModeProfile]
-    energies: np.ndarray
-
-    def initial_energy(self) -> float:
-        return float(self.energies[0])
 
 
 @dataclass
@@ -138,30 +122,40 @@ def _segment_steps(t0: float, t1: float, dt_target: float) -> tuple[int, float]:
     return n, span / n
 
 
-def evolve_mode(
-    profile: ModeProfile,
-    shear: ShearSpec,
-    nu: float,
-    times: np.ndarray,
-    dt: float | None = None,
-) -> ModeTrajectory:
-    """Integrate one mode from t=0 through the increasing sample times."""
+def _march(nu: float, times, dt_target: float, state, step, diag, snapshot) -> FieldTrajectory:
+    """Step ``state`` from t=0 through the sample times on one shared grid.
+
+    ``step(state, t, h)`` advances one step, ``diag(state)`` gives
+    (||rho||^2, ||grad rho||^2) for the step-edge series and ``snapshot(state)``
+    the field stored at each sample time.
+    """
     times = _check_times(times)
-    dt_target = default_dt(profile.k, shear.M) if dt is None else dt
-    stepper = _ModeStepper(profile.k, profile.lmax, shear, nu)
-    coeff = profile.coeff.copy()
+    diag_times = [0.0]
+    energy, grad = diag(state)
+    diag_energy = [energy]
+    diag_grad = [grad]
+    fields: list[SpectralField2D] = []
     t = 0.0
-    profiles: list[ModeProfile] = []
-    energies: list[float] = []
     for t_next in times:
         if t_next > t:
             n, h = _segment_steps(t, t_next, dt_target)
             for i in range(n):
-                coeff = stepper.step(coeff, t + i * h, h)
+                t_step = t + i * h
+                state = step(state, t_step, h)
+                energy, grad = diag(state)
+                diag_times.append(t_step + h)
+                diag_energy.append(energy)
+                diag_grad.append(grad)
             t = t_next
-        profiles.append(ModeProfile(profile.k, profile.lmax, coeff.copy()))
-        energies.append(stepper.energy(coeff))
-    return ModeTrajectory(profile.k, nu, times, profiles, np.array(energies))
+        fields.append(snapshot(state))
+    return FieldTrajectory(
+        nu,
+        times,
+        fields,
+        np.array(diag_times),
+        np.array(diag_energy),
+        np.array(diag_grad),
+    )
 
 
 def evolve_shear(
@@ -176,49 +170,28 @@ def evolve_shear(
     All modes share one step grid (the most restrictive per-mode cap) so the
     step-edge diagnostics form a single dense series for the energy identity.
     """
-    times = _check_times(times)
     lattice = rho0.lattice
     ks = [k for k in range(-lattice.kmax, lattice.kmax + 1)]
     active = [k for k in ks if np.any(np.abs(rho0.coeff[k + lattice.kmax, :]) > 0.0)]
     if dt is None:
         dt = min((default_dt(k, shear.M) for k in active), default=1e-2)
+    steppers = [_ModeStepper(k, lattice.lmax, shear, nu) for k in active]
 
-    steppers = {k: _ModeStepper(k, lattice.lmax, shear, nu) for k in active}
-    coeffs = {k: rho0.coeff[k + lattice.kmax, :].copy() for k in active}
+    def step(coeffs: list, t: float, h: float) -> list:
+        return [s.step(c, t, h) for s, c in zip(steppers, coeffs)]
 
-    diag_times = [0.0]
-    diag_energy = [sum(s.energy(coeffs[k]) for k, s in steppers.items())]
-    diag_grad = [sum(s.grad_sq(coeffs[k]) for k, s in steppers.items())]
+    def diag(coeffs: list) -> tuple[float, float]:
+        pairs = list(zip(steppers, coeffs))
+        return sum(s.energy(c) for s, c in pairs), sum(s.grad_sq(c) for s, c in pairs)
 
-    fields: list[SpectralField2D] = []
-    t = 0.0
-
-    def snapshot() -> SpectralField2D:
+    def snapshot(coeffs: list) -> SpectralField2D:
         coeff = np.zeros(lattice.shape, dtype=complex)
-        for k in active:
-            coeff[k + lattice.kmax, :] = coeffs[k]
+        for k, c in zip(active, coeffs):
+            coeff[k + lattice.kmax, :] = c
         return SpectralField2D(lattice, coeff)
 
-    for t_next in times:
-        if t_next > t:
-            n, h = _segment_steps(t, t_next, dt)
-            for i in range(n):
-                t_step = t + i * h
-                for k in active:
-                    coeffs[k] = steppers[k].step(coeffs[k], t_step, h)
-                diag_times.append(t_step + h)
-                diag_energy.append(sum(steppers[k].energy(coeffs[k]) for k in active))
-                diag_grad.append(sum(steppers[k].grad_sq(coeffs[k]) for k in active))
-            t = t_next
-        fields.append(snapshot())
-    return FieldTrajectory(
-        nu,
-        times,
-        fields,
-        np.array(diag_times),
-        np.array(diag_energy),
-        np.array(diag_grad),
-    )
+    coeffs = [rho0.coeff[k + lattice.kmax, :] for k in active]
+    return _march(nu, times, dt, coeffs, step, diag, snapshot)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mixlab import harness
 from mixlab.cli import main as cli_main
 from mixlab.harness import (
     BUILTIN_SCENARIOS,
@@ -60,6 +61,13 @@ class TestSchema:
         raw = json.loads(json.dumps(BUILTIN_SCENARIOS["sinshear_cosx"]))
         raw["dt"] = dt
         with pytest.raises(SchemaError, match="dt must be positive"):
+            Scenario.from_json(raw)
+
+    @pytest.mark.parametrize("margin", [1.0, 1.5, -0.1, float("nan"), float("inf")])
+    def test_margin_outside_unit_interval_rejected(self, margin):
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["heat_cosy"]))
+        raw["tolerances"] = {"margin": margin}
+        with pytest.raises(SchemaError, match="tolerances.margin"):
             Scenario.from_json(raw)
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b"])
@@ -278,6 +286,38 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == " ".join(command) + " requires a fast_oscillation scenario (a 2D flow)\n"
+
+    @pytest.mark.parametrize(
+        "path, regime, n_mismatched",
+        [
+            (CORPUS_DIR / "heat_cosy.json", "diffusive_shear", 5),
+            (EXTRA_DIR / "inviscid_cosx_siny.json", "inviscid", 7),
+            (EXTRA_DIR / "fast_shear_mean.json", "fast_oscillation", 6),
+        ],
+        ids=["heat_cosy", "inviscid_cosx_siny", "fast_shear_mean"],
+    )
+    def test_regime_mismatch_exits_2_before_computing(self, path, regime, n_mismatched, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("computed on a mismatched scenario")
+
+        for attr in ("run", "_certify", "_fast_spectrum"):
+            monkeypatch.setattr(harness, attr, boom)
+        kinds = {
+            "inviscid": ("inviscid", "a shear and no nu"),
+            "c2": ("diffusive_shear", "a shear and nu"),
+            "mix": ("diffusive_shear", "a shear and nu"),
+            "fast": ("fast_oscillation", "a 2D flow"),
+        }
+        commands = [([verb, kind], *kinds[kind]) for verb in ("certify", "verify") for kind in kinds]
+        commands.append((["spectrum"], *kinds["fast"]))
+        mismatched = [c for c in commands if c[1] != regime]
+        assert len(mismatched) == n_mismatched
+        for command, wanted, needs in mismatched:
+            rc = cli_main(command + ["--scenario", str(path)])
+            captured = capsys.readouterr()
+            assert rc == 2, command
+            assert captured.err == f"{' '.join(command)} requires a {wanted} scenario ({needs})\n"
+            assert captured.out == ""
 
     def test_spectrum_command(self, tmp_path):
         out = tmp_path / "spec.json"

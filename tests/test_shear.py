@@ -9,7 +9,6 @@ from mixlab.flows import FlowSpec, ShearSpec, ShearTerm, preset_shear
 from mixlab.shear import (
     default_dt,
     dissipation_report,
-    evolve_mode,
     evolve_shear,
     step_mode,
 )
@@ -25,6 +24,13 @@ from mixlab.spectral import (
 
 SIN_Y = preset_shear("couette")
 ZERO = preset_shear("zero")
+
+
+def one_row(rho0, k):
+    """rho0 with every x-mode but k zeroed, so evolve_shear steps mode k alone."""
+    coeff = np.zeros_like(rho0.coeff)
+    coeff[k + rho0.lattice.kmax] = rho0.coeff[k + rho0.lattice.kmax]
+    return rho0.with_coeff(coeff)
 
 
 def profile(k=1, lmax=8, seed=0):
@@ -57,9 +63,9 @@ class TestStepMode:
         coarse0 = field_from_terms(Lattice(1, 16), [HarmonicTerm(1.0, 1, 0)])
         fine0 = field_from_terms(Lattice(1, 64), [HarmonicTerm(1.0, 1, 0)])
         dt = default_dt(k, SIN_Y.M)
-        coarse = evolve_mode(x_mode(coarse0, 1), SIN_Y, nu, np.array([1.0]), dt=dt)
-        fine = evolve_mode(x_mode(fine0, 1), SIN_Y, nu, np.array([1.0]), dt=dt / 16)
-        c, f = coarse.profiles[-1].coeff, fine.profiles[-1].coeff
+        coarse = evolve_shear(one_row(coarse0, 1), SIN_Y, nu, np.array([1.0]), dt=dt)
+        fine = evolve_shear(one_row(fine0, 1), SIN_Y, nu, np.array([1.0]), dt=dt / 16)
+        c, f = x_mode(coarse.fields[-1], 1).coeff, x_mode(fine.fields[-1], 1).coeff
         diff = np.linalg.norm(c - f[64 - 16 : 64 + 17])
         assert diff <= 1e-6 * np.linalg.norm(f)
 
@@ -99,8 +105,8 @@ class TestEvolveShear:
             Lattice(2, 12), [HarmonicTerm(1.0, 1, 1), HarmonicTerm(0.4, 2, 0, "sin")]
         )
         for k in (1, 2):
-            tr = evolve_mode(x_mode(rho0, k), SIN_Y, nu, np.linspace(0.0, 2.0, 41))
-            e = tr.energies
+            tr = evolve_shear(one_row(rho0, k), SIN_Y, nu, np.linspace(0.0, 2.0, 41))
+            e = np.array([np.sum(np.abs(x_mode(f, k).coeff) ** 2) for f in tr.fields])
             assert np.all(np.diff(e) <= 1e-10 * e[0])
             envelope = e[0] * np.exp(-2 * nu * k * k * tr.times) * (1 + 1e-8)
             assert np.all(e <= envelope)
@@ -125,7 +131,7 @@ class TestStepGrid:
         with pytest.raises(FieldError, match="step size must be positive"):
             evolve_shear(rho0, SIN_Y, 0.1, np.array([1.0]), dt=dt)
         with pytest.raises(FieldError, match="step size must be positive"):
-            evolve_mode(x_mode(rho0, 1), SIN_Y, 0.1, np.array([1.0]), dt=dt)
+            evolve_shear(one_row(rho0, 1), SIN_Y, 0.1, np.array([1.0]), dt=dt)
 
     @pytest.mark.parametrize("times", [[], [-0.5, 1.0], [1.0, 1.0], [2.0, 1.0]])
     def test_bad_sample_times_rejected(self, times):
@@ -133,7 +139,7 @@ class TestStepGrid:
         with pytest.raises(FieldError, match="times must be"):
             evolve_shear(rho0, SIN_Y, 0.1, np.array(times))
         with pytest.raises(FieldError, match="times must be"):
-            evolve_mode(x_mode(rho0, 1), SIN_Y, 0.1, np.array(times))
+            evolve_shear(one_row(rho0, 1), SIN_Y, 0.1, np.array(times))
         with pytest.raises(FieldError, match="times must be"):
             evolve_2d(rho0, FlowSpec(()), 0.0, 0.1, np.array(times))
 

@@ -40,7 +40,7 @@ def test_fast_certificate_spans_land(tracer):
     raw["cutoff"] = 4
     scenario = harness.Scenario.from_json(raw)
     with tracer.Tracer().patched() as tr:
-        harness._certify_fast(scenario)
+        harness._certify(scenario)
     names = [s[tracer.NAME] for s in tr.spans]
     edges = {(s[tracer.NAME], tr.spans[s[tracer.PARENT]][tracer.NAME]) for s in tr.spans if s[tracer.PARENT] >= 0}
     for name in (
@@ -52,3 +52,40 @@ def test_fast_certificate_spans_land(tracer):
         assert name in names
     assert ("flows.time_average", "averaging.averaged_operator") in edges
     assert ("scipy.linalg.schur", "averaging.detecting_spectrum") in edges
+
+
+def _ancestors(tracer, spans, i):
+    names = []
+    while spans[i][tracer.PARENT] >= 0:
+        i = spans[i][tracer.PARENT]
+        names.append(spans[i][tracer.NAME])
+    return names
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        (
+            "heat_cosy",
+            (
+                "certificates.c2_certificate",
+                "certificates.mixing_certificate",
+                "shear.evolve_shear",
+                "certificates.check_exponential_bound",
+                "certificates.check_upper_envelope",
+                "certificates.check_mixing_bound",
+            ),
+        ),
+        ("inviscid_cosx_siny", ("inviscid.inviscid_certificate", "inviscid.check_inviscid_bound")),
+    ],
+    ids=["heat_cosy", "inviscid_cosx_siny"],
+)
+def test_run_spans_land_under_run(tracer, name, expected):
+    scenario = harness.builtin_scenario(name)
+    with tracer.Tracer().patched() as tr:
+        harness.run(scenario)
+    for target in expected:
+        hits = [i for i, s in enumerate(tr.spans) if s[tracer.NAME] == target]
+        assert hits, target
+        for i in hits:
+            assert "harness.run" in _ancestors(tracer, tr.spans, i), target
