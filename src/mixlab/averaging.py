@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.linalg as sla
@@ -31,6 +31,7 @@ from .spectral import (
     embed,
     h2_norm,
     l2_norm,
+    pair_bilinear,
 )
 
 __all__ = [
@@ -95,27 +96,19 @@ class AveragedOperator:
         return {(int(k), int(l)): i for i, (k, l) in enumerate(self.modes)}
 
     def field_to_vec(self, f: SpectralField2D) -> np.ndarray:
+        """Coefficients on ``modes``: the raveled lattice without its centre (0, 0), index dim // 2."""
         g = embed(f, self.cutoff) if f.lattice != self.cutoff else f
-        vec = np.empty(self.dim, dtype=complex)
-        kmax, lmax = self.cutoff.kmax, self.cutoff.lmax
-        for i, (k, l) in enumerate(self.modes):
-            vec[i] = g.coeff[k + kmax, l + lmax]
-        return vec
+        return np.delete(g.coeff.ravel(), self.dim // 2)
 
     def vec_to_field(self, vec: np.ndarray) -> SpectralField2D:
-        coeff = np.zeros(self.cutoff.shape, dtype=complex)
-        kmax, lmax = self.cutoff.kmax, self.cutoff.lmax
-        for i, (k, l) in enumerate(self.modes):
-            coeff[k + kmax, l + lmax] = vec[i]
-        return SpectralField2D(self.cutoff, coeff)
+        return SpectralField2D(self.cutoff, np.insert(vec, self.dim // 2, 0.0).reshape(self.cutoff.shape))
 
     def flip_permutation(self) -> np.ndarray:
-        """Index permutation sending mode (k,l) to (-k,-l); realizes the bilinear pairing."""
-        idx = self.mode_index()
-        perm = np.empty(self.dim, dtype=int)
-        for i, (k, l) in enumerate(self.modes):
-            perm[i] = idx[(-int(k), -int(l))]
-        return perm
+        """Index permutation sending mode (k,l) to (-k,-l); realizes the bilinear pairing.
+
+        The mode list is point symmetric about the removed centre, so this is the reversal.
+        """
+        return np.arange(self.dim)[::-1]
 
 
 def _mode_list(cutoff: Lattice) -> np.ndarray:
@@ -438,9 +431,6 @@ class DampingEstimate:
     jordan_bound: float
     eta: float
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "t_star": self.t_star, "jordan_bound": self.jordan_bound, "eta": self.eta}
-
 
 def damping_constant(
     G: np.ndarray, gamma: float, eta: float, coarse: int = 800
@@ -518,15 +508,6 @@ class SylvesterEstimate:
     h1_weighted_norms: np.ndarray
     h2_weighted_norms: np.ndarray
     flag: str = "estimated at truncation, not rigorous"
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "gap": self.gap,
-            "radius": self.radius,
-            "flag": self.flag,
-            "plain_resolvent_norms": [float(x) for x in self.plain_resolvent_norms],
-        }
 
 
 def sylvester_constant(
@@ -662,27 +643,7 @@ class FastCertificate:
         return math.log(self.prefactor) - c * t
 
     def to_json(self) -> dict:
-        return {
-            "kind": "fast",
-            "nu": self.nu,
-            "eta": self.eta,
-            "M": self.M,
-            "C_R": self.C_R,
-            "C_S": self.C_S,
-            "S_nu": self.S_nu,
-            "K_nu": self.K_nu,
-            "D_eta": self.D_eta,
-            "gamma_nu": self.gamma_nu,
-            "Q": self.Q,
-            "K0": self.K0,
-            "rho_norm": self.rho_norm,
-            "a0_terms": self.a0_terms,
-            "A0": self.A0,
-            "c_A": self.c_A,
-            "prefactor": self.prefactor,
-            "lambda1": self.lambda1,
-            "sylvester_flag": self.sylvester_flag,
-        }
+        return {"kind": "fast", **asdict(self)}
 
 
 def fast_certificate(
@@ -804,9 +765,7 @@ def observable_series(trajectory: FieldTrajectory, basis: list[SpectralField2D])
     out = np.zeros((len(trajectory.fields), len(basis)), dtype=complex)
     for i, f in enumerate(trajectory.fields):
         for j, phi in enumerate(basis):
-            target = phi.lattice
-            g = embed(f, target) if f.lattice != target else f
-            out[i, j] = complex(np.sum(g.coeff * phi.coeff[::-1, ::-1]))
+            out[i, j] = pair_bilinear(embed(f, phi.lattice) if f.lattice != phi.lattice else f, phi)
     return out
 
 
@@ -832,17 +791,21 @@ def check_fast_bound(
     else:
         rate = cert.rate_for(A)
         regime = "sharper_A_dependent"
-    rows = []
-    for t, f in zip(trajectory.times, trajectory.fields):
-        measured = l2_norm(f)
-        rows.append((float(t), measured, cert.log_envelope(float(t), rate)))
     extras = {
         "A": A,
         "rate_used": rate,
         "regime": regime,
         "a0_terms": cert.a0_terms,
     }
-    return make_report(scenario, "fast_l2_exponential_floor", cert.to_json(), rows, tol, extras)
+    return make_report(
+        scenario,
+        "fast_l2_exponential_floor",
+        cert.to_json(),
+        zip(trajectory.times, trajectory.fields),
+        lambda t, f: (l2_norm(f), cert.log_envelope(t, rate)),
+        tol,
+        extras,
+    )
 
 
 def spectrum_convergence(

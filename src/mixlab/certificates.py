@@ -17,7 +17,7 @@ Every intermediate constant is kept on the certificate records for audit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -87,21 +87,6 @@ class ModeRecord:
     gamma_k: float
     C_k: float
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "a_k": self.a_k,
-            "L_k": self.L_k,
-            "beta_k": self.beta_k,
-            "delta_k": self.delta_k,
-            "m_k": self.m_k,
-            "Lambda_k": self.Lambda_k,
-            "D_k": self.D_k,
-            "theta_k": self.theta_k,
-            "gamma_k": self.gamma_k,
-            "C_k": self.C_k,
-        }
-
 
 @dataclass(frozen=True)
 class HeatModeRecord:
@@ -110,9 +95,6 @@ class HeatModeRecord:
     l: int
     b_l: float
     C_l: float
-
-    def to_json(self) -> dict:
-        return {"l": self.l, "b_l": self.b_l, "C_l": self.C_l}
 
 
 @dataclass(frozen=True)
@@ -134,19 +116,7 @@ class C2Certificate:
         return math.log(self.N) - self.c2 * t
 
     def to_json(self) -> dict:
-        return {
-            "kind": "c2",
-            "N": self.N,
-            "M": self.M,
-            "nu": self.nu,
-            "L0": self.L0,
-            "beta0": self.beta0,
-            "delta0": self.delta0,
-            "branch": self.branch,
-            "selected": self.selected,
-            "c2": self.c2,
-            "records": [r.to_json() for r in self.records],
-        }
+        return {"kind": "c2", **asdict(self)}
 
 
 def mode_mk(k: int, M: float, nu: float, delta_k: float) -> int:
@@ -291,9 +261,6 @@ class MixModeRecord:
     N_k: int
     radius_sq: int  # k^2 + N_k^2 (N_0^2 for k = 0)
 
-    def to_json(self) -> dict:
-        return {"k": self.k, "a_k": self.a_k, "J_k": self.J_k, "N_k": self.N_k, "radius_sq": self.radius_sq}
-
 
 @dataclass(frozen=True)
 class MixCertificate:
@@ -311,19 +278,7 @@ class MixCertificate:
     c_star: float
 
     def to_json(self) -> dict:
-        return {
-            "kind": "mix",
-            "c2": self.c2,
-            "nu": self.nu,
-            "M": self.M,
-            "N": self.N,
-            "K_c": self.K_c,
-            "K_0": self.K_0,
-            "K": self.K,
-            "R_star": self.R_star,
-            "c_star": self.c_star,
-            "modes": [m.to_json() for m in self.modes],
-        }
+        return {"kind": "mix", **asdict(self)}
 
 
 def mixing_certificate(rho0: SpectralField2D, M: float, nu: float, c2: float) -> MixCertificate:
@@ -445,13 +400,7 @@ class NuScalingRow:
     branch: str
 
     def to_json(self) -> dict:
-        return {
-            "nu": self.nu,
-            "c2": self.c2,
-            "c2_times_nu": self.c2_times_nu,
-            "c2_over_nu": self.c2_over_nu,
-            "branch": self.branch,
-        }
+        return asdict(self)
 
 
 def nu_scaling_report(rho0: SpectralField2D, M: float, nus: list[float]) -> list[NuScalingRow]:
@@ -482,11 +431,14 @@ def check_exponential_bound(
     scenario: str = "",
 ) -> BoundReport:
     """Verify ||rho(t)||_2 e^{c2 t} / N >= 1 - tol at every sampled time."""
-    rows = []
-    for t, f in zip(trajectory.times, trajectory.fields):
-        measured = l2_norm(f)
-        rows.append((float(t), measured, cert.log_envelope(float(t))))
-    return make_report(scenario, "l2_exponential_floor", cert.to_json(), rows, tol)
+    return make_report(
+        scenario,
+        "l2_exponential_floor",
+        cert.to_json(),
+        zip(trajectory.times, trajectory.fields),
+        lambda t, f: (l2_norm(f), cert.log_envelope(t)),
+        tol,
+    )
 
 
 def check_upper_envelope(
@@ -501,19 +453,19 @@ def check_upper_envelope(
     Reported as margin = ceiling/measured so the PASS convention matches the
     floor checks.
     """
-    rows = []
-    for t, f in zip(trajectory.times, trajectory.fields):
+
+    def row(t: float, f: SpectralField2D) -> tuple[float, float]:
         measured = l2_norm(f)
-        log_ceiling = math.log(cert.N) - cert.nu * float(t) + math.log1p(slack)
         if measured == 0.0:
-            rows.append((float(t), 1.0, 0.0))  # zero field is trivially below the ceiling
-            continue
-        rows.append((float(t), math.exp(log_ceiling), math.log(measured)))
+            return 1.0, 0.0  # zero field is trivially below the ceiling
+        return math.exp(math.log(cert.N) - cert.nu * t + math.log1p(slack)), math.log(measured)
+
     return make_report(
         scenario,
         "l2_heat_ceiling",
         cert.to_json(),
-        rows,
+        zip(trajectory.times, trajectory.fields),
+        row,
         tol,
         {"orientation": "samples store (t, ceiling, measured, ceiling/measured)"},
     )
@@ -532,12 +484,9 @@ def check_mixing_bound(
     per-mode retention L_{k,N_k}(t) >= E_k(t)/2 - retention_tol for every
     certified mode.
     """
-    rows = []
-    log_env = -math.log(2.0 * cert.R_star)
+    ratios = [mixing_scale(f) for f in trajectory.fields]
     retention_worst = math.inf
-    for t, f in zip(trajectory.times, trajectory.fields):
-        ratio = mixing_scale(f)
-        rows.append((float(t), ratio, log_env))
+    for f in trajectory.fields:
         for rec in cert.modes:
             if abs(rec.k) > f.lattice.kmax:
                 continue
@@ -546,8 +495,17 @@ def check_mixing_bound(
             low = low_block_energy(prof, rec.N_k)
             retention_worst = min(retention_worst, low - 0.5 * e_k)
     extras = {
-        "slack_factor": min((r[1] for r in rows), default=math.inf) / cert.c_star if rows else math.inf,
+        "slack_factor": min(ratios, default=math.inf) / cert.c_star,
         "retention_min": retention_worst if retention_worst is not math.inf else 0.0,
         "retention_ok": bool(retention_worst >= -retention_tol),
     }
-    return make_report(scenario, "mixing_scale_floor", cert.to_json(), rows, tol, extras)
+    log_env = -math.log(2.0 * cert.R_star)
+    return make_report(
+        scenario,
+        "mixing_scale_floor",
+        cert.to_json(),
+        zip(trajectory.times, ratios),
+        lambda t, ratio: (ratio, log_env),
+        tol,
+        extras,
+    )

@@ -163,6 +163,14 @@ def _cmd_corpus(args) -> int:
     return summary.exit_code
 
 
+def _sample_count(text: str) -> int:
+    """argparse type for --n-times: the fitted decay rate needs two distinct sample times."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
+    return n
+
+
 def _add_common(p: argparse.ArgumentParser, scenario: bool = True) -> None:
     if scenario:
         p.add_argument("--scenario", required=True, help="scenario JSON file")
@@ -197,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--t-max", type=float, default=2.0)
-    p.add_argument("--n-times", type=int, default=41)
+    p.add_argument("--n-times", type=_sample_count, default=41)
     p.add_argument("--out", help="write JSON output to this path (default stdout)")
     p.set_defaults(func=_cmd_sharpness)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,6 +25,7 @@ from . import averaging, certificates, inviscid, shear
 from .flows import FlowSpec, ShearSpec, flow_from_json
 from .reports import BoundReport
 from .spectral import (
+    FieldError,
     HarmonicTerm,
     Lattice,
     SpectralField2D,
@@ -139,12 +141,16 @@ class Scenario:
         times_spec = _require(data, "times", "")
         if isinstance(times_spec, dict):
             t_max = float(_require(times_spec, "t_max", "times."))
+            if not math.isfinite(t_max):
+                raise SchemaError(f"invalid field: times.t_max must be finite, got {t_max}")
             n = int(_require(times_spec, "n", "times."))
             times = np.linspace(0.0, t_max, n)
         else:
-            times = np.asarray([float(t) for t in times_spec])
-        if times.size == 0 or times[0] < 0 or np.any(np.diff(times) <= 0):
-            raise SchemaError("invalid field: times must be increasing with times[0] >= 0")
+            times = [float(t) for t in times_spec]
+        try:
+            times = shear._check_times(times)
+        except FieldError as exc:
+            raise SchemaError(f"invalid field: {exc}") from None
 
         dt = data.get("dt")
         if dt is not None:
@@ -203,17 +209,12 @@ class ScenarioReport:
 
 
 def _finish(name: str, regime: str, checks: dict[str, BoundReport], t0: float, trajectory=None) -> ScenarioReport:
-    ok = all(r.passed for r in checks.values())
-    extras_ok = all(
-        bool(v) for r in checks.values() for key, v in r.extras.items() if key.endswith("_ok")
-    )
-    min_margin = min((r.min_margin for r in checks.values()), default=float("inf"))
     return ScenarioReport(
         name=name,
         regime=regime,
         checks=checks,
-        verdict="PASS" if (ok and extras_ok) else "FAIL",
-        min_margin=min_margin,
+        verdict="PASS" if all(r.passed for r in checks.values()) else "FAIL",
+        min_margin=min((r.min_margin for r in checks.values()), default=float("inf")),
         runtime=time.perf_counter() - t0,
         trajectory=trajectory,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -66,17 +66,7 @@ class InviscidCertificate:
         return max(1, int(math.ceil(4.0 * v * v / self.S)))
 
     def to_json(self) -> dict:
-        return {
-            "kind": "inviscid",
-            "k": self.k,
-            "S": self.S,
-            "A": self.A,
-            "B": self.B,
-            "D": self.D,
-            "c_star": self.c_star,
-            "stationary": self.stationary,
-            "safety": self.safety,
-        }
+        return {"kind": "inviscid", **asdict(self)}
 
 
 def _phase_values(phi_coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -226,21 +216,24 @@ def check_inviscid_bound(
     control: the mass above the window N(t) never exceeds half the conserved
     mode mass.
     """
-    rows = []
-    max_tail_ratio = 0.0
-    for t in times:
-        state = evolve_inviscid(theta0, shear, t)
-        measured = hneg1_norm(state)
-        log_env = math.log(cert.c_star) - math.log1p(t * t)
-        rows.append((float(t), measured, log_env))
-        if not cert.stationary:
+    states = [(t, evolve_inviscid(theta0, shear, t)) for t in times]
+    extras = {}
+    if not cert.stationary:
+        max_tail_ratio = 0.0
+        for t, state in states:
             n_t = cert.tail_cutoff(t)
             row = state.coeff[cert.k + state.lattice.kmax, :]
             lsa = np.abs(state.lattice.l_values())
             tail = float(np.sum(np.abs(row[lsa > n_t]) ** 2))
             max_tail_ratio = max(max_tail_ratio, tail / (cert.S / 2.0))
-    extras = {}
-    if not cert.stationary:
         extras["max_tail_ratio"] = max_tail_ratio
         extras["tail_ok"] = bool(max_tail_ratio <= 1.0 + 1e-12)
-    return make_report(scenario, "inviscid_hneg1_poly", cert.to_json(), rows, tol, extras)
+    return make_report(
+        scenario,
+        "inviscid_hneg1_poly",
+        cert.to_json(),
+        states,
+        lambda t, state: (hneg1_norm(state), math.log(cert.c_star) - math.log1p(t * t)),
+        tol,
+        extras,
+    )

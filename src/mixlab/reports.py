@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 __all__ = ["BoundSample", "BoundReport", "make_report", "log_margin"]
 
@@ -14,8 +15,8 @@ _MARGIN_CAP = 1e300
 
 
 def log_margin(measured: float, log_envelope: float) -> float:
-    """Natural log of measured/envelope, -inf when the measurement vanished."""
-    if measured <= 0.0:
+    """Natural log of measured/envelope; -inf when the measurement vanished or either side is NaN."""
+    if math.isnan(measured) or math.isnan(log_envelope) or measured <= 0.0:
         return -math.inf
     return math.log(measured) - log_envelope
 
@@ -44,7 +45,8 @@ class BoundReport:
     """Outcome of checking one certified inequality along a trajectory.
 
     ``margin`` rows are measured/envelope; the verdict is PASS exactly when
-    the worst margin stays above 1 - tol.
+    the worst margin stays above 1 - tol and every ``*_ok`` audit in
+    ``extras`` holds.
     """
 
     scenario: str
@@ -77,31 +79,35 @@ def make_report(
     scenario: str,
     bound: str,
     certificate: dict,
-    rows: list[tuple[float, float, float]],
+    states: Iterable[tuple[float, object]],
+    row: Callable[[float, object], tuple[float, float]],
     tol: float,
     extras: dict | None = None,
 ) -> BoundReport:
-    """Assemble a report from rows (t, measured, log_envelope).
+    """Check one inequality over (t, field) states; ``row(t, field)`` gives (measured, log_envelope).
 
     Envelopes are supplied in log space so that astronomically steep certified
-    exponents neither overflow nor force a fake verdict.
+    exponents neither overflow nor force a fake verdict.  A NaN on either
+    side counts as margin 0.
     """
     samples = []
     worst = math.inf
-    for t, measured, log_env in rows:
+    for t, f in states:
+        t = float(t)
+        measured, log_env = row(t, f)
         lm = log_margin(measured, log_env)
         worst = min(worst, lm)
         samples.append(BoundSample(t, measured, _clamp_exp(log_env), _clamp_exp(lm)))
-    min_margin = _clamp_exp(worst) if samples else math.inf
-    threshold = 1.0 - tol
-    ok = (worst >= math.log(threshold)) if samples else True
+    extras = extras or {}
+    audits_ok = all(bool(v) for key, v in extras.items() if key.endswith("_ok"))
+    ok = worst >= math.log(1.0 - tol) and audits_ok
     return BoundReport(
         scenario=scenario,
         bound=bound,
         certificate=certificate,
         samples=samples,
-        min_margin=float(min_margin),
+        min_margin=float(_clamp_exp(worst) if samples else math.inf),
         tol=tol,
         verdict="PASS" if ok else "FAIL",
-        extras=extras or {},
+        extras=extras,
     )

@@ -106,10 +106,10 @@ def step_mode(profile: ModeProfile, shear: ShearSpec, nu: float, t: float, dt: f
 
 
 def _check_times(times) -> np.ndarray:
-    """Sample times as an array; they must be nonempty, increasing and start at t >= 0."""
+    """Sample times as an array; they must be nonempty, finite, increasing and start at t >= 0."""
     times = np.asarray(times, dtype=float)
-    if times.size == 0 or times[0] < 0 or np.any(np.diff(times) <= 0):
-        raise FieldError("times must be a nonempty increasing list with times[0] >= 0")
+    if times.size == 0 or not np.all(np.isfinite(times)) or times[0] < 0 or np.any(np.diff(times) <= 0):
+        raise FieldError("times must be a nonempty finite increasing list with times[0] >= 0")
     return times
 
 
@@ -201,9 +201,6 @@ class DissipationReport:
     max_residual: float
     residuals: np.ndarray
     midpoints: np.ndarray
-
-    def to_json(self) -> dict:
-        return {"max_residual": self.max_residual, "n_intervals": int(self.residuals.size)}
 
 
 def dissipation_report(trajectory: FieldTrajectory) -> DissipationReport:

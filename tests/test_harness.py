@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -68,6 +69,16 @@ class TestSchema:
         raw = json.loads(json.dumps(BUILTIN_SCENARIOS["heat_cosy"]))
         raw["tolerances"] = {"margin": margin}
         with pytest.raises(SchemaError, match="tolerances.margin"):
+            Scenario.from_json(raw)
+
+    @pytest.mark.parametrize("name", ["heat_cosy", "inviscid_cosx_siny"])
+    @pytest.mark.parametrize(
+        "times", [[0.0, float("nan")], [0.0, float("inf")], {"t_max": float("nan"), "n": 1}]
+    )
+    def test_nonfinite_times_rejected(self, name, times):
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS[name]))
+        raw["times"] = times
+        with pytest.raises(SchemaError, match="times"):
             Scenario.from_json(raw)
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b"])
@@ -233,6 +244,29 @@ class TestCli:
         assert payload["family"]["n"] == 4
         assert payload["certificate_c_star"] == pytest.approx(0.125)
         assert payload["measured_over_certified"] == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_times", ["1", "0"])
+    def test_sharpness_needs_two_sample_times(self, n_times, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sharpness", "--nu", "0.25", "--n-times", n_times])
+        assert exc.value.code == 2
+        assert "--n-times" in capsys.readouterr().err
+
+    def test_failed_audit_fails_check_and_verify(self, monkeypatch, capsys):
+        """A check whose margins hold but whose tail audit fails is FAIL, and verify exits 1."""
+        certify = harness._certify
+
+        def zero_growth(scenario):
+            return {"inviscid": dataclasses.replace(certify(scenario)["inviscid"], A=0.0, B=0.0)}
+
+        monkeypatch.setattr(harness, "_certify", zero_growth)
+        check = run(builtin_scenario("inviscid_cosx_siny")).checks["inviscid"]
+        assert check.min_margin >= 1.0 - check.tol
+        assert not check.extras["tail_ok"]
+        assert check.verdict == "FAIL"
+        rc = cli_main(["verify", "inviscid", "--scenario", str(EXTRA_DIR / "inviscid_cosx_siny.json")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().out)["inviscid"]["verdict"] == "FAIL"
 
     def test_simulate_heat(self, tmp_path):
         rc = cli_main(

@@ -133,7 +133,9 @@ class TestStepGrid:
         with pytest.raises(FieldError, match="step size must be positive"):
             evolve_shear(one_row(rho0, 1), SIN_Y, 0.1, np.array([1.0]), dt=dt)
 
-    @pytest.mark.parametrize("times", [[], [-0.5, 1.0], [1.0, 1.0], [2.0, 1.0]])
+    @pytest.mark.parametrize(
+        "times", [[], [-0.5, 1.0], [1.0, 1.0], [2.0, 1.0], [0.0, float("nan")], [0.0, float("inf")]]
+    )
     def test_bad_sample_times_rejected(self, times):
         rho0 = field_from_terms(Lattice(2, 8), [HarmonicTerm(1.0, 1, 0)])
         with pytest.raises(FieldError, match="times must be"):
