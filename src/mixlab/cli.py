@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import certificates, harness, inviscid
 from .flows import flow_to_json
-from .harness import Scenario
+from .harness import Scenario, SchemaError
 from .spectral import field_to_json, l2_norm
 
 
@@ -30,7 +30,7 @@ def _load_scenario(args) -> Scenario:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = harness.json_text(payload)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -219,7 +219,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_corpus)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SchemaError as exc:  # bad input, not a failed bound: exit 2 like a regime mismatch
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

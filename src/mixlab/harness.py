@@ -42,6 +42,7 @@ __all__ = [
     "ScenarioReport",
     "run",
     "corpus_run",
+    "json_text",
     "write_timeseries_csv",
     "builtin_scenario",
     "BUILTIN_SCENARIOS",
@@ -405,6 +406,22 @@ def _thread_count() -> int:
         return 1
 
 
+def _finite(obj):
+    """``obj`` with None for every non-finite float: JSON has no NaN or Infinity."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
+def json_text(payload) -> str:
+    """The indented, key-sorted JSON text of a report or certificate payload, non-finite floats as null."""
+    return json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False)
+
+
 def corpus_run(directory: str | Path, out_dir: str | Path | None = None) -> CorpusSummary:
     """Run every scenario JSON in a directory; write summary CSV + per-scenario reports.
 
@@ -421,8 +438,7 @@ def corpus_run(directory: str | Path, out_dir: str | Path | None = None) -> Corp
             scenario = Scenario.from_file(path)
             report = run(scenario)
             out_path = out_dir / f"{scenario.name}.json"
-            with open(out_path, "w") as fh:
-                json.dump(report.to_json(), fh, indent=2, sort_keys=True)
+            out_path.write_text(json_text(report.to_json()))
             return {
                 "file": path.name,
                 "name": scenario.name,

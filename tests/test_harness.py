@@ -252,6 +252,23 @@ class TestCli:
         assert exc.value.code == 2
         assert "--n-times" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate", "--scenario", "{bad}"], ["sharpness", "--nu", "0.25", "--t-max", "0"]],
+        ids=["simulate_unordered_times", "sharpness_zero_t_max"],
+    )
+    def test_schema_error_exits_2_with_one_line(self, command, tmp_path, capsys):
+        raw = json.loads((CORPUS_DIR / "heat_cosy.json").read_text())
+        raw["times"] = [0.0, 2.0, 1.0]
+        bad = tmp_path / "bad_times.json"
+        bad.write_text(json.dumps(raw))
+        rc = cli_main([arg.format(bad=bad) for arg in command])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        want = "invalid field: times must be a nonempty finite increasing list with times[0] >= 0"
+        assert captured.err == f"{command[0]}: {want}\n"
+
     def test_failed_audit_fails_check_and_verify(self, monkeypatch, capsys):
         """A check whose margins hold but whose tail audit fails is FAIL, and verify exits 1."""
         certify = harness._certify

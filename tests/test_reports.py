@@ -35,6 +35,9 @@ class TestMakeReport:
         assert rep.verdict == "FAIL"
         assert rep.min_margin == 0.0
         assert [s.margin for s in rep.samples] == [0.0, 0.0]
+        blob = json.loads(harness.json_text(rep.to_json()))
+        json.dumps(blob, allow_nan=False)
+        assert [s[1] for s in blob["samples"]] == [None, None]
 
     def test_nan_envelope_fails_with_zero_margin(self):
         rows = {0.0: (1.0, 0.0), 1.0: (1.0, math.nan)}
@@ -42,6 +45,15 @@ class TestMakeReport:
         assert rep.verdict == "FAIL"
         assert rep.min_margin == 0.0
         assert rep.samples[0].margin == 1.0
+        blob = json.loads(harness.json_text(rep.to_json()))
+        json.dumps(blob, allow_nan=False)
+        assert blob["samples"][1][2] is None
+
+    def test_no_samples_serializes_infinite_margin_as_null(self):
+        rep = make_report("s", "b", {"c": math.inf}, [], lambda t, f: (1.0, 0.0), 1e-6)
+        assert rep.min_margin == math.inf
+        blob = json.loads(harness.json_text(rep.to_json()))
+        assert blob["min_margin"] is None and blob["certificate"] == {"c": None}
 
 
 class TestCertificateJson:

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.fft import next_fast_len
 
 from mixlab.averaging import evolve_2d
 from mixlab.certificates import c2_certificate
 from mixlab.flows import FlowSpec, ShearSpec, ShearTerm, preset_shear
 from mixlab.shear import (
+    _march,
     default_dt,
     dissipation_report,
     evolve_shear,
@@ -17,9 +20,11 @@ from mixlab.spectral import (
     HarmonicTerm,
     Lattice,
     ModeProfile,
+    SpectralField2D,
     field_from_terms,
     l2_norm,
     x_mode,
+    zeros,
 )
 
 SIN_Y = preset_shear("couette")
@@ -123,6 +128,115 @@ class TestEvolveShear:
             # margin check in log space: log v + c2 t >= log n0 - 1e-6
             assert math.log(v) + cert.c2 * t >= math.log(n0) - 1e-6
 
+    @pytest.mark.parametrize("terms", [[(1.0, 0, 3)], [(1.0, 0, 3), (0.5, 1, 2)]], ids=["k0_only", "with_k1"])
+    def test_k0_row_is_exact_heat_under_shear(self, terms):
+        """The k = 0 row takes the heat factor alone, with no FFT round trip, even beside advected rows.
+
+        Compared with exp(-nu l^2 t) up to t = 0.25: each step multiplies by two
+        rounded half-step factors, so longer horizons drift by about 2e-16 a step.
+        """
+        nu = 0.1
+        rho0 = field_from_terms(Lattice(2, 6), [HarmonicTerm(a, kx, ky) for a, kx, ky in terms])
+        traj = evolve_shear(rho0, SIN_Y, nu, np.array([0.05, 0.1, 0.25]))
+        row0 = rho0.coeff[2]
+        for t, f in zip(traj.times, traj.fields):
+            want = np.exp(-nu * rho0.lattice.l_values() ** 2 * t) * row0
+            assert np.max(np.abs(f.coeff[2] - want)) <= 1e-15 * np.max(np.abs(want))
+            assert np.all(f.coeff[2].imag == 0.0)
+
+
+class _OracleModeStepper:
+    """The per-mode Strang step the stacked stepper replaced: one FFT pair per mode and step."""
+
+    def __init__(self, k, lmax, shear, nu):
+        self.k = k
+        self.shear = shear
+        self.nu = nu
+        self.ls = np.arange(-lmax, lmax + 1)
+        self.ny = next_fast_len(2 * (2 * lmax + 1))
+        self.y = 2.0 * np.pi * np.arange(self.ny) / self.ny
+        self.advect = not shear.is_zero() and k != 0
+
+    def step(self, coeff, t, dt):
+        half = np.exp(-0.5 * self.nu * (self.k**2 + self.ls**2) * dt)
+        out = coeff * half
+        if self.advect:
+            u_mid = self.shear.sample(t + 0.5 * dt, self.y)
+            spec = np.zeros(self.ny, dtype=complex)
+            spec[self.ls % self.ny] = out
+            vals = np.fft.ifft(spec) * self.ny
+            vals *= np.exp(-1j * self.k * u_mid * dt)
+            spec = np.fft.fft(vals) / self.ny
+            out = spec[self.ls % self.ny]
+        return out * half
+
+
+def oracle_evolve(rho0, shear, nu, times, dt):
+    """evolve_shear through the per-mode oracle on the same step grid."""
+    lattice = rho0.lattice
+    active = [k for k in lattice.k_values() if np.any(np.abs(rho0.coeff[k + lattice.kmax]) > 0.0)]
+    steppers = [_OracleModeStepper(k, lattice.lmax, shear, nu) for k in active]
+
+    def step(coeffs, t, h):
+        return [s.step(c, t, h) for s, c in zip(steppers, coeffs)]
+
+    def diag(coeffs):
+        pairs = list(zip(steppers, coeffs))
+        energy = sum(float(np.sum(np.abs(c) ** 2)) for _, c in pairs)
+        grad = sum(float(np.sum((s.k**2 + s.ls**2) * np.abs(c) ** 2)) for s, c in pairs)
+        return energy, grad
+
+    def snapshot(coeffs):
+        coeff = np.zeros(lattice.shape, dtype=complex)
+        for k, c in zip(active, coeffs):
+            coeff[k + lattice.kmax] = c
+        return SpectralField2D(lattice, coeff)
+
+    return _march(nu, times, dt, [rho0.coeff[k + lattice.kmax] for k in active], step, diag, snapshot)
+
+
+@st.composite
+def shear_specs(draw):
+    """Random steady or time-periodic shears of one to three harmonics."""
+    time_modes = ["const"] if draw(st.booleans()) else ["const", "cos", "sin"]
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        ky = draw(st.integers(0, 4))
+        phase = "cos" if ky == 0 else draw(st.sampled_from(["cos", "sin"]))
+        terms.append(ShearTerm(draw(st.floats(-2.0, 2.0)), ky, phase, draw(st.sampled_from(time_modes))))
+    if len(time_modes) > 1 and all(t.time_mode == "const" for t in terms):
+        terms[0] = ShearTerm(terms[0].ampl, terms[0].ky, terms[0].phase, "cos")
+    return ShearSpec(tuple(terms), period=draw(st.floats(0.5, 2 * math.pi)))
+
+
+class TestStackedStepper:
+    @given(
+        shear_specs(),
+        st.integers(2, 12),
+        st.sets(st.integers(-3, 3), min_size=1),
+        st.floats(0.01, 1.0),
+        st.floats(1e-3, 0.05),
+        st.lists(st.floats(0.01, 0.15), min_size=1, max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_mode_oracle(self, shear, lmax, ks, nu, dt, gaps, seed):
+        lattice = Lattice(3, lmax)
+        rng = np.random.default_rng(seed)
+        coeff = np.zeros(lattice.shape, dtype=complex)
+        for k in sorted(ks):
+            coeff[k + 3] = rng.standard_normal(2 * lmax + 1) + 1j * rng.standard_normal(2 * lmax + 1)
+        coeff[3, lmax] = 0.0  # mean zero
+        rho0 = SpectralField2D(lattice, coeff)
+        times = np.cumsum(gaps)
+        got = evolve_shear(rho0, shear, nu, times, dt=dt)
+        want = oracle_evolve(rho0, shear, nu, times, dt)
+        for g, w in zip(got.fields, want.fields):
+            assert np.max(np.abs(g.coeff - w.coeff)) <= 1e-12 * np.max(np.abs(w.coeff))
+        np.testing.assert_array_equal(got.diag_times, want.diag_times)
+        np.testing.assert_allclose(got.diag_energy, want.diag_energy, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.diag_grad, want.diag_grad, rtol=1e-12, atol=0.0)
+
 
 class TestStepGrid:
     @pytest.mark.parametrize("dt", [0.0, -0.005])
@@ -162,6 +276,11 @@ class TestDissipation:
         rho0 = field_from_terms(Lattice(2, 16), [HarmonicTerm(1.0, 1, 0)])
         traj = evolve_shear(rho0, SIN_Y, 0.1, np.array([1.0]), dt=1e-3)
         assert dissipation_report(traj).max_residual <= 1e-5
+
+    def test_zero_datum_rejected(self):
+        traj = evolve_shear(zeros(Lattice(2, 4)), SIN_Y, 0.1, np.array([0.5]))
+        with pytest.raises(FieldError, match="nonzero initial datum"):
+            dissipation_report(traj)
 
     def test_needs_dense_sampling(self):
         traj = evolve_shear(
