@@ -36,7 +36,6 @@ from .flows import (
     SpectralVelocity,
     flow_from_json,
     flow_to_json,
-    mean_zero_reduce,
     phase_integral,
     preset_flow,
     preset_shear,

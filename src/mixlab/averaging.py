@@ -654,7 +654,6 @@ def fast_certificate(
     spectrum: DetectingSpectrum,
     sylvester: SylvesterEstimate,
     c_r: float | None = None,
-    damping: DampingEstimate | None = None,
 ) -> FastCertificate:
     """Assemble the six-term threshold A0 and the exponent c_A = gamma + 2 eta.
 
@@ -670,7 +669,7 @@ def fast_certificate(
     C_S = sylvester.value
     S_nu = 1.0 + spectrum.K2 + spectrum.g_norm
     K_nu = 1.0e6 * C_R**2 * C_S**2 * M**2 * S_nu**2
-    dmp = damping if damping is not None else damping_constant(spectrum.G, spectrum.gamma_nu, eta)
+    dmp = damping_constant(spectrum.G, spectrum.gamma_nu, eta)
     rho_norm = l2_norm(rho0)
     terms = {
         "bundle_contraction_4K": 4.0 * K_nu,

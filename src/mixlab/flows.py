@@ -11,7 +11,6 @@ against a sampling grid, not computed suprema.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "FlowTerm",
     "FlowSpec",
     "SpectralVelocity",
-    "mean_zero_reduce",
     "phase_integral",
     "time_average",
     "preset_shear",
@@ -173,14 +171,6 @@ class ShearSpec:
             out += term.ampl * _time_factor(term.time_mode, self.omega, t) * term.dy_spatial(y)
         return out
 
-    def y_coeffs(self, t: float, lmax: int) -> np.ndarray:
-        """Fourier coefficients of U(t, .) over l in [-lmax, lmax]."""
-        out = np.zeros(2 * lmax + 1, dtype=complex)
-        for term in self.terms:
-            a = term.ampl * _time_factor(term.time_mode, self.omega, t)
-            _add_harmonic(out, lmax, term.ky, term.phase, a)
-        return out
-
 
 def _add_harmonic(vec: np.ndarray, lmax: int, ky: int, phase: str, a: float) -> None:
     if abs(ky) > lmax:
@@ -196,32 +186,13 @@ def _add_harmonic(vec: np.ndarray, lmax: int, ky: int, phase: str, a: float) -> 
         vec[lmax - ky] += 0.5j * a
 
 
-def mean_zero_reduce(shear: ShearSpec) -> tuple[ShearSpec, Callable[[float], float]]:
-    """Split U into its y-mean-free part and the rigid drift it generates.
+def phase_integral(shear: ShearSpec, t: float) -> np.ndarray:
+    """Fourier coefficients over l = -L..L, L = max(max_ky, 1), of Phi(., t) = int_0^t U(., s) ds.
 
-    Returns (U - Ubar(t), X) where Ubar(t) is the y-average and
-    X(t) = int_0^t Ubar(s) ds.  Transport by the constant-in-y part is a rigid
-    x-translation, which leaves every Fourier modulus unchanged.
+    Every time factor is integrated in closed form; the l = 0 coefficient is
+    the rigid x-drift of the shear's y-mean.
     """
-    reduced_terms = tuple(t for t in shear.terms if t.ky != 0)
-    mean_terms = tuple(t for t in shear.terms if t.ky == 0)
-    reduced = ShearSpec(reduced_terms, period=shear.period, w11=shear.w11)
-    omega = shear.omega
-
-    def drift(t: float) -> float:
-        return sum(term.ampl * _integrate_time(term.time_mode, omega, t) for term in mean_terms)
-
-    return reduced, drift
-
-
-def phase_integral(shear: ShearSpec, t: float, lmax: int | None = None) -> np.ndarray:
-    """Fourier coefficients over l of Phi(., t) = int_0^t U(., s) ds.
-
-    The shear should be mean-zero-reduced first; every time factor is
-    integrated in closed form.
-    """
-    lmax = shear.max_ky if lmax is None else lmax
-    lmax = max(lmax, 1)
+    lmax = max(shear.max_ky, 1)
     out = np.zeros(2 * lmax + 1, dtype=complex)
     for term in shear.terms:
         a = term.ampl * _integrate_time(term.time_mode, shear.omega, t)

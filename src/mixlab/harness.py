@@ -13,9 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -257,13 +255,9 @@ def run(scenario: Scenario) -> ScenarioReport:
     t0 = time.perf_counter()
     certs = _certify(scenario)
     name, tol = scenario.name, scenario.tol
-    traj = None
     if scenario.regime == "inviscid":
-        checks = {
-            "inviscid": inviscid.check_inviscid_bound(
-                scenario.rho0, scenario.shear_spec, certs["inviscid"], list(scenario.times), tol=tol, scenario=name
-            )
-        }
+        traj = inviscid.evolve_inviscid(scenario.rho0, scenario.shear_spec, scenario.times)
+        checks = {"inviscid": inviscid.check_inviscid_bound(traj, certs["inviscid"], tol, name)}
     elif scenario.regime == "diffusive_shear":
         traj = shear.evolve_shear(scenario.rho0, scenario.shear_spec, scenario.nu, scenario.times, dt=scenario.dt)
         checks = {
@@ -282,16 +276,6 @@ def run(scenario: Scenario) -> ScenarioReport:
 def write_timeseries_csv(report: ScenarioReport, path: str | Path, kreport: int = 2) -> None:
     """Time series CSV: t, l2, hneg1, mix_scale, per-mode energies for |k| <= kreport."""
     traj = report.trajectory
-    if traj is None:
-        # inviscid reports carry their samples but no stored trajectory;
-        # emit the sampled measured/envelope columns instead.
-        rep = next(iter(report.checks.values()))
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "measured", "envelope", "margin"])
-            for s in rep.samples:
-                writer.writerow([s.t, s.measured, s.envelope, s.margin])
-        return
     ks = [k for k in range(-kreport, kreport + 1)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -396,16 +380,6 @@ class CorpusSummary:
         return 0 if (self.n_fail == 0 and self.n_error == 0) else 1
 
 
-def _thread_count() -> int:
-    env = os.environ.get("MIXLAB_THREADS")
-    if env is None:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _finite(obj):
     """``obj`` with None for every non-finite float: JSON has no NaN or Infinity."""
     if isinstance(obj, float):
@@ -426,7 +400,6 @@ def corpus_run(directory: str | Path, out_dir: str | Path | None = None) -> Corp
     """Run every scenario JSON in a directory; write summary CSV + per-scenario reports.
 
     I/O or schema failures become error rows and the run continues.
-    MIXLAB_THREADS caps parallel scenario execution (default serial).
     """
     directory = Path(directory)
     out_dir = directory / "reports" if out_dir is None else Path(out_dir)
@@ -457,14 +430,7 @@ def corpus_run(directory: str | Path, out_dir: str | Path | None = None) -> Corp
                 "error": f"{type(exc).__name__}: {exc}",
             }
 
-    workers = _thread_count()
-    if workers > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, files))
-    else:
-        rows = [one(p) for p in files]
-
-    rows.sort(key=lambda r: r["file"])
+    rows = [one(p) for p in files]
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["file", "name", "verdict", "min_margin", "runtime", "error"])

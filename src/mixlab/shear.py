@@ -16,7 +16,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .flows import ShearSpec
-from .spectral import FieldError, ModeProfile, SpectralField2D
+from .spectral import FieldError, ModeProfile, SpectralField2D, y_grid_coeffs, y_grid_values
 
 __all__ = ["FieldTrajectory", "default_dt", "step_mode", "evolve_shear", "dissipation_report",
            "DissipationReport"]
@@ -33,7 +33,8 @@ class FieldTrajectory:
 
     ``diag_times`` holds every internal step edge; ``diag_energy`` and
     ``diag_grad`` are ||rho||_2^2 and ||grad rho||_2^2 there, dense enough to
-    audit the energy identity.
+    audit the energy identity.  The exact inviscid map takes no steps and
+    leaves them empty (``nu`` is 0).
     """
 
     nu: float
@@ -63,20 +64,16 @@ class _ShearStepper:
         self.weight = ks[:, None] ** 2 + ls**2
         self.adv = np.flatnonzero(ks != 0) if not shear.is_zero() else np.zeros(0, dtype=int)
         self.k_adv = ks[self.adv, None]
+        self.lmax = lmax
         self.ny = next_fast_len(2 * (2 * lmax + 1))
         self.y = 2.0 * np.pi * np.arange(self.ny) / self.ny
-        self.idx = ls % self.ny
         self._cache: dict[float, tuple] = {}
 
     def _strang(self, coeff: np.ndarray, half: np.ndarray, t: float, h: float) -> np.ndarray:
         """Step the advected rows (the last two axes of ``coeff``) from t to t + h."""
-        out = coeff * half
-        spec = np.zeros(out.shape[:-1] + (self.ny,), dtype=complex)
-        spec[..., self.idx] = out
-        vals = np.fft.ifft(spec, axis=-1) * self.ny
+        vals = y_grid_values(coeff * half, self.ny)
         vals *= np.exp(-1j * self.k_adv * self.shear.sample(t + 0.5 * h, self.y) * h)
-        spec = np.fft.fft(vals, axis=-1) / self.ny
-        return spec[..., self.idx] * half
+        return y_grid_coeffs(vals, self.lmax) * half
 
     def _factors(self, h: float) -> tuple:
         """Half-step heat factors and, for a steady shear, step matrices: row adv[i] steps as c @ mats[i]."""

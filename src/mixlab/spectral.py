@@ -30,6 +30,8 @@ __all__ = [
     "low_block_energy",
     "grid_sample",
     "synthesize",
+    "y_grid_values",
+    "y_grid_coeffs",
     "field_from_terms",
     "zeros",
     "embed",
@@ -230,6 +232,30 @@ def synthesize(samples: np.ndarray, lattice: Lattice) -> SpectralField2D:
     ls = lattice.l_values()
     coeff = spec[np.ix_(ks % nx, ls % ny)]
     return SpectralField2D(lattice, coeff)
+
+
+def y_grid_values(coeff: np.ndarray, ny: int) -> np.ndarray:
+    """Values at y_j = 2*pi*j/ny of coefficient rows over l = -lmax..lmax (the last axis).
+
+    The grid must hold the rows without aliasing: ny >= 2*lmax + 1.
+    """
+    lmax = (coeff.shape[-1] - 1) // 2
+    spec = np.zeros(coeff.shape[:-1] + (ny,), dtype=complex)
+    spec[..., np.arange(-lmax, lmax + 1) % ny] = coeff
+    np.fft.ifft(spec, axis=-1, out=spec)
+    spec *= ny
+    return spec
+
+
+def y_grid_coeffs(values: np.ndarray, lmax: int) -> np.ndarray:
+    """Coefficients over l = -lmax..lmax of complex values on the y-grid (the last axis); inverts y_grid_values.
+
+    The transform runs in place: ``values`` is overwritten.
+    """
+    ny = values.shape[-1]
+    np.fft.fft(values, axis=-1, out=values)
+    values /= ny
+    return values[..., np.arange(-lmax, lmax + 1) % ny]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from mixlab.certificates import (
 )
 from mixlab.flows import FlowSpec, FlowTerm, preset_shear
 from mixlab.harness import run
-from mixlab.inviscid import check_inviscid_bound, inviscid_certificate
+from mixlab.inviscid import check_inviscid_bound, evolve_inviscid, inviscid_certificate
 from mixlab.shear import dissipation_report, evolve_shear
 from mixlab.spectral import (
     HarmonicTerm,
@@ -76,7 +76,7 @@ def test_03_inviscid_certificate():
     theta0 = field_from_terms(Lattice(2, 2), [HarmonicTerm(1.0, 1, 0)])
     cert = inviscid_certificate(theta0, SIN_Y)
     times = list(np.linspace(0.0, 50.0, 200))
-    report = check_inviscid_bound(theta0, SIN_Y, cert, times)
+    report = check_inviscid_bound(evolve_inviscid(theta0, SIN_Y, times), cert)
     ok = report.passed and report.extras["tail_ok"]
     _verdict(
         3,

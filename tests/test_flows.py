@@ -14,7 +14,6 @@ from mixlab.flows import (
     ShearTerm,
     flow_from_json,
     flow_to_json,
-    mean_zero_reduce,
     phase_integral,
     preset_flow,
     preset_shear,
@@ -23,33 +22,6 @@ from mixlab.flows import (
 
 TWO_PI = 2 * math.pi
 Y = np.linspace(0.0, TWO_PI, 256, endpoint=False)
-
-
-class TestMeanZeroReduce:
-    def test_constant_shear(self):
-        sh = ShearSpec((ShearTerm(1.0, 0),))
-        reduced, drift = mean_zero_reduce(sh)
-        assert reduced.is_zero()
-        assert drift(1.0) == pytest.approx(1.0)
-        assert drift(7.5) == pytest.approx(7.5)
-
-    def test_already_mean_zero(self):
-        sh = preset_shear("couette")
-        reduced, drift = mean_zero_reduce(sh)
-        assert len(reduced.terms) == 1
-        assert drift(3.0) == 0.0
-
-    def test_offset_plus_cos(self):
-        sh = ShearSpec((ShearTerm(2.0, 0), ShearTerm(1.0, 1, "cos")))
-        reduced, drift = mean_zero_reduce(sh)
-        assert drift(3.0) == pytest.approx(6.0)
-        assert np.allclose(reduced.sample(0.0, Y), np.cos(Y), atol=1e-14)
-
-    def test_reduced_mean_vanishes_at_sampled_times(self):
-        sh = ShearSpec((ShearTerm(1.5, 0, time_mode="cos"), ShearTerm(1.0, 2, "sin", "sin")))
-        reduced, _ = mean_zero_reduce(sh)
-        for t in np.linspace(0.0, sh.period, 17):
-            assert abs(np.mean(reduced.sample(t, Y))) <= 1e-12
 
 
 class TestPhaseIntegral:
@@ -69,11 +41,22 @@ class TestPhaseIntegral:
         phi = phase_integral(sh, math.pi)
         assert np.max(np.abs(phi)) <= 1e-12
 
+    def test_constant_shear_is_rigid_drift(self):
+        sh = ShearSpec((ShearTerm(1.0, 0),))
+        for t in (1.0, 7.5):
+            phi = phase_integral(sh, t)
+            assert phi[1] == pytest.approx(t)
+            assert phi[0] == phi[2] == 0.0
+
+    def test_offset_plus_cos(self):
+        sh = ShearSpec((ShearTerm(2.0, 0), ShearTerm(1.0, 1, "cos")))
+        assert phase_integral(sh, 3.0) == pytest.approx([1.5, 6.0, 1.5])
+
     def test_w11_linear_growth(self):
-        sh = ShearSpec((ShearTerm(1.0, 1, "sin", "cos"),), period=TWO_PI)
-        reduced, _ = mean_zero_reduce(sh)
+        # the y-mean term drifts rigidly and adds nothing to d_y Phi
+        sh = ShearSpec((ShearTerm(0.8, 0, time_mode="cos"), ShearTerm(1.0, 1, "sin", "cos")), period=TWO_PI)
         for t in (0.5, 2.0, 10.0):
-            phi = phase_integral(reduced, t)
+            phi = phase_integral(sh, t)
             lmax = (len(phi) - 1) // 2
             ls = np.arange(-lmax, lmax + 1)
             dphi = np.exp(1j * np.outer(Y, ls)) @ (1j * ls * phi)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -109,6 +110,7 @@ class TestRun:
         report = run(builtin_scenario("inviscid_cosx_siny"))
         assert report.verdict == "PASS"
         assert report.checks["inviscid"].extras["tail_ok"]
+        assert report.checks["inviscid"].extras["mass_ok"]
 
     def test_fast_scenario_pipeline(self):
         raw = json.loads((EXTRA_DIR / "fast_shear_mean.json").read_text())
@@ -179,14 +181,6 @@ class TestCorpus:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "reports"]
         assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
 
-    def test_threads_env_cap(self, tmp_path, monkeypatch):
-        (tmp_path / "a.json").write_text(json.dumps(BUILTIN_SCENARIOS["heat_cosy"]))
-        b = json.loads(json.dumps(BUILTIN_SCENARIOS["sharpness_p1_nu025"]))
-        (tmp_path / "b.json").write_text(json.dumps(b))
-        monkeypatch.setenv("MIXLAB_THREADS", "2")
-        summary = corpus_run(tmp_path, out_dir=tmp_path / "reports")
-        assert summary.n_pass == 2
-
 
 class TestCli:
     def test_certify_c2(self, tmp_path, capsys):
@@ -233,8 +227,21 @@ class TestCli:
         )
         assert rc == 0
         with open(csv_path) as fh:
-            header = fh.readline().strip().split(",")
-        assert header == ["t", "l2", "hneg1", "envelope"]
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "l2", "hneg1", "envelope"]
+        assert len(rows) == 1 + 51
+        assert [float(r[1]) for r in rows[1:]] == pytest.approx([math.sqrt(0.5)] * 51, rel=1e-14)
+
+    def test_simulate_inviscid_csv_columns(self, tmp_path):
+        csv_path = tmp_path / "series.csv"
+        scenario = str(EXTRA_DIR / "inviscid_cosx_siny.json")
+        rc = cli_main(["simulate", "--scenario", scenario, "--out", str(tmp_path / "r.json"), "--csv", str(csv_path)])
+        assert rc == 0
+        with open(csv_path) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "l2", "hneg1", "mix_scale", "E_-2", "E_-1", "E_0", "E_1", "E_2"]
+        assert len(rows) == 1 + 51
+        assert [float(r[5]) for r in rows[1:]] == pytest.approx([0.25] * 51, rel=1e-14)
 
     def test_sharpness_command(self, tmp_path):
         out = tmp_path / "sharp.json"

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jv
 
 from mixlab.flows import ShearSpec, ShearTerm, preset_shear
 from mixlab.inviscid import check_inviscid_bound, evolve_inviscid, inviscid_certificate
-from mixlab.spectral import HarmonicTerm, Lattice, field_from_terms, l2_norm
+from mixlab.shear import evolve_shear
+from mixlab.spectral import HarmonicTerm, Lattice, SpectralField2D, embed, field_from_terms, l2_norm
 
 SIN_Y = preset_shear("couette")
 
@@ -19,21 +22,27 @@ def mode_mass(field, k):
     return float(np.sum(np.abs(field.coeff[k + field.lattice.kmax, :]) ** 2))
 
 
+def at(theta0, shear, t):
+    return evolve_inviscid(theta0, shear, [t]).fields[0]
+
+
 class TestEvolve:
     def test_time_zero_is_identity(self):
         theta0 = cos_x()
-        assert evolve_inviscid(theta0, SIN_Y, 0.0) is theta0
+        state = at(theta0, SIN_Y, 0.0)
+        assert state.lattice == theta0.lattice
+        assert np.array_equal(state.coeff, theta0.coeff)
 
     def test_bessel_coefficients(self):
-        # cos x under steady sin y: coefficient at (1, m) is J_m(t)/2
+        # cos x under steady sin y is cos(x - t sin y): coefficient at (1, m) is (-1)^m J_m(t)/2
         t = 3.0
-        state = evolve_inviscid(cos_x(), SIN_Y, t)
+        state = at(cos_x(), SIN_Y, t)
         for m in range(-state.lattice.lmax, state.lattice.lmax + 1):
-            assert state[(1, m)] == pytest.approx(0.5 * jv(m, t), abs=1e-13)
+            assert state[(1, m)] == pytest.approx((-1) ** m * 0.5 * jv(m, t), abs=1e-13)
 
     def test_x_independent_datum_is_stationary(self):
         theta0 = field_from_terms(Lattice(2, 4), [HarmonicTerm(1.0, 0, 2)])
-        state = evolve_inviscid(theta0, SIN_Y, 7.0)
+        state = at(theta0, SIN_Y, 7.0)
         assert state[(0, 2)] == pytest.approx(0.5)
         assert l2_norm(state) == pytest.approx(l2_norm(theta0), rel=1e-14)
 
@@ -41,8 +50,7 @@ class TestEvolve:
         theta0 = field_from_terms(
             Lattice(2, 3), [HarmonicTerm(1.0, 1, 1), HarmonicTerm(0.5, 2, 0, "sin")]
         )
-        for t in (0.5, 5.0, 20.0):
-            state = evolve_inviscid(theta0, SIN_Y, t)
+        for state in evolve_inviscid(theta0, SIN_Y, [0.5, 5.0, 20.0]).fields:
             for k in (1, 2):
                 assert mode_mass(state, k) == pytest.approx(mode_mass(theta0, k), rel=1e-10)
 
@@ -50,7 +58,7 @@ class TestEvolve:
         # |F_k(y,t)| = |F_k^0(y)| pointwise
         theta0 = field_from_terms(Lattice(1, 3), [HarmonicTerm(1.0, 1, 1)])
         t = 4.0
-        state = evolve_inviscid(theta0, SIN_Y, t)
+        state = at(theta0, SIN_Y, t)
         y = 2 * np.pi * np.arange(512) / 512
         ls0 = np.arange(-theta0.lattice.lmax, theta0.lattice.lmax + 1)
         f0 = np.exp(1j * np.outer(y, ls0)) @ theta0.coeff[1 + theta0.lattice.kmax, :]
@@ -62,22 +70,104 @@ class TestEvolve:
         # constant part of the shear shifts phases only
         sh = ShearSpec((ShearTerm(1.0, 0), ShearTerm(1.0, 1, "sin")))
         theta0 = cos_x()
-        with_drift = evolve_inviscid(theta0, sh, 2.0)
-        without = evolve_inviscid(theta0, SIN_Y, 2.0)
+        with_drift = at(theta0, sh, 2.0)
+        without = at(theta0, SIN_Y, 2.0)
         assert np.allclose(np.abs(with_drift.coeff), np.abs(without.coeff), atol=1e-12)
+
+    def test_matches_evolve_shear_at_vanishing_nu(self):
+        # constant, steady and time-periodic terms; both solve theta_t + U theta_x = nu Laplacian theta
+        sh = ShearSpec(
+            (ShearTerm(1.0, 0), ShearTerm(1.0, 1, "sin"), ShearTerm(0.5, 2, "cos", "cos")), period=1.5
+        )
+        theta0 = field_from_terms(Lattice(2, 3), [HarmonicTerm(1.0, 1, 1), HarmonicTerm(0.3, 1, 0, "sin")])
+        state = at(theta0, sh, 2.0)
+        ref = evolve_shear(embed(theta0, state.lattice), sh, 1e-12, [2.0], dt=1e-3).fields[0]
+        assert np.max(np.abs(state.coeff - ref.coeff)) <= 1e-7
 
     def test_w11_growth_of_mode_derivative(self):
         theta0 = field_from_terms(Lattice(1, 2), [HarmonicTerm(1.0, 1, 1)])
         cert = inviscid_certificate(theta0, SIN_Y, safety=1.0)
         y = 2 * np.pi * np.arange(2048) / 2048
-        for t in (0.0, 1.0, 5.0, 15.0):
-            state = evolve_inviscid(theta0, SIN_Y, t)
+        traj = evolve_inviscid(theta0, SIN_Y, [0.0, 1.0, 5.0, 15.0])
+        for t, state in zip(traj.times, traj.fields):
             lmax = state.lattice.lmax
             ls = np.arange(-lmax, lmax + 1)
             row = state.coeff[1 + state.lattice.kmax, :]
             df = np.exp(1j * np.outer(y, ls)) @ (1j * ls * row)
             l1 = float(np.mean(np.abs(df)))
             assert l1 <= cert.A + cert.B * t + 1e-6
+
+
+def _integrated_time_factor(mode, omega, t):
+    if mode == "const":
+        return t
+    if mode == "cos":
+        return math.sin(omega * t) / omega
+    return (1.0 - math.cos(omega * t)) / omega
+
+
+def dense_reference(theta0, shear, t, lmax_out):
+    """The map one time and one mode at a time: y-mean drift e^{-ikX} and dense DFTs of e^{-ik Phi}."""
+    lat = theta0.lattice
+    ny = 2 * (2 * lmax_out + 1)
+    y = 2 * np.pi * np.arange(ny) / ny
+    phi = np.zeros(ny)
+    drift = 0.0
+    for term in shear.terms:
+        a = term.ampl * _integrated_time_factor(term.time_mode, shear.omega, t)
+        if term.ky == 0:
+            drift += a
+        else:
+            phi += a * term.spatial(y)
+    ls_in = lat.l_values()
+    dft = np.exp(-1j * np.outer(np.arange(-lmax_out, lmax_out + 1), y)) / ny
+    out = embed(theta0, Lattice(lat.kmax, lmax_out)).coeff
+    for k in lat.k_values():
+        row = theta0.coeff[k + lat.kmax]
+        if k == 0 or not np.any(row):
+            continue
+        vals = (np.exp(1j * np.outer(y, ls_in)) @ row) * np.exp(-1j * k * phi) * np.exp(-1j * k * drift)
+        out[k + lat.kmax] = dft @ vals
+    return out
+
+
+_shear_terms = st.lists(
+    st.tuples(
+        st.floats(-1.0, 1.0),
+        st.integers(1, 3),
+        st.sampled_from(["cos", "sin"]),
+        st.sampled_from(["const", "cos", "sin"]),
+    ),
+    max_size=3,
+)
+
+
+@st.composite
+def _transport_cases(draw):
+    kmax, lmax = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeff = rng.standard_normal((2 * kmax + 1, 2 * lmax + 1)) + 1j * rng.standard_normal((2 * kmax + 1, 2 * lmax + 1))
+    coeff = 0.5 * (coeff + np.conj(coeff[::-1, ::-1]))
+    coeff[kmax, lmax] = 0.0
+    mean = draw(st.tuples(st.floats(-1.0, 1.0), st.sampled_from(["const", "cos", "sin"])))
+    terms = [ShearTerm(mean[0], 0, "cos", mean[1])] + [ShearTerm(*t) for t in draw(_shear_terms)]
+    shear = ShearSpec(tuple(terms), period=draw(st.floats(0.5, 7.0)))
+    times = sorted(set(draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))))
+    return SpectralField2D(Lattice(kmax, lmax), coeff), shear, times
+
+
+@settings(max_examples=30, deadline=None)
+@given(_transport_cases())
+def test_stacked_map_matches_dense_reference(case):
+    theta0, shear, times = case
+    traj = evolve_inviscid(theta0, shear, times)
+    lat = traj.fields[0].lattice
+    scale = l2_norm(theta0)
+    for t, state in zip(times, traj.fields):
+        ref = dense_reference(theta0, shear, t, lat.lmax)
+        assert np.max(np.abs(state.coeff - ref)) <= 1e-12 * scale
+        for k in theta0.lattice.k_values():
+            assert mode_mass(state, k) == pytest.approx(mode_mass(theta0, k), rel=1e-12)
 
 
 class TestCertificate:
@@ -120,8 +210,9 @@ class TestBoundCheck:
         theta0 = field_from_terms(Lattice(2, 2), [HarmonicTerm(1.0, 0, 1)])
         cert = inviscid_certificate(theta0, SIN_Y)
         times = [0.0, 1.0, 3.0]
-        rep = check_inviscid_bound(theta0, SIN_Y, cert, times)
+        rep = check_inviscid_bound(evolve_inviscid(theta0, SIN_Y, times), cert)
         assert rep.passed
+        assert rep.extras == {}
         for s, t in zip(rep.samples, times):
             assert s.margin == pytest.approx(1 + t * t, rel=1e-12)
 
@@ -129,13 +220,26 @@ class TestBoundCheck:
         theta0 = cos_x()
         cert = inviscid_certificate(theta0, SIN_Y)
         times = list(np.linspace(0.0, 50.0, 26))
-        rep = check_inviscid_bound(theta0, SIN_Y, cert, times)
+        rep = check_inviscid_bound(evolve_inviscid(theta0, SIN_Y, times), cert)
         assert rep.passed
         assert rep.extras["tail_ok"]
+        assert rep.extras["mass_ok"]
+        assert rep.extras["max_mass_drift"] <= 1e-12
+
+    def test_mass_drift_fails_the_check(self):
+        theta0 = cos_x()
+        cert = inviscid_certificate(theta0, SIN_Y)
+        traj = evolve_inviscid(theta0, SIN_Y, [0.0, 1.0, 2.0])
+        traj.fields[-1] = traj.fields[-1].with_coeff(traj.fields[-1].coeff * (1.0 + 1e-6))
+        rep = check_inviscid_bound(traj, cert)
+        assert rep.min_margin >= 1.0
+        assert rep.extras["max_mass_drift"] == pytest.approx(2e-6, rel=1e-3)
+        assert not rep.extras["mass_ok"]
+        assert rep.verdict == "FAIL"
 
     def test_time_dependent_shear(self):
         sh = ShearSpec((ShearTerm(1.0, 1, "sin", "cos"),), w11=2 / math.pi)
         theta0 = cos_x()
         cert = inviscid_certificate(theta0, sh)
-        rep = check_inviscid_bound(theta0, sh, cert, list(np.linspace(0.0, 20.0, 11)))
+        rep = check_inviscid_bound(evolve_inviscid(theta0, sh, np.linspace(0.0, 20.0, 11)), cert)
         assert rep.passed

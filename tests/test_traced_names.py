@@ -76,7 +76,10 @@ def _ancestors(tracer, spans, i):
                 "certificates.check_mixing_bound",
             ),
         ),
-        ("inviscid_cosx_siny", ("inviscid.inviscid_certificate", "inviscid.check_inviscid_bound")),
+        (
+            "inviscid_cosx_siny",
+            ("inviscid.inviscid_certificate", "inviscid.evolve_inviscid", "inviscid.check_inviscid_bound"),
+        ),
     ],
     ids=["heat_cosy", "inviscid_cosx_siny"],
 )
