@@ -424,7 +424,11 @@ def detecting_spectrum(
 
 @dataclass(frozen=True)
 class DampingEstimate:
-    """sup_t e^{-(gamma+eta) t} ||e^{-G^T t}|| with its Jordan-style ceiling."""
+    """sup_t e^{-(gamma+eta) t} ||e^{-G^T t}|| with its Jordan-style ceiling.
+
+    For a normal cluster block whose decay spread is at most eta the value is
+    exactly 1.0, attained at t_star = 0; otherwise it is sampled.
+    """
 
     value: float
     t_star: float
@@ -437,12 +441,18 @@ def damping_constant(
 ) -> DampingEstimate:
     """Estimate the transient-growth constant of the observable ODE.
 
-    The supremum of h(t) = e^{-(gamma+eta) t} ||e^{-G^T t}|| is located by
-    coarse sampling on [0, 10 d / eta] followed by golden-section refinement;
-    beyond that horizon the integrand decays like t^{d-1} e^{-eta t}, so the
-    sampled window contains the global maximum.  The Jordan-style ceiling
-    sum_k eta^{-k} ||N^k|| (N the strictly upper Schur part, unitary
-    similarity) is reported for comparison.
+    With T the complex Schur form of G^T, N = triu(T, 1) its strictly upper
+    part and delta = max(-Re diag T) - gamma, a zero N makes G normal, so
+    h(t) = e^{-(gamma+eta) t} ||e^{-G^T t}|| = e^{(delta - eta) t}.  When
+    N == 0 exactly and delta <= eta the supremum is therefore 1, attained at
+    t = 0, and is returned without sampling; an N that is nonzero only at
+    rounding level takes the sampled path.  Otherwise the supremum of h is
+    located by coarse sampling on [0, 10 d / eta] followed by golden-section
+    refinement; for equal decay rates (delta = 0) the integrand decays like
+    t^{d-1} e^{-eta t} beyond that horizon, so the sampled window contains
+    the global maximum.
+    The Jordan-style ceiling sum_k eta^{-k} ||N^k|| (unitary similarity) is
+    reported for comparison.
     """
     if not (0.0 < eta <= 1.0):
         raise ValueError("eta must lie in (0, 1]")
@@ -456,6 +466,16 @@ def damping_constant(
     if d == 1:
         # scalar case: |e^{-lambda t}| e^{-(gamma+eta)t} = e^{-eta t}, sup at t=0
         return DampingEstimate(1.0, 0.0, 1.0, eta)
+
+    T, _ = sla.schur(Gt, output="complex")
+    N = np.triu(T, 1)
+    bound = 0.0
+    Nk = np.eye(d, dtype=complex)
+    for k in range(d):
+        bound += eta ** (-k) * float(np.linalg.norm(Nk, 2))
+        Nk = Nk @ N
+    if not np.any(N) and float(np.max(-T.diagonal().real)) - gamma <= eta:
+        return DampingEstimate(1.0, 0.0, float(bound), eta)
 
     t_max = 10.0 * d / eta
     ts = np.linspace(0.0, t_max, coarse)
@@ -479,14 +499,6 @@ def damping_constant(
             f1 = h(c1)
     t_star = 0.5 * (a + b)
     value = max(float(np.max(vals)), h(t_star), 1.0)
-
-    T, _ = sla.schur(Gt, output="complex")
-    N = np.triu(T, 1)
-    bound = 0.0
-    Nk = np.eye(d, dtype=complex)
-    for k in range(d):
-        bound += eta ** (-k) * float(np.linalg.norm(Nk, 2))
-        Nk = Nk @ N
     return DampingEstimate(value, float(t_star), float(bound), eta)
 
 

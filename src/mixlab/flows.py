@@ -10,6 +10,7 @@ against a sampling grid, not computed suprema.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,10 +150,11 @@ class ShearSpec:
     def _sampled_bounds(self, ny: int = 512) -> tuple[float, float]:
         y = np.linspace(0.0, _TWO_PI, ny, endpoint=False)
         ts = self._time_grid()
+        u_at = self.sampler(y)
         m = 0.0
         w = 0.0
         for t in ts:
-            u = self.sample(t, y)
+            u = u_at(t)
             du = self.dy_sample(t, y)
             m = max(m, float(np.max(np.abs(u))))
             w = max(w, float(np.mean(np.abs(du))))
@@ -160,10 +162,24 @@ class ShearSpec:
 
     def sample(self, t: float, y: np.ndarray) -> np.ndarray:
         """Values of U(t, .) at the points y."""
-        out = np.zeros_like(np.asarray(y, dtype=float))
-        for term in self.terms:
-            out += term.ampl * _time_factor(term.time_mode, self.omega, t) * term.spatial(y)
-        return out
+        return self.sampler(y)(t)
+
+    def sampler(self, y: np.ndarray) -> Callable[[float], np.ndarray]:
+        """U(t, .) at the fixed points y as a function of t.
+
+        Each term's spatial profile is evaluated once; a call only combines
+        them with the time factors.
+        """
+        y = np.asarray(y, dtype=float)
+        profiles = [(term.ampl, term.time_mode, term.spatial(y)) for term in self.terms]
+
+        def at(t: float) -> np.ndarray:
+            out = np.zeros_like(y)
+            for ampl, mode, profile in profiles:
+                out += ampl * _time_factor(mode, self.omega, t) * profile
+            return out
+
+        return at
 
     def dy_sample(self, t: float, y: np.ndarray) -> np.ndarray:
         out = np.zeros_like(np.asarray(y, dtype=float))

@@ -60,19 +60,19 @@ class _ShearStepper:
             raise FieldError("shear-diffusion integrator requires nu > 0 (inviscid transport is separate)")
         ks = np.asarray(ks, dtype=int)
         ls = np.arange(-lmax, lmax + 1)
-        self.nu, self.shear, self.steady = nu, shear, shear.time_kind == "steady"
+        self.nu, self.steady = nu, shear.time_kind == "steady"
         self.weight = ks[:, None] ** 2 + ls**2
         self.adv = np.flatnonzero(ks != 0) if not shear.is_zero() else np.zeros(0, dtype=int)
         self.k_adv = ks[self.adv, None]
         self.lmax = lmax
         self.ny = next_fast_len(2 * (2 * lmax + 1))
-        self.y = 2.0 * np.pi * np.arange(self.ny) / self.ny
+        self.u_at = shear.sampler(2.0 * np.pi * np.arange(self.ny) / self.ny)
         self._cache: dict[float, tuple] = {}
 
     def _strang(self, coeff: np.ndarray, half: np.ndarray, t: float, h: float) -> np.ndarray:
         """Step the advected rows (the last two axes of ``coeff``) from t to t + h."""
         vals = y_grid_values(coeff * half, self.ny)
-        vals *= np.exp(-1j * self.k_adv * self.shear.sample(t + 0.5 * h, self.y) * h)
+        vals *= np.exp(-1j * self.k_adv * self.u_at(t + 0.5 * h) * h)
         return y_grid_coeffs(vals, self.lmax) * half
 
     def _factors(self, h: float) -> tuple:

@@ -386,6 +386,47 @@ class TestDamping:
         with pytest.raises(ValueError):
             damping_constant(np.eye(2, dtype=complex), 0.1, 0.0)
 
+    @staticmethod
+    def _dense_sup(G, gamma, eta, n=4001):
+        """sup of e^{-(gamma+eta) t} ||expm(-G^T t)|| on a fine grid of the sampled window."""
+        ts = np.linspace(0.0, 10.0 * G.shape[0] / eta, n)
+        return max(math.exp(-(gamma + eta) * t) * np.linalg.norm(sla.expm(-G.T * t), 2) for t in ts)
+
+    @staticmethod
+    def _normal(rng, lam, dense):
+        """U diag(lam) U^H for a random unitary U: dense, or a permutation with unit phases."""
+        d = len(lam)
+        if dense:
+            U, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        else:
+            U = np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
+        return U @ np.diag(lam) @ U.conj().T
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_normal_cluster_closed_form(self, d):
+        rng = np.random.default_rng(d)
+        gamma, eta = 0.3, 0.1
+        lam = -gamma + 0.04 * rng.uniform(-1.0, 1.0, d) + 0.5j * rng.standard_normal(d)
+        # a Schur form with an exactly zero strictly upper part: closed form, sup at t = 0
+        G = self._normal(rng, lam, dense=False)
+        est = damping_constant(G, gamma, eta)
+        assert est.value == 1.0 and est.t_star == 0.0 and est.jordan_bound == 1.0
+        assert est.value >= self._dense_sup(G, gamma, eta) - 1e-12
+        # a dense unitary leaves a rounding-level upper part, which takes the sampled path: same value
+        G = self._normal(rng, lam, dense=True)
+        est = damping_constant(G, gamma, eta)
+        assert est.value == pytest.approx(1.0, abs=1e-12)
+        assert est.value >= self._dense_sup(G, gamma, eta) - 1e-12
+
+    def test_normal_spread_beyond_eta_is_sampled(self):
+        rng = np.random.default_rng(7)
+        gamma, eta = 0.3, 0.1
+        lam = np.array([-gamma - 0.15, -gamma + 0.15 + 0.2j, -gamma + 0.05j])
+        G = self._normal(rng, lam, dense=False)
+        est = damping_constant(G, gamma, eta)
+        assert est.value > 1.0
+        assert est.value == pytest.approx(self._dense_sup(G, gamma, eta), rel=1e-6)
+
 
 class TestSylvester:
     def test_diagonal_resolvent_closed_form(self):

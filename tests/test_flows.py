@@ -147,6 +147,19 @@ class TestDeclaredBounds:
         sh = preset_shear("couette")
         assert np.allclose(sh.sample(0.0, Y), np.sin(Y), atol=1e-14)
 
+    def test_sampler_matches_term_by_term_sum(self):
+        sh = ShearSpec(
+            (ShearTerm(0.3, 0, "cos", "sin"), ShearTerm(1.0, 1, "sin"), ShearTerm(0.5, 2, "cos", "cos")),
+            period=1.5,
+        )
+        u_at = sh.sampler(Y)
+        for t in (0.0, 0.4, 2.9):
+            ref = np.zeros_like(Y)
+            for term in sh.terms:
+                ref += term.ampl * _time_factor(term.time_mode, sh.omega, t) * term.spatial(Y)
+            assert np.array_equal(u_at(t), ref)
+            assert np.array_equal(sh.sample(t, Y), ref)
+
 
 class TestJson:
     def test_shear_round_trip(self):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.special import jv
 
+from mixlab import inviscid
 from mixlab.flows import ShearSpec, ShearTerm, preset_shear
 from mixlab.inviscid import check_inviscid_bound, evolve_inviscid, inviscid_certificate
 from mixlab.shear import evolve_shear
@@ -170,6 +172,21 @@ def test_stacked_map_matches_dense_reference(case):
             assert mode_mass(state, k) == pytest.approx(mode_mass(theta0, k), rel=1e-12)
 
 
+def test_blocked_sample_times_are_bit_identical(monkeypatch):
+    theta0 = field_from_terms(Lattice(2, 3), [HarmonicTerm(1.0, 1, 1), HarmonicTerm(0.5, 2, 0, "sin")])
+    sh = ShearSpec((ShearTerm(1.0, 1, "sin"), ShearTerm(0.5, 2, "cos", "cos")), period=1.5)
+    times = np.linspace(0.0, 6.0, 7)
+    whole = evolve_inviscid(theta0, sh, times)
+    lat = whole.fields[0].lattice
+    grid_per_time = 4 * next_fast_len(2 * (2 * lat.lmax + 1))  # four active x-modes
+    for per_block in (1, 3):  # blocks of 1, and of 3, 3, 1 sample times
+        monkeypatch.setattr(inviscid, "_GRID_BUDGET", per_block * grid_per_time)
+        blocked = evolve_inviscid(theta0, sh, times)
+        assert blocked.fields[0].lattice == lat
+        for a, b in zip(whole.fields, blocked.fields):
+            assert np.array_equal(a.coeff, b.coeff)
+
+
 class TestCertificate:
     def test_cos_x_sin_y_hand_arithmetic(self):
         theta0 = cos_x()
@@ -234,6 +251,21 @@ class TestBoundCheck:
         rep = check_inviscid_bound(traj, cert)
         assert rep.min_margin >= 1.0
         assert rep.extras["max_mass_drift"] == pytest.approx(2e-6, rel=1e-3)
+        assert not rep.extras["mass_ok"]
+        assert rep.verdict == "FAIL"
+
+    def test_mass_loss_in_uncertified_mode_fails_the_check(self):
+        theta0 = field_from_terms(Lattice(3, 2), [HarmonicTerm(1.0, 1, 0), HarmonicTerm(1.0, 2, 1)])
+        cert = inviscid_certificate(theta0, SIN_Y)
+        assert cert.k == 1
+        traj = evolve_inviscid(theta0, SIN_Y, [0.0, 1.0, 2.0])
+        assert check_inviscid_bound(traj, cert).passed
+        coeff = traj.fields[1].coeff.copy()
+        coeff[2 + traj.fields[1].lattice.kmax] *= 0.999
+        traj.fields[1] = traj.fields[1].with_coeff(coeff)
+        rep = check_inviscid_bound(traj, cert)
+        # row k = 2 holds a quarter of the mass and loses 1 - 0.999^2 of it
+        assert rep.extras["max_mass_drift"] == pytest.approx(0.25 * (1 - 0.999**2), rel=1e-9)
         assert not rep.extras["mass_ok"]
         assert rep.verdict == "FAIL"
 

@@ -48,10 +48,24 @@ def test_fast_certificate_spans_land(tracer):
         "averaging.detecting_spectrum",
         "averaging.sylvester_constant",
         "averaging.fast_certificate",
+        "averaging.damping_constant",
     ):
         assert name in names
     assert ("flows.time_average", "averaging.averaged_operator") in edges
+    assert ("averaging.damping_constant", "averaging.fast_certificate") in edges
     assert ("scipy.linalg.schur", "averaging.detecting_spectrum") in edges
+    # the damping constant's own Schur form is no detection attempt
+    assert ("scipy.linalg.schur", "averaging.damping_constant") in edges
+    sorted_schur = sum(
+        1
+        for s in tr.spans
+        if s[tracer.NAME] == "scipy.linalg.schur"
+        and s[tracer.PARENT] >= 0
+        and tr.spans[s[tracer.PARENT]][tracer.NAME] == "averaging.detecting_spectrum"
+    )
+    detections = names.count("averaging.detecting_spectrum")
+    clusters_tried = tracer.layer_metrics(tr.spans, [])["averaging.detecting_spectrum.clusters_tried"]
+    assert clusters_tried == sorted_schur / detections
 
 
 def _ancestors(tracer, spans, i):
