@@ -124,23 +124,19 @@ def _mode_list(cutoff: Lattice) -> np.ndarray:
 _TIME_MODES = ("const", "cos", "sin")
 
 
-def _shift(p: int, kmax: int) -> tuple[slice, slice]:
-    """Destination and source slices along one axis for a frequency shift by p."""
-    n = 2 * kmax + 1
-    if p >= 0:
-        return slice(p, n), slice(0, n - p)
-    return slice(0, n + p), slice(-p, n)
-
-
 class _Drift:
     """Galerkin drift u . grad on a lattice: a truncated spectral convolution.
 
     A velocity harmonic (p, q) with coefficients (a, b) sends the field
     coefficient c(k, l) to (k + p, l + q) with weight i (k a + l b); products
-    that leave the lattice are dropped.  Row m of ``u`` and ``v`` holds the
-    coefficients of ``velocities[m]``, one column per harmonic that any of
-    them excites, so a time-periodic flow is applied at phase theta with the
-    weights (1, cos omega theta, sin omega theta) of its time modes.
+    that leave the lattice, or that start or land on (0, 0), are dropped.
+    Every product of every harmonic is held once, in one index structure that
+    both ``evolve_2d`` and ``averaged_operator`` read: flat lattice indices
+    ``dst`` and ``src``, sorted stably by destination, and ``vals[m]``, the
+    product's weight under ``velocities[m]``.  The products bound for
+    ``rows[j]`` form the segment that begins at ``starts[j]``, so a
+    time-periodic flow at phase theta, with the weights (1, cos omega theta,
+    sin omega theta) of its time modes, is one gather and one segmented sum.
     """
 
     def __init__(self, velocities: list[SpectralVelocity], lattice: Lattice):
@@ -150,42 +146,36 @@ class _Drift:
         cols = np.flatnonzero(np.any(u != 0, axis=0) | np.any(v != 0, axis=0))
         p, q = np.unravel_index(cols, vlat.shape)
         p, q = p - vlat.kmax, q - vlat.lmax
-        # a shift beyond the lattice diameter moves every coefficient out
-        reach = (np.abs(p) <= 2 * lattice.kmax) & (np.abs(q) <= 2 * lattice.lmax)
-        self.lattice = lattice
-        self.p, self.q = p[reach], q[reach]
-        self.u, self.v = u[:, cols[reach]], v[:, cols[reach]]
-        # per harmonic, the (destination, source) index pair of the shifted product
-        self.slices = [
-            tuple(zip(_shift(int(a), lattice.kmax), _shift(int(b), lattice.lmax)))
-            for a, b in zip(self.p, self.q)
-        ]
-        self.ik = 1j * lattice.k_values()[:, None]
-        self.il = 1j * lattice.l_values()[None, :]
+        kmax, lmax = lattice.kmax, lattice.lmax
+        k, l = (g.ravel() for g in np.meshgrid(lattice.k_values(), lattice.l_values(), indexing="ij"))
+        # one row per harmonic, one column per source coefficient
+        kr, lr = k + p[:, None], l + q[:, None]
+        keep = (np.abs(kr) <= kmax) & (np.abs(lr) <= lmax) & ((kr != 0) | (lr != 0)) & ((k != 0) | (l != 0))
+        harmonic, src = np.nonzero(keep)
+        dst = (kr[keep] + kmax) * (2 * lmax + 1) + lr[keep] + lmax
+        order = np.argsort(dst, kind="stable")
+        self.dst, self.src = dst[order], src[order]
+        col = cols[harmonic[order]]
+        self.vals = np.ascontiguousarray(1j * (k[self.src] * u[:, col] + l[self.src] * v[:, col]))
+        self.rows, self.starts = np.unique(self.dst, return_index=True)
 
-    def apply(self, coeff: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """(u . grad) applied to a coefficient array, the (0,0) mode dropped."""
-        dx = self.ik * coeff
-        dy = self.il * coeff
-        out = np.zeros_like(coeff)
-        for a, b, (dst, src) in zip(weights @ self.u, weights @ self.v, self.slices):
-            out[dst] += a * dx[src] + b * dy[src]
-        out[self.lattice.kmax, self.lattice.lmax] = 0.0
+    def weigh(self, weights: np.ndarray) -> np.ndarray:
+        """Product weights ``weights @ vals`` for real time-mode weights, one row per weight row.
+
+        Real weights act on the real and imaginary parts apart, so the
+        product runs as one real matrix product on the float view of ``vals``.
+        """
+        return (weights @ self.vals.view(float)).view(complex)
+
+    def convolve(self, coeff: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Sum of weight * coeff[src] over the products into each destination of the flat ``coeff``."""
+        out = np.zeros(coeff.shape, dtype=complex)
+        out[self.rows] = np.add.reduceat(weights * coeff[self.src], self.starts)
         return out
 
-    def add_to_matrix(self, matrix: np.ndarray, modes: np.ndarray) -> None:
-        """Add the drift of the first velocity to ``matrix`` over the mode list ``modes``."""
-        kmax, lmax = self.lattice.kmax, self.lattice.lmax
-        index = np.full(self.lattice.shape, -1)
-        index[modes[:, 0] + kmax, modes[:, 1] + lmax] = np.arange(modes.shape[0])
-        k, l = modes[:, 0], modes[:, 1]
-        for p, q, a, b in zip(self.p, self.q, self.u[0], self.v[0]):
-            kr, lr = k + p, l + q
-            inside = np.flatnonzero((np.abs(kr) <= kmax) & (np.abs(lr) <= lmax))
-            rows = index[kr[inside] + kmax, lr[inside] + lmax]
-            keep = rows >= 0  # the (0,0) mode is not in the list
-            cols = inside[keep]
-            matrix[rows[keep], cols] += 1j * (k[cols] * a + l[cols] * b)
+    def apply(self, coeff: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """(u . grad) of the flat coefficient vector under real time-mode ``weights``; (0,0) stays 0."""
+        return self.convolve(coeff, self.weigh(weights))
 
 
 def averaged_operator(flow: FlowSpec, nu: float, cutoff: Lattice | int) -> AveragedOperator:
@@ -211,7 +201,11 @@ def averaged_operator(flow: FlowSpec, nu: float, cutoff: Lattice | int) -> Avera
     matrix = np.zeros((n, n), dtype=complex)
     w = modes[:, 0] ** 2 + modes[:, 1] ** 2
     matrix[np.arange(n), np.arange(n)] = -nu * w.astype(float)
-    _Drift([ubar], cutoff).add_to_matrix(matrix, modes)
+    drift = _Drift([ubar], cutoff)
+    # the mode list is the raveled lattice without its centre, flat index n // 2
+    rows = drift.dst - (drift.dst > n // 2)
+    cols = drift.src - (drift.src > n // 2)
+    matrix[rows, cols] += drift.vals[0]
     return AveragedOperator(nu, cutoff, matrix, modes, _mode_classes(matrix))
 
 
@@ -426,8 +420,9 @@ def detecting_spectrum(
 class DampingEstimate:
     """sup_t e^{-(gamma+eta) t} ||e^{-G^T t}|| with its Jordan-style ceiling.
 
-    For a normal cluster block whose decay spread is at most eta the value is
-    exactly 1.0, attained at t_star = 0; otherwise it is sampled.
+    For a normal cluster block the value is exactly 1.0, attained at
+    t_star = 0; otherwise it is sampled.  A decay spread beyond eta has no
+    finite value and raises.
     """
 
     value: float
@@ -442,15 +437,17 @@ def damping_constant(
     """Estimate the transient-growth constant of the observable ODE.
 
     With T the complex Schur form of G^T, N = triu(T, 1) its strictly upper
-    part and delta = max(-Re diag T) - gamma, a zero N makes G normal, so
-    h(t) = e^{-(gamma+eta) t} ||e^{-G^T t}|| = e^{(delta - eta) t}.  When
-    N == 0 exactly and delta <= eta the supremum is therefore 1, attained at
-    t = 0, and is returned without sampling; an N that is nonzero only at
-    rounding level takes the sampled path.  Otherwise the supremum of h is
-    located by coarse sampling on [0, 10 d / eta] followed by golden-section
-    refinement; for equal decay rates (delta = 0) the integrand decays like
-    t^{d-1} e^{-eta t} beyond that horizon, so the sampled window contains
-    the global maximum.
+    part and delta = max(-Re diag T) - gamma, ||e^{-G^T t}|| is at least the
+    spectral radius e^{(gamma + delta) t}, so
+    h(t) = e^{-(gamma+eta) t} ||e^{-G^T t}|| >= e^{(delta - eta) t}: for
+    delta > eta the supremum is infinite for every G, and a ValueError names
+    both.  A zero N makes G normal and h(t) = e^{(delta - eta) t} exactly, so
+    when N == 0 exactly the supremum is 1, attained at t = 0, and is returned
+    without sampling; an N that is nonzero only at rounding level takes the
+    sampled path.  Otherwise the supremum of h is located by coarse sampling
+    on [0, 10 d / eta] followed by golden-section refinement; for equal decay
+    rates (delta = 0) the integrand decays like t^{d-1} e^{-eta t} beyond
+    that horizon, so the sampled window contains the global maximum.
     The Jordan-style ceiling sum_k eta^{-k} ||N^k|| (unitary similarity) is
     reported for comparison.
     """
@@ -463,18 +460,21 @@ def damping_constant(
     def h(t: float) -> float:
         return math.exp(-(gamma + eta) * t) * float(np.linalg.norm(sla.expm(-Gt * t), 2))
 
-    if d == 1:
-        # scalar case: |e^{-lambda t}| e^{-(gamma+eta)t} = e^{-eta t}, sup at t=0
-        return DampingEstimate(1.0, 0.0, 1.0, eta)
-
-    T, _ = sla.schur(Gt, output="complex")
+    # a 1 x 1 matrix is its own Schur form
+    T = Gt if d == 1 else sla.schur(Gt, output="complex")[0]
+    delta = float(np.max(-T.diagonal().real)) - gamma
+    if delta > eta:
+        raise ValueError(
+            f"decay spread delta = {delta:.6g} exceeds eta = {eta:.6g}: "
+            "e^{-(gamma+eta) t} ||e^{-G^T t}|| grows without bound"
+        )
     N = np.triu(T, 1)
     bound = 0.0
     Nk = np.eye(d, dtype=complex)
     for k in range(d):
         bound += eta ** (-k) * float(np.linalg.norm(Nk, 2))
         Nk = Nk @ N
-    if not np.any(N) and float(np.max(-T.diagonal().real)) - gamma <= eta:
+    if not np.any(N):
         return DampingEstimate(1.0, 0.0, float(bound), eta)
 
     t_max = 10.0 * d / eta
@@ -729,7 +729,10 @@ def evolve_2d(
     ``averaged_operator`` assembles, one per time mode, weighted by 1,
     cos(omega A t) and sin(omega A t).  A = 0 means the steady flow frozen at
     phase 0.  The step size is forced below the fast-phase CFL cap
-    0.2 / (A 2 pi / L + lip kmax).
+    0.2 / (A 2 pi / L + lip kmax).  The raveled lattice is stepped: per step
+    one small matrix product weighs the drift's products at the step's start,
+    midpoint and end, each RK4 stage is one gather and one segmented sum, and
+    the heat half-factor is computed once per step size.
     """
     if nu <= 0:
         raise FieldError("evolve_2d requires nu > 0")
@@ -740,35 +743,43 @@ def evolve_2d(
     dt_target = min(dt, cfl) if dt is not None else min(1e-2, cfl)
 
     drift = _Drift([flow.mode_velocity(m) for m in _TIME_MODES], lattice)
-
-    def rhs(theta: float, c: np.ndarray) -> np.ndarray:
-        """-(u . grad) c at phase theta; the sign rides on the time-mode weights."""
-        phase = flow.omega * theta
-        return drift.apply(c, np.array([-1.0, -math.cos(phase), -math.sin(phase)]))
-
-    w = lattice.weight_grid()
+    w = lattice.weight_grid().ravel()
+    centre = w.size // 2
     has_advection = bool(flow.terms)
+    halves: dict[float, np.ndarray] = {}
+
+    def signed_weights(theta: float) -> tuple[float, float, float]:
+        """Time-mode weights of -(u . grad) at phase theta."""
+        phase = flow.omega * theta
+        return -1.0, -math.cos(phase), -math.sin(phase)
 
     def step(coeff: np.ndarray, t0: float, h: float) -> np.ndarray:
-        half = np.exp(-0.5 * nu * w * h)
+        half = halves.get(h)
+        if half is None:
+            half = halves[h] = np.exp(-0.5 * nu * w * h)
         coeff = coeff * half
         if has_advection:
-            k1 = rhs(A * t0, coeff)
-            k2 = rhs(A * (t0 + 0.5 * h), coeff + 0.5 * h * k1)
-            k3 = rhs(A * (t0 + 0.5 * h), coeff + 0.5 * h * k2)
-            k4 = rhs(A * (t0 + h), coeff + h * k3)
+            # product weights at the start, midpoint and end of the step
+            thetas = (A * t0, A * (t0 + 0.5 * h), A * (t0 + h))
+            weights = np.array([signed_weights(theta) for theta in thetas])
+            start, mid, end = drift.weigh(weights)
+            k1 = drift.convolve(coeff, start)
+            k2 = drift.convolve(coeff + 0.5 * h * k1, mid)
+            k3 = drift.convolve(coeff + 0.5 * h * k2, mid)
+            k4 = drift.convolve(coeff + h * k3, end)
             coeff = coeff + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         coeff = coeff * half
-        coeff[lattice.kmax, lattice.lmax] = 0.0
+        coeff[centre] = 0.0
         return coeff
 
     def diag(coeff: np.ndarray) -> tuple[float, float]:
-        return float(np.sum(np.abs(coeff) ** 2)), float(np.sum(w * np.abs(coeff) ** 2))
+        energy = np.abs(coeff) ** 2
+        return float(energy.sum()), float((w * energy).sum())
 
     def snapshot(coeff: np.ndarray) -> SpectralField2D:
-        return SpectralField2D(lattice, coeff.copy())
+        return SpectralField2D(lattice, coeff.reshape(lattice.shape).copy())
 
-    return _march(nu, times, dt_target, rho0.coeff, step, diag, snapshot)
+    return _march(nu, times, dt_target, rho0.coeff.ravel(), step, diag, snapshot)
 
 
 def observable_series(trajectory: FieldTrajectory, basis: list[SpectralField2D]) -> np.ndarray:

@@ -1,4 +1,6 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +23,9 @@ from mixlab.averaging import (
     sylvester_constant,
 )
 from mixlab.averaging import DetectingSpectrum, SylvesterEstimate
-from mixlab.flows import FlowSpec, FlowTerm, preset_shear
-from mixlab.shear import evolve_shear
+from mixlab.flows import FlowSpec, FlowTerm, preset_shear, time_average
+from mixlab.harness import Scenario
+from mixlab.shear import _march, evolve_shear
 from mixlab.spectral import (
     FieldError,
     HarmonicTerm,
@@ -35,6 +38,7 @@ from mixlab.spectral import (
     synthesize,
 )
 
+EXTRA_DIR = Path(__file__).resolve().parent.parent / "scenarios" / "extra"
 NU = 0.1
 SHEAR_FLOW = FlowSpec((FlowTerm(1.0, 0, 1, "cos"),))  # psi = cos y -> u = (sin y, 0)
 ZERO_FLOW = FlowSpec(())
@@ -143,13 +147,88 @@ class TestGalerkinDrift:
 
         drift = averaging._Drift([flow.mode_velocity(m) for m in averaging._TIME_MODES], lattice)
         phase = flow.omega * theta
-        got = drift.apply(f.coeff, np.array([1.0, math.cos(phase), math.sin(phase)]))
+        got = drift.apply(f.coeff.ravel(), np.array([1.0, math.cos(phase), math.sin(phase)])).reshape(lattice.shape)
 
         n = 32  # the product has band 7, so no alias of it lands on |k| <= 5
         x = 2 * np.pi * np.arange(n) / n
         u1, u2 = flow.velocity_grid(theta, x, x)
         want = synthesize(u1 * grid_sample(_dx(f), n, n) + u2 * grid_sample(_dy(f), n, n), lattice)
         assert np.max(np.abs(got - want.coeff)) <= 1e-10
+
+    @given(
+        flow_terms,
+        st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+        st.sampled_from([(2, 5), (5, 3), (4, 1), (1, 6), (3, 3)]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_slice_loop(self, terms, weights, shape, seed):
+        flow = FlowSpec(tuple(FlowTerm(*t) for t in terms), period=1.3)
+        lattice = Lattice(*shape)
+        rng = np.random.default_rng(seed)
+        coeff = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
+        coeff[lattice.kmax, lattice.lmax] = 0.0
+        velocities = [flow.mode_velocity(m) for m in averaging._TIME_MODES]
+        weights = np.array(weights)
+        got = averaging._Drift(velocities, lattice).apply(coeff.ravel(), weights).reshape(lattice.shape)
+        want = _slice_loop_drift(velocities, lattice, coeff, weights)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+
+    @given(flow_terms, st.sampled_from([(2, 5), (5, 3), (4, 4), (6, 2)]))
+    @settings(max_examples=40, deadline=None)
+    def test_averaged_matrix_equals_harmonic_fill(self, terms, shape):
+        flow = FlowSpec(tuple(FlowTerm(*t) for t in terms), period=1.3)
+        cutoff = Lattice(*shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # bands beyond cutoff / 2 are truncated on both sides alike
+            op = averaged_operator(flow, NU, cutoff)
+        assert np.array_equal(op.matrix, _harmonic_fill(time_average(flow), NU, cutoff, op.modes))
+
+
+def _shift(p, n):
+    """Destination and source slices along an axis of length n for a frequency shift by p."""
+    if p >= 0:
+        return slice(p, n), slice(0, n - p)
+    return slice(0, n + p), slice(-p, n)
+
+
+def _slice_loop_drift(velocities, lattice, coeff, weights):
+    """Reference drift on the lattice array: one shifted-slice update per velocity harmonic."""
+    vlat = velocities[0].lattice
+    a = np.tensordot(weights, np.array([sv.u for sv in velocities]), 1)
+    b = np.tensordot(weights, np.array([sv.v for sv in velocities]), 1)
+    dx = 1j * lattice.k_values()[:, None] * coeff
+    dy = 1j * lattice.l_values()[None, :] * coeff
+    out = np.zeros_like(coeff)
+    for i, j in np.argwhere((a != 0) | (b != 0)):
+        p, q = i - vlat.kmax, j - vlat.lmax
+        if abs(p) > 2 * lattice.kmax or abs(q) > 2 * lattice.lmax:
+            continue
+        (dk, sk), (dl, sl) = _shift(p, lattice.shape[0]), _shift(q, lattice.shape[1])
+        out[dk, dl] += a[i, j] * dx[sk, sl] + b[i, j] * dy[sk, sl]
+    out[lattice.kmax, lattice.lmax] = 0.0
+    return out
+
+
+def _harmonic_fill(ubar, nu, cutoff, modes):
+    """Reference averaged matrix: the diffusion diagonal, then one index-array update per harmonic of ubar."""
+    n = modes.shape[0]
+    kmax, lmax = cutoff.kmax, cutoff.lmax
+    matrix = np.zeros((n, n), dtype=complex)
+    matrix[np.arange(n), np.arange(n)] = -nu * (modes[:, 0] ** 2 + modes[:, 1] ** 2).astype(float)
+    index = np.full(cutoff.shape, -1)
+    index[modes[:, 0] + kmax, modes[:, 1] + lmax] = np.arange(n)
+    k, l = modes[:, 0], modes[:, 1]
+    for i, j in np.argwhere((ubar.u != 0) | (ubar.v != 0)):
+        p, q = i - ubar.lattice.kmax, j - ubar.lattice.lmax
+        a, b = ubar.u[i, j], ubar.v[i, j]
+        kr, lr = k + p, l + q
+        inside = np.flatnonzero((np.abs(kr) <= kmax) & (np.abs(lr) <= lmax))
+        rows = index[kr[inside] + kmax, lr[inside] + lmax]
+        keep = rows >= 0  # the (0,0) mode is not in the list
+        cols = inside[keep]
+        matrix[rows[keep], cols] += 1j * (k[cols] * a + l[cols] * b)
+    return matrix
 
 
 def _weighted(f, fn):
@@ -418,14 +497,20 @@ class TestDamping:
         assert est.value == pytest.approx(1.0, abs=1e-12)
         assert est.value >= self._dense_sup(G, gamma, eta) - 1e-12
 
-    def test_normal_spread_beyond_eta_is_sampled(self):
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_spread_beyond_eta_raises(self, dense):
+        # h(t) >= e^{(delta - eta) t} grows without bound whether or not G is normal
         rng = np.random.default_rng(7)
         gamma, eta = 0.3, 0.1
         lam = np.array([-gamma - 0.15, -gamma + 0.15 + 0.2j, -gamma + 0.05j])
-        G = self._normal(rng, lam, dense=False)
-        est = damping_constant(G, gamma, eta)
-        assert est.value > 1.0
-        assert est.value == pytest.approx(self._dense_sup(G, gamma, eta), rel=1e-6)
+        G = self._normal(rng, lam, dense=dense)
+        with pytest.raises(ValueError, match=r"delta = 0\.15.*eta = 0\.1"):
+            damping_constant(G, gamma, eta)
+        N = np.triu(rng.standard_normal((3, 3)), 1)
+        with pytest.raises(ValueError, match="delta"):
+            damping_constant(np.diag(lam) + N, gamma, eta)
+        with pytest.raises(ValueError, match="delta"):
+            damping_constant(np.array([[-gamma - 0.15]]), gamma, eta)
 
 
 class TestSylvester:
@@ -544,6 +629,55 @@ class TestEvolve2D:
             errs.append(float(np.linalg.norm(traj.fields[0].coeff - heat)))
         ratio = errs[0] / errs[1]
         assert 1.6 <= ratio <= 2.4
+
+
+def _reference_evolve_2d(rho0, flow, A, nu, times):
+    """The Strang/RK4 stepper on the lattice array: slice-loop drift, heat factors recomputed each step."""
+    lattice = rho0.lattice
+    dt_target = min(1e-2, 0.2 / (A * flow.omega + flow.lip * lattice.kmax + 1e-30))
+    velocities = [flow.mode_velocity(m) for m in averaging._TIME_MODES]
+    w = lattice.weight_grid()
+
+    def rhs(theta, c):
+        phase = flow.omega * theta
+        return _slice_loop_drift(velocities, lattice, c, np.array([-1.0, -math.cos(phase), -math.sin(phase)]))
+
+    def step(coeff, t0, h):
+        half = np.exp(-0.5 * nu * w * h)
+        coeff = coeff * half
+        k1 = rhs(A * t0, coeff)
+        k2 = rhs(A * (t0 + 0.5 * h), coeff + 0.5 * h * k1)
+        k3 = rhs(A * (t0 + 0.5 * h), coeff + 0.5 * h * k2)
+        k4 = rhs(A * (t0 + h), coeff + h * k3)
+        coeff = (coeff + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) * half
+        coeff[lattice.kmax, lattice.lmax] = 0.0
+        return coeff
+
+    def diag(coeff):
+        return float(np.sum(np.abs(coeff) ** 2)), float(np.sum(w * np.abs(coeff) ** 2))
+
+    return _march(nu, times, dt_target, rho0.coeff, step, diag, lambda c: SpectralField2D(lattice, c.copy()))
+
+
+class TestEvolve2DReference:
+    """evolve_2d against the reference stepper on the shipped fast flows, at horizon 0.2."""
+
+    # CFL-capped step counts per 0.1 segment at A = 100: lattices 8 and 6
+    @pytest.mark.parametrize("name, per_segment", [("fast_shear_mean", 319), ("fast_averaging_study", 318)])
+    @pytest.mark.parametrize("fast", [True, False], ids=["A", "A0"])
+    def test_matches_reference_stepper(self, name, per_segment, fast):
+        scenario = Scenario.from_file(EXTRA_DIR / f"{name}.json")
+        A = scenario.A if fast else 0.0
+        times = np.linspace(0.0, 0.2, 3)
+        got = evolve_2d(scenario.rho0, scenario.flow_spec, A, scenario.nu, times)
+        want = _reference_evolve_2d(scenario.rho0, scenario.flow_spec, A, scenario.nu, times)
+        assert np.array_equal(got.diag_times, want.diag_times)
+        if fast:
+            assert got.diag_times.size - 1 == 2 * per_segment
+        for f, g in zip(got.fields, want.fields):
+            assert np.max(np.abs(f.coeff - g.coeff)) <= 1e-12 * np.max(np.abs(g.coeff))
+        np.testing.assert_allclose(got.diag_energy, want.diag_energy, rtol=1e-12)
+        np.testing.assert_allclose(got.diag_grad, want.diag_grad, rtol=1e-12)
 
 
 class TestObservables:

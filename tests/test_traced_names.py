@@ -11,6 +11,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mixlab import averaging, harness
@@ -94,15 +95,27 @@ def _ancestors(tracer, spans, i):
             "inviscid_cosx_siny",
             ("inviscid.inviscid_certificate", "inviscid.evolve_inviscid", "inviscid.check_inviscid_bound"),
         ),
+        (
+            "fast_averaging_study",
+            ("averaging.fast_certificate", "averaging.evolve_2d", "averaging.check_fast_bound"),
+        ),
     ],
-    ids=["heat_cosy", "inviscid_cosx_siny"],
+    ids=["heat_cosy", "inviscid_cosx_siny", "fast_averaging_study"],
 )
 def test_run_spans_land_under_run(tracer, name, expected):
-    scenario = harness.builtin_scenario(name)
+    if name in harness.BUILTIN_SCENARIOS:
+        scenario = harness.builtin_scenario(name)
+    else:  # a shipped file, at the benchmark's horizon of 0.2
+        scenario = harness.Scenario.from_file(ROOT / "scenarios" / "extra" / f"{name}.json")
+        scenario = dataclasses.replace(scenario, times=np.linspace(0.0, 0.2, 3))
     with tracer.Tracer().patched() as tr:
-        harness.run(scenario)
+        report = harness.run(scenario)
     for target in expected:
         hits = [i for i, s in enumerate(tr.spans) if s[tracer.NAME] == target]
         assert hits, target
         for i in hits:
             assert "harness.run" in _ancestors(tracer, tr.spans, i), target
+    if "averaging.evolve_2d" in expected:
+        # the step count behind averaging.evolve_2d.us_per_step is the trajectory's
+        steps = tracer.layer_metrics(tr.spans, [])["averaging.evolve_2d.steps"]
+        assert steps == report.trajectory.diag_times.size - 1 > 0
