@@ -23,7 +23,7 @@ import scipy.linalg as sla
 
 from .flows import FlowSpec, SpectralVelocity, time_average
 from .reports import BoundReport, make_report
-from .shear import FieldTrajectory, _march
+from .shear import FieldTrajectory, _march, _stepwise
 from .spectral import (
     FieldError,
     Lattice,
@@ -734,10 +734,10 @@ def evolve_2d(
     midpoint and end, each RK4 stage is one gather and one segmented sum, and
     the heat half-factor is computed once per step size.
     """
-    if nu <= 0:
-        raise FieldError("evolve_2d requires nu > 0")
-    if A < 0:
-        raise FieldError("fast frequency A must be >= 0")
+    if not (nu > 0 and math.isfinite(nu)):
+        raise FieldError(f"evolve_2d requires finite nu > 0, got {nu}")
+    if not (A >= 0 and math.isfinite(A)):
+        raise FieldError(f"fast frequency A must be finite and >= 0, got {A}")
     lattice = rho0.lattice
     cfl = 0.2 / (A * flow.omega + flow.lip * lattice.kmax + 1e-30)
     dt_target = min(dt, cfl) if dt is not None else min(1e-2, cfl)
@@ -779,7 +779,7 @@ def evolve_2d(
     def snapshot(coeff: np.ndarray) -> SpectralField2D:
         return SpectralField2D(lattice, coeff.reshape(lattice.shape).copy())
 
-    return _march(nu, times, dt_target, rho0.coeff.ravel(), step, diag, snapshot)
+    return _march(nu, times, dt_target, rho0.coeff.ravel(), _stepwise(step, diag), diag, snapshot)
 
 
 def observable_series(trajectory: FieldTrajectory, basis: list[SpectralField2D]) -> np.ndarray:

@@ -371,8 +371,8 @@ def sharpness_family(nu: float, p: float) -> SharpnessScenario:
     """Construct the sharpness scenario for diffusivity nu and exponent p."""
     if not (0.0 < nu <= 1.0):
         raise CertificateError("sharpness family requires 0 < nu <= 1")
-    if p <= 0:
-        raise CertificateError("sharpness family requires p > 0")
+    if not (p > 0 and math.isfinite(p)):
+        raise CertificateError("sharpness family requires finite p > 0")
     n = math.ceil(nu ** (-p))
     lattice = Lattice(1, max(n, 1))
     rho0 = field_from_terms(lattice, [HarmonicTerm(1.0, 0, n, "cos")])

@@ -106,7 +106,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
-    family = certificates.sharpness_family(args.nu, args.p)
+    try:
+        family = certificates.sharpness_family(args.nu, args.p)
+    except certificates.CertificateError as exc:  # --nu or --p outside the family's range is bad input
+        raise SchemaError(str(exc)) from exc
     lattice = family.rho0.lattice
     scenario = Scenario.from_json(
         {

@@ -115,6 +115,8 @@ class Scenario:
             if nu is None:
                 raise SchemaError(f"missing field: nu (required for regime {regime})")
             nu = float(nu)
+            if not (nu > 0 and math.isfinite(nu)):
+                raise SchemaError(f"invalid field: nu must be finite and > 0, got {nu}")
 
         shear_spec = None
         flow_spec = None
@@ -134,6 +136,8 @@ class Scenario:
             if A is None:
                 raise SchemaError("missing field: A (required for regime fast_oscillation)")
             A = float(A)
+            if not (A >= 0 and math.isfinite(A)):
+                raise SchemaError(f"invalid field: A must be finite and >= 0, got {A}")
         elif A is not None:
             raise SchemaError("invalid field: A only applies to the fast_oscillation regime")
 
@@ -157,6 +161,15 @@ class Scenario:
             if not dt > 0:
                 raise SchemaError(f"invalid field: dt must be positive, got {dt}")
 
+        cutoff = int(data.get("cutoff", 16))
+        if cutoff < 1:
+            raise SchemaError(f"invalid field: cutoff must be at least 1, got {cutoff}")
+        eta = data.get("eta")
+        if eta is not None:
+            eta = float(eta)
+            if not 0.0 < eta <= 1.0:
+                raise SchemaError(f"invalid field: eta must be in (0, 1], got {eta}")
+
         tol = float(data.get("tolerances", {}).get("margin", 1e-6))
         if not 0.0 <= tol < 1.0:
             raise SchemaError(f"invalid field: tolerances.margin must be finite and in [0, 1), got {tol}")
@@ -172,8 +185,8 @@ class Scenario:
             A=A,
             times=times,
             dt=dt,
-            cutoff=int(data.get("cutoff", 16)),
-            eta=(float(data["eta"]) if data.get("eta") is not None else None),
+            cutoff=cutoff,
+            eta=eta,
             tol=tol,
             raw=data,
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -234,17 +235,29 @@ def synthesize(samples: np.ndarray, lattice: Lattice) -> SpectralField2D:
     return SpectralField2D(lattice, coeff)
 
 
-def y_grid_values(coeff: np.ndarray, ny: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _y_index(lmax: int, ny: int) -> np.ndarray:
+    """Grid-FFT slots of l = -lmax..lmax on a y-grid of ny points (read-only)."""
+    index = np.arange(-lmax, lmax + 1) % ny
+    index.flags.writeable = False
+    return index
+
+
+def y_grid_values(coeff: np.ndarray, ny: int, out: np.ndarray | None = None) -> np.ndarray:
     """Values at y_j = 2*pi*j/ny of coefficient rows over l = -lmax..lmax (the last axis).
 
-    The grid must hold the rows without aliasing: ny >= 2*lmax + 1.
+    The grid must hold the rows without aliasing: ny >= 2*lmax + 1.  ``out``,
+    a complex array of shape ``coeff.shape[:-1] + (ny,)``, receives the
+    values when given, so a stepper can reuse one buffer.
     """
     lmax = (coeff.shape[-1] - 1) // 2
-    spec = np.zeros(coeff.shape[:-1] + (ny,), dtype=complex)
-    spec[..., np.arange(-lmax, lmax + 1) % ny] = coeff
-    np.fft.ifft(spec, axis=-1, out=spec)
-    spec *= ny
-    return spec
+    if out is None:
+        out = np.zeros(coeff.shape[:-1] + (ny,), dtype=complex)
+    else:
+        out.fill(0.0)
+    out[..., _y_index(lmax, ny)] = coeff
+    np.fft.ifft(out, axis=-1, norm="forward", out=out)
+    return out
 
 
 def y_grid_coeffs(values: np.ndarray, lmax: int) -> np.ndarray:
@@ -252,10 +265,8 @@ def y_grid_coeffs(values: np.ndarray, lmax: int) -> np.ndarray:
 
     The transform runs in place: ``values`` is overwritten.
     """
-    ny = values.shape[-1]
-    np.fft.fft(values, axis=-1, out=values)
-    values /= ny
-    return values[..., np.arange(-lmax, lmax + 1) % ny]
+    np.fft.fft(values, axis=-1, norm="forward", out=values)
+    return values[..., _y_index(lmax, values.shape[-1])]
 
 
 @dataclass(frozen=True)

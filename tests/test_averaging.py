@@ -25,7 +25,7 @@ from mixlab.averaging import (
 from mixlab.averaging import DetectingSpectrum, SylvesterEstimate
 from mixlab.flows import FlowSpec, FlowTerm, preset_shear, time_average
 from mixlab.harness import Scenario
-from mixlab.shear import _march, evolve_shear
+from mixlab.shear import _march, _stepwise, evolve_shear
 from mixlab.spectral import (
     FieldError,
     HarmonicTerm,
@@ -613,6 +613,13 @@ class TestEvolve2D:
             with pytest.raises(FieldError, match="step size must be positive"):
                 evolve_2d(rho0, SHEAR_FLOW, 1.0, NU, np.array([0.1]), dt=dt)
 
+    @pytest.mark.parametrize(
+        "nu, A", [(0.0, 1.0), (float("nan"), 1.0), (float("inf"), 1.0), (NU, -1.0), (NU, float("nan"))]
+    )
+    def test_nonfinite_or_out_of_range_nu_and_A_rejected(self, nu, A):
+        with pytest.raises(FieldError, match="finite"):
+            evolve_2d(cos_y(Lattice(4, 4)), SHEAR_FLOW, A, nu, np.array([0.1]))
+
     def test_error_halves_when_A_doubles(self):
         # phase-locked: A*T multiple of the phase period for both A values
         lat = Lattice(6, 6)
@@ -656,7 +663,10 @@ def _reference_evolve_2d(rho0, flow, A, nu, times):
     def diag(coeff):
         return float(np.sum(np.abs(coeff) ** 2)), float(np.sum(w * np.abs(coeff) ** 2))
 
-    return _march(nu, times, dt_target, rho0.coeff, step, diag, lambda c: SpectralField2D(lattice, c.copy()))
+    def snapshot(c):
+        return SpectralField2D(lattice, c.copy())
+
+    return _march(nu, times, dt_target, rho0.coeff, _stepwise(step, diag), diag, snapshot)
 
 
 class TestEvolve2DReference:

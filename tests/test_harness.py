@@ -82,6 +82,34 @@ class TestSchema:
         with pytest.raises(SchemaError, match="times"):
             Scenario.from_json(raw)
 
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("heat_cosy", "nu", 0.0),
+            ("heat_cosy", "nu", -0.1),
+            ("heat_cosy", "nu", float("nan")),
+            ("heat_cosy", "nu", float("inf")),
+            ("fast_averaging_study", "nu", float("nan")),
+            ("fast_averaging_study", "A", float("nan")),
+            ("fast_averaging_study", "A", float("inf")),
+            ("fast_averaging_study", "A", -1.0),
+            ("fast_averaging_study", "eta", 0.0),
+            ("fast_averaging_study", "eta", -0.1),
+            ("fast_averaging_study", "eta", float("nan")),
+            ("fast_averaging_study", "eta", 1.5),
+            ("fast_averaging_study", "cutoff", 0),
+            ("fast_averaging_study", "cutoff", -4),
+        ],
+    )
+    def test_out_of_range_parameter_rejected(self, name, key, value):
+        if name in BUILTIN_SCENARIOS:
+            raw = json.loads(json.dumps(BUILTIN_SCENARIOS[name]))
+        else:
+            raw = json.loads((EXTRA_DIR / f"{name}.json").read_text())
+        raw[key] = value
+        with pytest.raises(SchemaError, match=f"invalid field: {key} must be"):
+            Scenario.from_json(raw)
+
     @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b"])
     def test_name_must_be_plain_stem(self, name):
         raw = json.loads(json.dumps(BUILTIN_SCENARIOS["heat_cosy"]))
@@ -275,6 +303,45 @@ class TestCli:
         assert captured.out == ""
         want = "invalid field: times must be a nonempty finite increasing list with times[0] >= 0"
         assert captured.err == f"{command[0]}: {want}\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["verify", "c2", "--scenario", str(CORPUS_DIR / "heat_cosy.json"), "--nu=0"],
+            ["verify", "c2", "--scenario", str(CORPUS_DIR / "heat_cosy.json"), "--nu=-0.1"],
+            ["verify", "c2", "--scenario", str(CORPUS_DIR / "heat_cosy.json"), "--nu=nan"],
+            ["verify", "c2", "--scenario", str(CORPUS_DIR / "heat_cosy.json"), "--nu=inf"],
+            ["certify", "fast", "--scenario", str(EXTRA_DIR / "fast_averaging_study.json"), "--eta=-0.1"],
+            ["certify", "fast", "--scenario", str(EXTRA_DIR / "fast_averaging_study.json"), "--eta=nan"],
+            ["certify", "fast", "--scenario", str(EXTRA_DIR / "fast_averaging_study.json"), "--cutoff=0"],
+        ],
+        ids=["nu0", "nu_negative", "nu_nan", "nu_inf", "eta_negative", "eta_nan", "cutoff0"],
+    )
+    def test_bad_parameter_override_exits_2(self, command, capsys):
+        rc = cli_main(command)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"{command[0]}: invalid field: ")
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["--nu", "0"], "0 < nu <= 1"),
+            (["--nu", "-0.1"], "0 < nu <= 1"),
+            (["--nu", "nan"], "0 < nu <= 1"),
+            (["--nu", "1.5"], "0 < nu <= 1"),
+            (["--nu", "0.25", "--p", "0"], "finite p > 0"),
+            (["--nu", "0.25", "--p", "nan"], "finite p > 0"),
+            (["--nu", "0.25", "--p", "inf"], "finite p > 0"),
+        ],
+    )
+    def test_sharpness_family_out_of_range_exits_2(self, flags, reason, capsys):
+        rc = cli_main(["sharpness", *flags])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"sharpness: sharpness family requires {reason}\n"
 
     def test_failed_audit_fails_check_and_verify(self, monkeypatch, capsys):
         """A check whose margins hold but whose tail audit fails is FAIL, and verify exits 1."""

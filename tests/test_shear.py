@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.fft import next_fast_len
 
 from mixlab.averaging import evolve_2d
-from mixlab.certificates import c2_certificate
+from mixlab.certificates import c2_certificate, sharpness_family
 from mixlab.flows import FlowSpec, ShearSpec, ShearTerm, preset_shear
+from mixlab import shear as shear_module
 from mixlab.shear import (
     _march,
+    _stepwise,
     default_dt,
     dissipation_report,
     evolve_shear,
@@ -77,6 +80,19 @@ class TestStepMode:
     def test_rejects_zero_viscosity(self):
         with pytest.raises(FieldError):
             step_mode(profile(), SIN_Y, 0.0, 0.0, 0.01)
+
+    @pytest.mark.parametrize("nu", [-0.1, float("nan"), float("inf")])
+    def test_rejects_nonfinite_or_negative_viscosity(self, nu):
+        with pytest.raises(FieldError, match="finite nu > 0"):
+            step_mode(profile(), SIN_Y, nu, 0.0, 0.01)
+        rho0 = field_from_terms(Lattice(2, 4), [HarmonicTerm(1.0, 1, 0)])
+        with pytest.raises(FieldError, match="finite nu > 0"):
+            evolve_shear(rho0, SIN_Y, nu, np.array([0.5]))
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf")])
+    def test_rejects_bad_step(self, dt):
+        with pytest.raises(FieldError, match="dt must be finite and positive"):
+            step_mode(profile(), SIN_Y, 0.1, 0.0, dt)
 
 
 class TestEvolveShear:
@@ -192,7 +208,8 @@ def oracle_evolve(rho0, shear, nu, times, dt):
             coeff[k + lattice.kmax] = c
         return SpectralField2D(lattice, coeff)
 
-    return _march(nu, times, dt, [rho0.coeff[k + lattice.kmax] for k in active], step, diag, snapshot)
+    state = [rho0.coeff[k + lattice.kmax] for k in active]
+    return _march(nu, times, dt, state, _stepwise(step, diag), diag, snapshot)
 
 
 @st.composite
@@ -236,6 +253,93 @@ class TestStackedStepper:
         np.testing.assert_array_equal(got.diag_times, want.diag_times)
         np.testing.assert_allclose(got.diag_energy, want.diag_energy, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got.diag_grad, want.diag_grad, rtol=1e-12, atol=0.0)
+
+
+def stepwise_evolve(monkeypatch, rho0, shear, nu, times, dt):
+    """evolve_shear with the stepper's segment advance replaced by its own step loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            shear_module._ShearStepper,
+            "advance",
+            lambda self, c, t, h, n: _stepwise(self.step, self.diag)(c, t, h, n),
+        )
+        return evolve_shear(rho0, shear, nu, times, dt=dt)
+
+
+def assert_same_trajectory(got, want, rtol=1e-12):
+    for g, w in zip(got.fields, want.fields):
+        assert np.max(np.abs(g.coeff - w.coeff)) <= rtol * np.max(np.abs(w.coeff))
+    np.testing.assert_array_equal(got.diag_times, want.diag_times)
+    np.testing.assert_allclose(got.diag_energy, want.diag_energy, rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(got.diag_grad, want.diag_grad, rtol=rtol, atol=0.0)
+
+
+# (datum lattice, terms, shear, nu, dt): a zero shear, a steady shear beside a
+# k = 0 row, and the energy-identity acceptance setup
+SEGMENT_SETUPS = {
+    "zero_shear": (Lattice(2, 6), [(1.0, 1, 2), (0.5, 0, 3)], ZERO, 0.1, 1e-2),
+    "steady_with_k0": (Lattice(2, 12), [(1.0, 0, 3), (0.5, 1, 2), (0.3, 2, 1)], SIN_Y, 0.1, 5e-3),
+    "energy_identity": (Lattice(3, 16), [(1.0, 1, 0)], SIN_Y, 0.1, 1e-3),
+}
+
+
+def segment_setup(name):
+    lattice, terms, shear, nu, dt = SEGMENT_SETUPS[name]
+    return field_from_terms(lattice, [HarmonicTerm(a, kx, ky) for a, kx, ky in terms]), shear, nu, dt
+
+
+class TestSegmentAdvance:
+    """A steady segment filled by doubling against the same stepper taking its steps one at a time."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 40, 1000])
+    @pytest.mark.parametrize("name", sorted(SEGMENT_SETUPS))
+    def test_matches_step_loop(self, monkeypatch, name, n):
+        rho0, shear, nu, dt = segment_setup(name)
+        times = np.array([n * dt])
+        got = evolve_shear(rho0, shear, nu, times, dt=dt)
+        want = stepwise_evolve(monkeypatch, rho0, shear, nu, times, dt)
+        assert got.diag_times.size == n + 1
+        assert_same_trajectory(got, want)
+        gap = dissipation_report(got).max_residual - dissipation_report(want).max_residual
+        assert abs(gap) <= 1e-9
+
+    @pytest.mark.parametrize("size", [4, 8], ids=["4-4-3", "8-3"])
+    def test_blocks_match_step_loop(self, monkeypatch, size):
+        """Eleven steps in blocks of 4/4/3 or 8/3 steps, each block computed from the one before."""
+        rho0, shear, nu, dt = segment_setup("steady_with_k0")
+        times = np.array([11 * dt])
+        stepped = stepwise_evolve(monkeypatch, rho0, shear, nu, times, dt)
+        monkeypatch.setattr(shear_module._ShearStepper, "_block_steps", lambda self, n: size)
+        assert_same_trajectory(evolve_shear(rho0, shear, nu, times, dt=dt), stepped)
+
+    @pytest.mark.parametrize("budget_steps", [1, 3, 4, 50])
+    def test_block_fits_the_budget(self, monkeypatch, budget_steps):
+        """A block holds at most _BLOCK_BUDGET values; a budget below 4 states steps."""
+        stepper = shear_module._ShearStepper([0, 1, 2], 12, SIN_Y, 0.1)
+        monkeypatch.setattr(shear_module, "_BLOCK_BUDGET", budget_steps * stepper.weight.size)
+        size = stepper._block_steps(1000)
+        assert size <= budget_steps
+        assert (size == 1) == (budget_steps < 4)
+
+    @pytest.mark.parametrize("lmax, blocked", [(16, True), (64, False)])
+    def test_wide_lattice_keeps_stepping(self, lmax, blocked):
+        """A squaring of a (2 lmax+1)^2 step matrix only pays on a narrow lattice; a wide one steps."""
+        stepper = shear_module._ShearStepper([-1, 1], lmax, SIN_Y, 0.1)
+        assert (stepper._block_steps(40) > 1) == blocked
+        assert stepper._block_steps(1) == 1
+
+    def test_wide_zero_shear_stays_elementwise(self, monkeypatch):
+        """The sharpness family at nu = 0.001 (lmax 1000) only diffuses: no dense step matrix is built."""
+        family = sharpness_family(0.001, 1.0)
+        times = np.linspace(0.0, 0.2, 5)
+        tracemalloc.start()
+        try:
+            got = evolve_shear(family.rho0, family.shear, family.nu, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20  # one (2001 x 2001) complex matrix alone is 64 MB
+        assert_same_trajectory(got, stepwise_evolve(monkeypatch, family.rho0, family.shear, family.nu, times, None))
 
 
 class TestStepGrid:

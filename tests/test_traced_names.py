@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from mixlab import averaging, harness
-from mixlab.shear import FieldTrajectory
+from mixlab.shear import FieldTrajectory, _segment_steps
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -119,3 +119,15 @@ def test_run_spans_land_under_run(tracer, name, expected):
         # the step count behind averaging.evolve_2d.us_per_step is the trajectory's
         steps = tracer.layer_metrics(tr.spans, [])["averaging.evolve_2d.steps"]
         assert steps == report.trajectory.diag_times.size - 1 > 0
+
+
+@pytest.mark.parametrize("name", ["sinshear_cosx", "timeshear_cosx"], ids=["steady", "time_periodic"])
+def test_mode_steps_count_the_step_grid(tracer, name):
+    """shear.evolve_shear.mode_steps is the step grid times the active modes, however a segment is advanced."""
+    scenario = harness.Scenario.from_file(ROOT / "scenarios" / "corpus" / f"{name}.json")
+    with tracer.Tracer().patched() as tr:
+        harness.run(scenario)
+    edges = np.concatenate(([0.0], scenario.times))
+    steps = sum(_segment_steps(a, b, scenario.dt)[0] for a, b in zip(edges[:-1], edges[1:]) if b > a)
+    modes = int(np.count_nonzero(np.any(scenario.rho0.coeff != 0.0, axis=1)))
+    assert tracer.layer_metrics(tr.spans, [])["shear.evolve_shear.mode_steps"] == steps * modes > 0
