@@ -64,6 +64,12 @@ LAMBDA1 = 1.0
 # indistinguishable from zero.
 EPS_DETECT = 1e-8
 
+# Contour nodes of the Sylvester-resolvent estimate, evenly spaced on its circle.
+SYLVESTER_NODES = 8
+
+# Coarse samples of the damping-constant search before golden-section refinement.
+DAMPING_SAMPLES = 800
+
 
 class DetectionError(RuntimeError):
     """No root-space cluster pairs with the datum at this truncation."""
@@ -130,13 +136,15 @@ class _Drift:
     A velocity harmonic (p, q) with coefficients (a, b) sends the field
     coefficient c(k, l) to (k + p, l + q) with weight i (k a + l b); products
     that leave the lattice, or that start or land on (0, 0), are dropped.
-    Every product of every harmonic is held once, in one index structure that
-    both ``evolve_2d`` and ``averaged_operator`` read: flat lattice indices
-    ``dst`` and ``src``, sorted stably by destination, and ``vals[m]``, the
-    product's weight under ``velocities[m]``.  The products bound for
-    ``rows[j]`` form the segment that begins at ``starts[j]``, so a
-    time-periodic flow at phase theta, with the weights (1, cos omega theta,
-    sin omega theta) of its time modes, is one gather and one segmented sum.
+    Every product of every harmonic is held once, laid out by (harmonic,
+    destination), in one structure that both ``evolve_2d`` and
+    ``averaged_operator`` read: ``src[h, d]`` is the flat source
+    d - (p_h, q_h) of flat destination d, and ``vals[m, h, d]`` the
+    product's weight under ``velocities[m]``.  A dropped product reads the
+    (0, 0) slot with weight exactly 0, so the output does not depend on a
+    finite (0, 0) coefficient, and a time-periodic flow at phase theta, with
+    the weights (1, cos omega theta, sin omega theta) of its time modes, is
+    one gather and one sum over harmonics.
     """
 
     def __init__(self, velocities: list[SpectralVelocity], lattice: Lattice):
@@ -148,34 +156,24 @@ class _Drift:
         p, q = p - vlat.kmax, q - vlat.lmax
         kmax, lmax = lattice.kmax, lattice.lmax
         k, l = (g.ravel() for g in np.meshgrid(lattice.k_values(), lattice.l_values(), indexing="ij"))
-        # one row per harmonic, one column per source coefficient
-        kr, lr = k + p[:, None], l + q[:, None]
-        keep = (np.abs(kr) <= kmax) & (np.abs(lr) <= lmax) & ((kr != 0) | (lr != 0)) & ((k != 0) | (l != 0))
-        harmonic, src = np.nonzero(keep)
-        dst = (kr[keep] + kmax) * (2 * lmax + 1) + lr[keep] + lmax
-        order = np.argsort(dst, kind="stable")
-        self.dst, self.src = dst[order], src[order]
-        col = cols[harmonic[order]]
-        self.vals = np.ascontiguousarray(1j * (k[self.src] * u[:, col] + l[self.src] * v[:, col]))
-        self.rows, self.starts = np.unique(self.dst, return_index=True)
+        # one row per harmonic, one column per destination coefficient
+        ks, ls = k - p[:, None], l - q[:, None]
+        keep = (np.abs(ks) <= kmax) & (np.abs(ls) <= lmax) & ((ks != 0) | (ls != 0)) & ((k != 0) | (l != 0))
+        self.src = np.where(keep, (ks + kmax) * (2 * lmax + 1) + ls + lmax, k.size // 2)
+        self.vals = np.where(keep, 1j * (ks * u[:, cols, None] + ls * v[:, cols, None]), 0.0)
+        self._parts = self.vals.reshape(len(velocities), -1).view(float)  # real and imaginary parts
 
     def weigh(self, weights: np.ndarray) -> np.ndarray:
-        """Product weights ``weights @ vals`` for real time-mode weights, one row per weight row.
+        """Product weights ``weights @ vals``: one (harmonic, destination) array per row of real ``weights``.
 
         Real weights act on the real and imaginary parts apart, so the
         product runs as one real matrix product on the float view of ``vals``.
         """
-        return (weights @ self.vals.view(float)).view(complex)
+        return (weights @ self._parts).view(complex).reshape(weights.shape[:-1] + self.src.shape)
 
     def convolve(self, coeff: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Sum of weight * coeff[src] over the products into each destination of the flat ``coeff``."""
-        out = np.zeros(coeff.shape, dtype=complex)
-        out[self.rows] = np.add.reduceat(weights * coeff[self.src], self.starts)
-        return out
-
-    def apply(self, coeff: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """(u . grad) of the flat coefficient vector under real time-mode ``weights``; (0,0) stays 0."""
-        return self.convolve(coeff, self.weigh(weights))
+        """Sum over harmonics of weight * coeff[src]: the drift of the flat ``coeff`` under weights from ``weigh``."""
+        return (weights * coeff[self.src]).sum(axis=0)
 
 
 def averaged_operator(flow: FlowSpec, nu: float, cutoff: Lattice | int) -> AveragedOperator:
@@ -202,10 +200,10 @@ def averaged_operator(flow: FlowSpec, nu: float, cutoff: Lattice | int) -> Avera
     w = modes[:, 0] ** 2 + modes[:, 1] ** 2
     matrix[np.arange(n), np.arange(n)] = -nu * w.astype(float)
     drift = _Drift([ubar], cutoff)
+    harmonic, dst = np.nonzero(drift.vals[0])
+    src = drift.src[harmonic, dst]
     # the mode list is the raveled lattice without its centre, flat index n // 2
-    rows = drift.dst - (drift.dst > n // 2)
-    cols = drift.src - (drift.src > n // 2)
-    matrix[rows, cols] += drift.vals[0]
+    matrix[dst - (dst > n // 2), src - (src > n // 2)] += drift.vals[0, harmonic, dst]
     return AveragedOperator(nu, cutoff, matrix, modes, _mode_classes(matrix))
 
 
@@ -431,9 +429,7 @@ class DampingEstimate:
     eta: float
 
 
-def damping_constant(
-    G: np.ndarray, gamma: float, eta: float, coarse: int = 800
-) -> DampingEstimate:
+def damping_constant(G: np.ndarray, gamma: float, eta: float) -> DampingEstimate:
     """Estimate the transient-growth constant of the observable ODE.
 
     With T the complex Schur form of G^T, N = triu(T, 1) its strictly upper
@@ -478,11 +474,11 @@ def damping_constant(
         return DampingEstimate(1.0, 0.0, float(bound), eta)
 
     t_max = 10.0 * d / eta
-    ts = np.linspace(0.0, t_max, coarse)
+    ts = np.linspace(0.0, t_max, DAMPING_SAMPLES)
     vals = np.array([h(t) for t in ts])
     i = int(np.argmax(vals))
     lo = ts[max(0, i - 1)]
-    hi = ts[min(coarse - 1, i + 1)]
+    hi = ts[min(DAMPING_SAMPLES - 1, i + 1)]
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c1 = b - phi * (b - a)
@@ -525,19 +521,18 @@ class SylvesterEstimate:
 def sylvester_constant(
     op: AveragedOperator,
     spectrum: DetectingSpectrum,
-    n_nodes: int = 8,
     gap_floor: float | None = None,
 ) -> SylvesterEstimate:
     """Numerically estimate the Sylvester-resolvent constant for the detecting cluster.
 
     Evaluated class by class (``op.classes``): the resolvent, the Riesz
     projector and the H^1/H^2 weights are all block-diagonal over the mode
-    classes, so each 2-norm is the largest over the classes.  A member class
-    of the cluster gets its projector from its sorted Schur form and one LU
-    solve and three largest-singular-value computations per node; on every
-    other class the projector vanishes, and equal-size classes are inverted
-    and normed as one batched stack.  The cost follows the largest class,
-    not the number of modes.
+    classes, so each 2-norm is the largest over the classes.  Every class,
+    member of the cluster or not, is inverted and normed in one batched
+    stack per class size and contour node; a member class gets its projector
+    once from its sorted Schur form, and its resolvent takes the rank-d
+    correction in place, while on every other class the projector vanishes.
+    The cost follows the largest class, not the number of modes.
     """
     if spectrum.schur_blocks is None:
         raise ValueError("spectrum must carry its Schur factors (rerun detecting_spectrum)")
@@ -556,45 +551,35 @@ def sylvester_constant(
     weights = 1.0 + (op.modes[:, 0] ** 2 + op.modes[:, 1] ** 2).astype(float)
     w_half = np.sqrt(weights)
 
-    thetas = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+    thetas = 2.0 * np.pi * np.arange(SYLVESTER_NODES) / SYLVESTER_NODES
     nodes = lam + radius * np.exp(1j * thetas)
-    plain = np.zeros(n_nodes)
-    h1w = np.zeros(n_nodes)
-    h2w = np.zeros(n_nodes)
+    plain = np.zeros(SYLVESTER_NODES)
+    h1w = np.zeros(SYLVESTER_NODES)
+    h2w = np.zeros(SYLVESTER_NODES)
 
-    def record(j: int, resolvent: np.ndarray, r_proj: np.ndarray, idx: np.ndarray) -> None:
-        """Fold the 2-norms of one block, or of a stack of blocks, into node j."""
-        wh, w = w_half[idx], weights[idx]
-        plain[j] = max(plain[j], float(np.max(np.linalg.norm(resolvent, 2, axis=(-2, -1)))))
-        h1 = np.linalg.norm(wh[..., :, None] * r_proj * wh[..., None, :], 2, axis=(-2, -1))
-        h1w[j] = max(h1w[j], float(np.max(h1)))
-        h2 = np.linalg.norm(w[..., :, None] * r_proj, 2, axis=(-2, -1))
-        h2w[j] = max(h2w[j], float(np.max(h2)))
-
+    # Riesz projection of the cluster from each member class's block-decoupled
+    # Schur form: P = Z [[I, X], [0, 0]] Z^H with T11 X - X T22 = T12; rank d.
+    # Off the member classes P = 0.
+    projectors = {}
     for idx, T, Z, d in spectrum.schur_blocks:
-        # Riesz projection of the cluster from the block-decoupled Schur form:
-        # P = Z [[I, X], [0, 0]] Z^H with T11 X - X T22 = T12; rank d.
-        T11, T12, T22 = T[:d, :d], T[:d, d:], T[d:, d:]
-        X = sla.solve_sylvester(T11, -T22, T12)
-        p_left = Z[:, :d]
-        p_right = np.hstack([np.eye(d, dtype=complex), X]) @ Z.conj().T
-        block = op.matrix[np.ix_(idx, idx)]
-        eye = np.eye(idx.size, dtype=complex)
-        for j, z in enumerate(nodes):
-            lu = sla.lu_factor(z * eye - block)
-            resolvent = sla.lu_solve(lu, eye)
-            # R Pi_perp = R - (R p_left) p_right: rank-d correction
-            record(j, resolvent, resolvent - (resolvent @ p_left) @ p_right, idx)
+        X = sla.solve_sylvester(T[:d, :d], -T[d:, d:], T[:d, d:])
+        projectors[int(idx[0])] = (Z[:, :d], np.hstack([np.eye(d, dtype=complex), X]) @ Z.conj().T)
 
-    # off the member classes P = 0, so R Pi_perp is the resolvent itself
-    member = {int(b[0][0]) for b in spectrum.schur_blocks}
-    rest = [idx for idx in op.classes if int(idx[0]) not in member]
-    for group in _size_groups(rest).values():
+    for group in _size_groups(op.classes).values():
         blocks, idx = _stacked_blocks(op.matrix, group)
+        members = [(i, projectors[first]) for i, first in enumerate(idx[:, 0].tolist()) if first in projectors]
         eye = np.eye(idx.shape[1], dtype=complex)
+        wh, w = w_half[idx], weights[idx]
         for j, z in enumerate(nodes):
             resolvent = np.linalg.inv(z * eye - blocks)
-            record(j, resolvent, resolvent, idx)
+            plain[j] = max(plain[j], float(np.max(np.linalg.norm(resolvent, 2, axis=(-2, -1)))))
+            # R Pi_perp = R - (R p_left) p_right: rank-d correction, in place
+            for i, (p_left, p_right) in members:
+                resolvent[i] -= (resolvent[i] @ p_left) @ p_right
+            h1 = np.linalg.norm(wh[:, :, None] * resolvent * wh[:, None, :], 2, axis=(-2, -1))
+            h1w[j] = max(h1w[j], float(np.max(h1)))
+            h2 = np.linalg.norm(w[:, :, None] * resolvent, 2, axis=(-2, -1))
+            h2w[j] = max(h2w[j], float(np.max(h2)))
 
     d = spectrum.d_nu
     g_inv_max = max(
@@ -731,8 +716,8 @@ def evolve_2d(
     phase 0.  The step size is forced below the fast-phase CFL cap
     0.2 / (A 2 pi / L + lip kmax).  The raveled lattice is stepped: per step
     one small matrix product weighs the drift's products at the step's start,
-    midpoint and end, each RK4 stage is one gather and one segmented sum, and
-    the heat half-factor is computed once per step size.
+    midpoint and end, each RK4 stage is one gather and one sum over
+    harmonics, and the heat half-factor is computed once per step size.
     """
     if not (nu > 0 and math.isfinite(nu)):
         raise FieldError(f"evolve_2d requires finite nu > 0, got {nu}")

@@ -29,10 +29,10 @@ from .spectral import (
     SpectralField2D,
     dx_l2,
     field_from_terms,
+    hneg1_norm,
     l2_norm,
     laplacian_l2,
     low_block_energy,
-    mixing_scale,
     x_mode,
 )
 from .flows import ShearSpec
@@ -65,6 +65,12 @@ RESOLVENT_CONST = 1.0e4
 # below it the log-divergence of the exponent makes the mode irrelevant
 # before it could influence the minimum.
 EPS_MODE = 1e-12
+
+# Relative slack of the heat-scale ceiling N e^{-nu t} (1 + slack).
+CEILING_SLACK = 1e-8
+
+# Absolute tolerance of the per-mode retention audit of the mixing floor.
+RETENTION_TOL = 1e-8
 
 
 class CertificateError(ValueError):
@@ -129,8 +135,10 @@ def mode_mk(k: int, M: float, nu: float, delta_k: float) -> int:
     """
     if k == 0:
         raise CertificateError("m_k is defined for nonzero x-modes only")
-    if nu <= 0 or delta_k <= 0:
-        raise CertificateError("m_k requires nu > 0 and delta_k > 0")
+    if not (M >= 0 and math.isfinite(M)):
+        raise CertificateError("m_k requires a finite M >= 0")
+    if not (nu > 0 and math.isfinite(nu)) or not (delta_k > 0 and math.isfinite(delta_k)):
+        raise CertificateError("m_k requires finite nu > 0 and delta_k > 0")
 
     def ok(m: int) -> bool:
         return (
@@ -178,10 +186,10 @@ def c2_certificate(rho0: SpectralField2D, M: float, nu: float) -> C2Certificate:
     An x-independent datum instead minimizes the heat-branch candidates over
     its vertical frequencies.
     """
-    if nu <= 0:
-        raise CertificateError("c2 requires nu > 0")
-    if M < 0:
-        raise CertificateError("shear bound M must be >= 0")
+    if not (nu > 0 and math.isfinite(nu)):
+        raise CertificateError("c2 requires finite nu > 0")
+    if not (M >= 0 and math.isfinite(M)):
+        raise CertificateError("shear bound M must be finite and >= 0")
     N = l2_norm(rho0)
     if N == 0.0:
         raise CertificateError("c2 certificate requires a nonzero datum")
@@ -289,8 +297,10 @@ def mixing_certificate(rho0: SpectralField2D, M: float, nu: float, c2: float) ->
     window enlarged past the shear-transfer barrier |k| M / nu.  All tail sums
     are exact on the truncated spectrum.
     """
-    if nu <= 0 or c2 <= 0:
-        raise CertificateError("mixing certificate requires nu > 0 and c2 > 0")
+    if not (nu > 0 and math.isfinite(nu)) or not (c2 > 0 and math.isfinite(c2)):
+        raise CertificateError("mixing certificate requires finite nu > 0 and c2 > 0")
+    if not (M >= 0 and math.isfinite(M)):
+        raise CertificateError("shear bound M must be finite and >= 0")
     N = l2_norm(rho0)
     if N == 0.0:
         raise CertificateError("mixing certificate requires a nonzero datum")
@@ -444,11 +454,10 @@ def check_exponential_bound(
 def check_upper_envelope(
     trajectory: FieldTrajectory,
     cert: C2Certificate,
-    slack: float = 1e-8,
     tol: float = 1e-6,
     scenario: str = "",
 ) -> BoundReport:
-    """Verify the heat-scale ceiling ||rho(t)||_2 <= N e^{-nu t} (1 + slack).
+    """Verify the heat-scale ceiling ||rho(t)||_2 <= N e^{-nu t} (1 + CEILING_SLACK).
 
     Reported as margin = ceiling/measured so the PASS convention matches the
     floor checks.
@@ -458,7 +467,7 @@ def check_upper_envelope(
         measured = l2_norm(f)
         if measured == 0.0:
             return 1.0, 0.0  # zero field is trivially below the ceiling
-        return math.exp(math.log(cert.N) - cert.nu * t + math.log1p(slack)), math.log(measured)
+        return math.exp(math.log(cert.N) - cert.nu * t + math.log1p(CEILING_SLACK)), math.log(measured)
 
     return make_report(
         scenario,
@@ -476,15 +485,16 @@ def check_mixing_bound(
     cert: MixCertificate,
     tol: float = 1e-6,
     scenario: str = "",
-    retention_tol: float = 1e-8,
 ) -> BoundReport:
     """Verify mixing_scale(rho(t)) * 2 R_star >= 1 - tol at every sampled time.
 
-    Extras report the slack factor (worst ratio over the floor) and audit the
-    per-mode retention L_{k,N_k}(t) >= E_k(t)/2 - retention_tol for every
-    certified mode.
+    A field that has underflowed to exactly zero has no mixing scale: its
+    ratio is recorded as NaN, which fails the check, since a PASS must rest
+    on resolved samples.  Extras report the slack factor (worst ratio over
+    the floor, among the nonzero samples) and audit the per-mode retention
+    L_{k,N_k}(t) >= E_k(t)/2 - RETENTION_TOL for every certified mode.
     """
-    ratios = [mixing_scale(f) for f in trajectory.fields]
+    ratios = [hneg1_norm(f) / n2 if (n2 := l2_norm(f)) > 0.0 else math.nan for f in trajectory.fields]
     retention_worst = math.inf
     for f in trajectory.fields:
         for rec in cert.modes:
@@ -495,9 +505,9 @@ def check_mixing_bound(
             low = low_block_energy(prof, rec.N_k)
             retention_worst = min(retention_worst, low - 0.5 * e_k)
     extras = {
-        "slack_factor": min(ratios, default=math.inf) / cert.c_star,
+        "slack_factor": min((r for r in ratios if not math.isnan(r)), default=math.inf) / cert.c_star,
         "retention_min": retention_worst if retention_worst is not math.inf else 0.0,
-        "retention_ok": bool(retention_worst >= -retention_tol),
+        "retention_ok": bool(retention_worst >= -RETENTION_TOL),
     }
     log_env = -math.log(2.0 * cert.R_star)
     return make_report(

@@ -126,7 +126,9 @@ def _cmd_sharpness(args) -> int:
     mix_rep, exp_rep = report.checks["mixing_floor"], report.checks["c2_floor"]
     times = scenario.times
     l2s = report.trajectory.l2_series()
-    fitted = float(-(math.log(l2s[-1]) - math.log(l2s[0])) / (times[-1] - times[0]))
+    fitted = None  # a norm that underflowed to zero has no logarithm
+    if l2s[0] > 0 and l2s[-1] > 0:
+        fitted = float(-(math.log(l2s[-1]) - math.log(l2s[0])) / (times[-1] - times[0]))
     payload = {
         "family": family.to_json(),
         "certificate_c_star": mix_rep.certificate["c_star"],

@@ -158,8 +158,8 @@ class Scenario:
         dt = data.get("dt")
         if dt is not None:
             dt = float(dt)
-            if not dt > 0:
-                raise SchemaError(f"invalid field: dt must be positive, got {dt}")
+            if not (dt > 0 and math.isfinite(dt)):
+                raise SchemaError(f"invalid field: dt must be positive and finite, got {dt}")
 
         cutoff = int(data.get("cutoff", 16))
         if cutoff < 1:

@@ -238,8 +238,8 @@ def _check_times(times) -> np.ndarray:
 
 def _segment_steps(t0: float, t1: float, dt_target: float) -> tuple[int, float]:
     """Number and size of equal steps covering [t0, t1] with steps at most dt_target."""
-    if not dt_target > 0:
-        raise FieldError(f"step size must be positive, got {dt_target}")
+    if not (dt_target > 0 and math.isfinite(dt_target)):
+        raise FieldError(f"step size must be positive and finite, got {dt_target}")
     span = t1 - t0
     n = max(1, int(np.ceil(span / dt_target - 1e-12)))
     return n, span / n

@@ -147,7 +147,8 @@ class TestGalerkinDrift:
 
         drift = averaging._Drift([flow.mode_velocity(m) for m in averaging._TIME_MODES], lattice)
         phase = flow.omega * theta
-        got = drift.apply(f.coeff.ravel(), np.array([1.0, math.cos(phase), math.sin(phase)])).reshape(lattice.shape)
+        weights = drift.weigh(np.array([1.0, math.cos(phase), math.sin(phase)]))
+        got = drift.convolve(f.coeff.ravel(), weights).reshape(lattice.shape)
 
         n = 32  # the product has band 7, so no alias of it lands on |k| <= 5
         x = 2 * np.pi * np.arange(n) / n
@@ -170,9 +171,32 @@ class TestGalerkinDrift:
         coeff[lattice.kmax, lattice.lmax] = 0.0
         velocities = [flow.mode_velocity(m) for m in averaging._TIME_MODES]
         weights = np.array(weights)
-        got = averaging._Drift(velocities, lattice).apply(coeff.ravel(), weights).reshape(lattice.shape)
+        drift = averaging._Drift(velocities, lattice)
+        got = drift.convolve(coeff.ravel(), drift.weigh(weights)).reshape(lattice.shape)
         want = _slice_loop_drift(velocities, lattice, coeff, weights)
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+
+    @given(
+        flow_terms,
+        st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+        st.sampled_from([(2, 5), (5, 3), (4, 1), (1, 6), (3, 3)]),
+        st.complex_numbers(allow_nan=False, allow_infinity=False),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_output_ignores_finite_centre_coefficient(self, terms, weights, shape, centre, seed):
+        # dropped products read the (0, 0) slot with weight exactly 0
+        flow = FlowSpec(tuple(FlowTerm(*t) for t in terms), period=1.3)
+        lattice = Lattice(*shape)
+        n = math.prod(lattice.shape)
+        rng = np.random.default_rng(seed)
+        coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        coeff[n // 2] = 0.0
+        drift = averaging._Drift([flow.mode_velocity(m) for m in averaging._TIME_MODES], lattice)
+        w = drift.weigh(np.array(weights))
+        want = drift.convolve(coeff, w)
+        coeff[n // 2] = centre
+        assert np.array_equal(drift.convolve(coeff, w), want)
 
     @given(flow_terms, st.sampled_from([(2, 5), (5, 3), (4, 4), (6, 2)]))
     @settings(max_examples=40, deadline=None)

@@ -70,6 +70,29 @@ class TestModeMk:
         assert mode_mk(k, M * 1.5, nu, delta_k) >= m
 
 
+RHO_X = field_from_terms(Lattice(2, 4), [HarmonicTerm(1.0, 1, 0)])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: c2_certificate(RHO_X, x, 0.1),
+        lambda x: c2_certificate(RHO_X, 1.0, x),
+        lambda x: mixing_certificate(RHO_X, x, 0.1, 1.0),
+        lambda x: mixing_certificate(RHO_X, 1.0, x, 1.0),
+        lambda x: mixing_certificate(RHO_X, 1.0, 0.1, x),
+        lambda x: mode_mk(1, x, 0.1, 0.1),
+        lambda x: mode_mk(1, 1.0, x, 0.1),
+        lambda x: mode_mk(1, 1.0, 0.1, x),
+    ],
+    ids=["c2_M", "c2_nu", "mix_M", "mix_nu", "mix_c2", "mk_M", "mk_nu", "mk_delta"],
+)
+def test_nonfinite_argument_rejected(call, bad):
+    with pytest.raises(CertificateError):
+        call(bad)
+
+
 class TestC2:
     def test_heat_branch_cos_y(self):
         rho0 = field_from_terms(Lattice(2, 4), [HarmonicTerm(1.0, 0, 1)])

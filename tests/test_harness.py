@@ -99,6 +99,7 @@ class TestSchema:
             ("fast_averaging_study", "eta", 1.5),
             ("fast_averaging_study", "cutoff", 0),
             ("fast_averaging_study", "cutoff", -4),
+            ("sinshear_cosx", "dt", float("inf")),
         ],
     )
     def test_out_of_range_parameter_rejected(self, name, key, value):
@@ -280,6 +281,15 @@ class TestCli:
         assert payload["certificate_c_star"] == pytest.approx(0.125)
         assert payload["measured_over_certified"] == pytest.approx(2.0, abs=1e-12)
 
+    def test_sharpness_underflowed_datum_fails_with_valid_json(self, capsys):
+        # cos(1000 y) decays like exp(-1000 t) and is exactly zero before t_max = 2
+        rc = cli_main(["sharpness", "--nu", "0.001"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert payload["fitted_decay_rate"] is None
+        assert payload["checks"]["mixing_floor"]["verdict"] == "FAIL"
+        assert payload["measured_over_certified"] == pytest.approx(2.0, abs=1e-12)
+
     @pytest.mark.parametrize("n_times", ["1", "0"])
     def test_sharpness_needs_two_sample_times(self, n_times, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -314,8 +324,9 @@ class TestCli:
             ["certify", "fast", "--scenario", str(EXTRA_DIR / "fast_averaging_study.json"), "--eta=-0.1"],
             ["certify", "fast", "--scenario", str(EXTRA_DIR / "fast_averaging_study.json"), "--eta=nan"],
             ["certify", "fast", "--scenario", str(EXTRA_DIR / "fast_averaging_study.json"), "--cutoff=0"],
+            ["verify", "c2", "--scenario", str(CORPUS_DIR / "sinshear_cosx.json"), "--dt=inf"],
         ],
-        ids=["nu0", "nu_negative", "nu_nan", "nu_inf", "eta_negative", "eta_nan", "cutoff0"],
+        ids=["nu0", "nu_negative", "nu_nan", "nu_inf", "eta_negative", "eta_nan", "cutoff0", "dt_inf"],
     )
     def test_bad_parameter_override_exits_2(self, command, capsys):
         rc = cli_main(command)
@@ -469,3 +480,15 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "simulate" in proc.stdout and "corpus" in proc.stdout
+
+
+def test_report_digest_repeats(tmp_path):
+    """scripts/report_digest.py prints the same digests on a second run: timing is left out."""
+    (tmp_path / "heat_cosy.json").write_text((CORPUS_DIR / "heat_cosy.json").read_text())
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, str(ROOT / "scripts" / "report_digest.py"), str(tmp_path)]
+    first, second = (subprocess.run(command, capture_output=True, text=True, env=env, check=True) for _ in range(2))
+    lines = first.stdout.splitlines()
+    assert first.stdout == second.stdout
+    assert [line.split()[1] for line in lines] == [str(tmp_path / "heat_cosy.json"), "all"]
+    assert all(len(line.split()[0]) == 64 for line in lines)

@@ -343,7 +343,7 @@ class TestSegmentAdvance:
 
 
 class TestStepGrid:
-    @pytest.mark.parametrize("dt", [0.0, -0.005])
+    @pytest.mark.parametrize("dt", [0.0, -0.005, float("inf")])
     def test_nonpositive_dt_rejected(self, dt):
         rho0 = field_from_terms(Lattice(2, 8), [HarmonicTerm(1.0, 1, 0)])
         with pytest.raises(FieldError, match="step size must be positive"):
