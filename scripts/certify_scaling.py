@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Wall time of each fast-certificate stage as the cutoff grows.
+
+For each cutoff c, the flow, viscosity and datum of the ``fast_shear_mean``
+scenario are certified on the lattice (c, c): averaged operator, detecting
+spectrum, Sylvester constant, then the certificate itself (which takes the
+damping constant).  One JSON line per cutoff gives the operator dimension
+``n``, the mode-class sizes as {size: count}, the fastest of REPEATS wall
+times of each stage, and each stage's log-log slope in ``n`` from the previous
+cutoff (null on the first line), so the scaling exponent is visible:
+
+    PYTHONPATH=src python scripts/certify_scaling.py --cutoffs 6 8 10 12 16 24
+
+Timings depend on the BLAS thread count; set ``OPENBLAS_NUM_THREADS=1`` to
+match the benchmark's single-thread runs.
+"""
+
+import argparse
+import json
+import math
+import sys
+from collections import Counter
+from time import perf_counter
+
+from mixlab import averaging
+from mixlab.harness import builtin_scenario
+from mixlab.spectral import Lattice, field_from_terms
+
+STAGES = ("averaged_operator", "detecting_spectrum", "sylvester_constant", "fast_certificate")
+REPEATS = 3  # passes per cutoff; the fastest time of each stage is reported
+
+
+def time_chain(scenario, cutoff: int) -> tuple[averaging.AveragedOperator, dict]:
+    """One pass of the certificate chain at this cutoff: the operator and each stage's wall time."""
+    lattice = Lattice(cutoff, cutoff)
+    t0 = perf_counter()
+    op = averaging.averaged_operator(scenario.flow_spec, scenario.nu, lattice)
+    t1 = perf_counter()
+    spectrum = averaging.detecting_spectrum(op, field_from_terms(lattice, scenario.initial_terms))
+    t2 = perf_counter()
+    syl = averaging.sylvester_constant(op, spectrum)
+    t3 = perf_counter()
+    averaging.fast_certificate(scenario.flow_spec, scenario.rho0, scenario.nu, scenario.eta, spectrum, syl)
+    t4 = perf_counter()
+    times = dict(zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)))
+    return op, times
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--cutoffs", type=int, nargs="+", default=[6, 8, 10, 12, 16, 24])
+    args = parser.parse_args(argv)
+    if min(args.cutoffs) < 1:
+        parser.error("cutoffs must be at least 1")
+    scenario = builtin_scenario("fast_shear_mean")
+    previous = None
+    for cutoff in args.cutoffs:
+        passes = [time_chain(scenario, cutoff) for _ in range(REPEATS)]
+        op = passes[0][0]
+        best = {stage: min(times[stage] for _, times in passes) for stage in STAGES}
+        best["total"] = sum(best[stage] for stage in STAGES)
+        slope = None
+        if previous is not None and previous[0] != op.dim:
+            log_n = math.log(op.dim / previous[0])
+            slope = {stage: math.log(best[stage] / previous[1][stage]) / log_n for stage in best}
+        sizes = Counter(idx.size for idx in op.classes)
+        line = {
+            "cutoff": cutoff,
+            "n": op.dim,
+            "class_sizes": {str(s): sizes[s] for s in sorted(sizes)},
+            "stages_s": best,
+            "slope": slope,
+        }
+        print(json.dumps(line), flush=True)
+        previous = (op.dim, best)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,7 @@ against a sampling grid, not computed suprema.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -40,6 +41,17 @@ _BOUND_TOL = 1e-9
 
 class FlowSpecError(ValueError):
     """A shear/flow specification is inconsistent with its declared bounds."""
+
+
+def _check_period(period: float) -> None:
+    if not (period > 0 and math.isfinite(period)):
+        raise FlowSpecError(f"period must be finite and > 0, got {period}")
+
+
+def _check_declared(name: str, value: float | None) -> None:
+    """A declared bound must be a finite number >= 0 (NaN compares false everywhere)."""
+    if value is not None and not (value >= 0 and math.isfinite(value)):
+        raise FlowSpecError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _time_factor(mode: str, omega: float, t: np.ndarray | float) -> np.ndarray | float:
@@ -112,8 +124,9 @@ class ShearSpec:
     w11: float | None = None
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise FlowSpecError("period must be positive")
+        _check_period(self.period)
+        _check_declared("M", self.M)
+        _check_declared("w11", self.w11)
         object.__setattr__(self, "terms", tuple(self.terms))
         m_sampled, w_sampled = self._sampled_bounds()
         if self.M is None:
@@ -280,8 +293,8 @@ class FlowSpec:
     lip: float | None = None
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise FlowSpecError("period must be positive")
+        _check_period(self.period)
+        _check_declared("lip", self.lip)
         object.__setattr__(self, "terms", tuple(self.terms))
         sampled = self._sampled_lip()
         if self.lip is None:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import averaging, certificates, inviscid, shear
-from .flows import FlowSpec, ShearSpec, flow_from_json
+from .flows import FlowSpec, FlowSpecError, ShearSpec, flow_from_json
 from .reports import BoundReport
 from .spectral import (
     FieldError,
@@ -118,18 +118,17 @@ class Scenario:
             if not (nu > 0 and math.isfinite(nu)):
                 raise SchemaError(f"invalid field: nu must be finite and > 0, got {nu}")
 
-        shear_spec = None
-        flow_spec = None
-        if regime in ("inviscid", "diffusive_shear"):
-            spec = flow_from_json(_require(data, "shear", ""))
-            if not isinstance(spec, ShearSpec):
-                raise SchemaError("invalid field: shear must describe a shear, not a 2D flow")
-            shear_spec = spec
-        else:
-            spec = flow_from_json(_require(data, "flow", ""))
-            if not isinstance(spec, FlowSpec):
-                raise SchemaError("invalid field: flow must describe a 2D flow")
-            flow_spec = spec
+        spec_key = "shear" if regime in ("inviscid", "diffusive_shear") else "flow"
+        try:
+            spec = flow_from_json(_require(data, spec_key, ""))
+        except FlowSpecError as exc:  # a bad period or declared bound is bad input
+            raise SchemaError(f"invalid field: {exc}") from None
+        if spec_key == "shear" and not isinstance(spec, ShearSpec):
+            raise SchemaError("invalid field: shear must describe a shear, not a 2D flow")
+        if spec_key == "flow" and not isinstance(spec, FlowSpec):
+            raise SchemaError("invalid field: flow must describe a 2D flow")
+        shear_spec = spec if spec_key == "shear" else None
+        flow_spec = spec if spec_key == "flow" else None
 
         A = data.get("A")
         if regime == "fast_oscillation":

@@ -90,14 +90,21 @@ class InviscidCertificate:
 
 
 def _phase_bandwidth(phi_coeffs: np.ndarray, k: int) -> int:
-    """Safe y-bandwidth for e^{-ik Phi}: instantaneous frequency plus Airy-type margin."""
+    """Safe y-bandwidth for e^{-ik Phi}: instantaneous frequency plus Airy-type margin.
+
+    For Phi ~ a cos(q y) the coefficients of e^{-ik Phi} sit at l = q n with
+    Bessel weight J_n(k a), whose tail beyond the turning point n = k a has an
+    Airy width ~ (k a)^{1/3} in n; in l-units, with base = q k a, the margin
+    is 12 q + 8 q^{2/3} base^{1/3}, q the largest |l| the phase holds.
+    """
     lmax = (len(phi_coeffs) - 1) // 2
     ls = np.arange(-lmax, lmax + 1)
     dphi_sup = float(np.sum(np.abs(ls * phi_coeffs)))
     base = abs(k) * dphi_sup
     if base == 0.0:
         return 0  # a phase constant in y moves no mass between l-modes
-    margin = 12.0 + 8.0 * base ** (1.0 / 3.0)
+    q = int(np.max(np.abs(ls[phi_coeffs != 0])))
+    margin = 12.0 * q + 8.0 * q ** (2.0 / 3.0) * base ** (1.0 / 3.0)
     return int(math.ceil(base + margin))
 
 

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -308,6 +312,86 @@ class TestModeClasses:
         op = averaged_operator(COUPLED_FLOW, NU, 8)
         self._check_partition(op)
         assert len(op.classes) == 1 and op.classes[0].size == op.dim == 288
+
+
+def _greedy_clusters_loop(eigs, tol):
+    """The clustering as a Python loop over centres, kept as the reference."""
+    order = np.argsort(-eigs.real)
+    clusters, centers = [], []
+    for i in order:
+        lam = eigs[i]
+        placed = False
+        for c, center in enumerate(centers):
+            if abs(lam - center) <= tol:
+                clusters[c].append(i)
+                members = eigs[clusters[c]]
+                centers[c] = complex(np.mean(members))
+                placed = True
+                break
+        if not placed:
+            clusters.append([i])
+            centers.append(complex(lam))
+
+    def quantized(c):
+        z = centers[c]
+        return (round(-z.real / tol), round(abs(z.imag) / tol), -np.sign(round(z.imag / tol)))
+
+    keyed = sorted(range(len(clusters)), key=quantized)
+    return [np.array(clusters[c], dtype=int) for c in keyed]
+
+
+@st.composite
+def planted_spectra(draw):
+    """Random spectra with planted duplicates, conjugates and points just inside and outside tol."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tol = draw(st.sampled_from([1e-7, 1e-3, 0.1]))
+    n = draw(st.integers(1, 30))
+    eigs = list(-rng.uniform(0.0, 5.0, n) + 1j * rng.uniform(-5.0, 5.0, n) * (rng.random(n) < 0.7))
+    for kind in draw(st.lists(st.sampled_from(["duplicate", "conjugate", "inside", "outside"]), max_size=40)):
+        anchor = eigs[rng.integers(len(eigs))]  # may itself be planted, so chains form
+        if kind == "duplicate":
+            eigs.append(anchor)
+        elif kind == "conjugate":
+            eigs.append(np.conj(anchor))
+        else:
+            step = (0.99 if kind == "inside" else 1.01) * tol * np.exp(2j * np.pi * rng.random())
+            eigs.append(anchor + step)
+    eigs = np.array(eigs, dtype=complex)
+    return eigs[rng.permutation(eigs.size)], tol
+
+
+class TestClusterEigenvalues:
+    @given(planted_spectra())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop_over_centres(self, case):
+        eigs, tol = case
+        got = averaging._cluster_eigenvalues(eigs, tol)
+        want = _greedy_clusters_loop(eigs, tol)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+class TestNorm2:
+    @given(
+        st.integers(1, 40),
+        st.lists(st.integers(0, 40), min_size=1, max_size=4),
+        st.integers(-100, 100),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_svd_norm(self, size, ranks, exponent, seed):
+        rng = np.random.default_rng(seed)
+
+        def member(rank):  # rank-deficient when rank < size
+            rank = min(rank, size)
+            left = rng.standard_normal((size, rank)) + 1j * rng.standard_normal((size, rank))
+            right = rng.standard_normal((rank, size)) + 1j * rng.standard_normal((rank, size))
+            return left @ right
+
+        stack = 10.0**exponent * np.array([member(r) for r in ranks])
+        want = np.linalg.norm(stack, 2, axis=(-2, -1))
+        np.testing.assert_allclose(averaging._norm2(stack), want, rtol=1e-13, atol=0.0)
 
 
 def _dense_oracle(op, rho0, n_nodes=8):
@@ -790,3 +874,21 @@ class TestFastBound:
             rep = check_fast_bound(traj, cert, A)
             assert rep.passed
             assert rep.extras["regime"] == "sharper_A_dependent"
+
+
+def test_certify_scaling_script_smoke():
+    """scripts/certify_scaling.py prints one JSON line per cutoff, with slopes from the second on."""
+    root = EXTRA_DIR.parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, str(root / "scripts" / "certify_scaling.py"), "--cutoffs", "4", "6"]
+    proc = subprocess.run(command, capture_output=True, text=True, env=env, check=True)
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    stages = {"averaged_operator", "detecting_spectrum", "sylvester_constant", "fast_certificate", "total"}
+    assert [line["cutoff"] for line in lines] == [4, 6]
+    for line in lines:
+        c = line["cutoff"]
+        assert line["n"] == (2 * c + 1) ** 2 - 1
+        assert sum(int(s) * m for s, m in line["class_sizes"].items()) == line["n"]
+        assert set(line["stages_s"]) == stages and all(t > 0.0 for t in line["stages_s"].values())
+    assert lines[0]["slope"] is None
+    assert set(lines[1]["slope"]) == stages and all(math.isfinite(s) for s in lines[1]["slope"].values())

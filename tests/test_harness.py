@@ -26,6 +26,21 @@ CORPUS_DIR = ROOT / "scenarios" / "corpus"
 EXTRA_DIR = ROOT / "scenarios" / "extra"
 
 
+def scenario_with(name: str, key: str, value) -> dict:
+    """A builtin or shipped scenario's JSON with the field at the dotted ``key`` set to ``value``."""
+    if name in BUILTIN_SCENARIOS:
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS[name]))
+    else:
+        path = CORPUS_DIR / f"{name}.json"
+        raw = json.loads((path if path.exists() else EXTRA_DIR / f"{name}.json").read_text())
+    *parents, leaf = key.split(".")
+    node = raw
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    return raw
+
+
 class TestSchema:
     def test_missing_field_paths(self):
         with pytest.raises(SchemaError, match="missing field: name"):
@@ -100,15 +115,21 @@ class TestSchema:
             ("fast_averaging_study", "cutoff", 0),
             ("fast_averaging_study", "cutoff", -4),
             ("sinshear_cosx", "dt", float("inf")),
+            # a dotted key lies inside the flow spec; the message names its last part
+            ("timeshear_cosx", "shear.period", float("inf")),
+            ("timeshear_cosx", "shear.period", float("nan")),
+            ("timeshear_cosx", "shear.period", -1.0),
+            ("timeshear_cosx", "shear.bounds.M", float("nan")),
+            ("timeshear_cosx", "shear.bounds.w11", float("inf")),
+            ("sinshear_cosx", "shear.bounds.M", -1.0),
+            ("fast_shear_mean", "flow.period", float("inf")),
+            ("fast_shear_mean", "flow.bounds.lip", float("nan")),
+            ("fast_averaging_study", "flow.bounds.lip", float("nan")),
         ],
     )
     def test_out_of_range_parameter_rejected(self, name, key, value):
-        if name in BUILTIN_SCENARIOS:
-            raw = json.loads(json.dumps(BUILTIN_SCENARIOS[name]))
-        else:
-            raw = json.loads((EXTRA_DIR / f"{name}.json").read_text())
-        raw[key] = value
-        with pytest.raises(SchemaError, match=f"invalid field: {key} must be"):
+        raw = scenario_with(name, key, value)
+        with pytest.raises(SchemaError, match=f"invalid field: {key.split('.')[-1]} must be"):
             Scenario.from_json(raw)
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b"])
@@ -325,10 +346,25 @@ class TestCli:
             ["certify", "fast", "--scenario", str(EXTRA_DIR / "fast_averaging_study.json"), "--eta=nan"],
             ["certify", "fast", "--scenario", str(EXTRA_DIR / "fast_averaging_study.json"), "--cutoff=0"],
             ["verify", "c2", "--scenario", str(CORPUS_DIR / "sinshear_cosx.json"), "--dt=inf"],
+            # {name:key=value} stands for a copy of the scenario with one flow-spec field replaced
+            ["verify", "c2", "--scenario", "{timeshear_cosx:shear.period=Infinity}"],
+            ["verify", "c2", "--scenario", "{timeshear_cosx:shear.period=NaN}"],
+            ["verify", "c2", "--scenario", "{timeshear_cosx:shear.period=-1}"],
+            ["verify", "c2", "--scenario", "{timeshear_cosx:shear.bounds.M=NaN}"],
+            ["verify", "fast", "--scenario", "{fast_averaging_study:flow.bounds.lip=NaN}"],
         ],
-        ids=["nu0", "nu_negative", "nu_nan", "nu_inf", "eta_negative", "eta_nan", "cutoff0", "dt_inf"],
+        ids=[
+            "nu0", "nu_negative", "nu_nan", "nu_inf", "eta_negative", "eta_nan", "cutoff0", "dt_inf",
+            "period_inf", "period_nan", "period_negative", "M_nan", "lip_nan",
+        ],
     )
-    def test_bad_parameter_override_exits_2(self, command, capsys):
+    def test_bad_parameter_override_exits_2(self, command, tmp_path, capsys):
+        if command[-1].startswith("{"):
+            name, edit = command[-1][1:-1].split(":")
+            key, value = edit.split("=")
+            bad = tmp_path / f"{name}.json"
+            bad.write_text(json.dumps(scenario_with(name, key, json.loads(value))))
+            command = [*command[:-1], str(bad)]
         rc = cli_main(command)
         captured = capsys.readouterr()
         assert rc == 2

@@ -56,6 +56,14 @@ class TestEvolve:
             for k in (1, 2):
                 assert mode_mass(state, k) == pytest.approx(mode_mass(theta0, k), rel=1e-10)
 
+    def test_mass_conserved_under_high_wavenumber_shear(self):
+        # the tail of e^{-ik Phi} for Phi ~ a t cos(4y) sits at l = 4n: a bandwidth
+        # margin blind to the shear wavenumber let 8.5e-10 of the k = 3 mass escape
+        theta0 = field_from_terms(Lattice(3, 3), [HarmonicTerm(1.0, 3, 0)])
+        shear = ShearSpec((ShearTerm(1.0, 4, "cos"),) * 2)
+        state = at(theta0, shear, 11.0)
+        assert mode_mass(state, 3) == pytest.approx(mode_mass(theta0, 3), rel=1e-12)
+
     def test_phase_unitarity_on_grid(self):
         # |F_k(y,t)| = |F_k^0(y)| pointwise
         theta0 = field_from_terms(Lattice(1, 3), [HarmonicTerm(1.0, 1, 1)])
