@@ -23,7 +23,7 @@ import scipy.linalg as sla
 
 from .flows import FlowSpec, SpectralVelocity, time_average
 from .reports import BoundReport, make_report
-from .shear import FieldTrajectory, _march, _stepwise
+from .shear import FieldTrajectory, _march
 from .spectral import (
     FieldError,
     Lattice,
@@ -69,6 +69,13 @@ SYLVESTER_NODES = 8
 
 # Coarse samples of the damping-constant search before golden-section refinement.
 DAMPING_SAMPLES = 800
+
+# Steps of an evolve_2d segment whose stage weights are computed together: a
+# (64, 3, 3) real array, so memory does not grow with the segment's step count.
+_WEIGHT_CHUNK = 64
+
+# RK4 update c + (h/6)(k1 + 2 k2 + 2 k3 + k4) of stages that carry h/2.
+_RK4_SUM = np.array([1.0, 2.0, 2.0, 1.0]) / 3.0
 
 
 class DetectionError(RuntimeError):
@@ -171,9 +178,9 @@ class _Drift:
         """
         return (weights @ self._parts).view(complex).reshape(weights.shape[:-1] + self.src.shape)
 
-    def convolve(self, coeff: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def convolve(self, coeff: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Sum over harmonics of weight * coeff[src]: the drift of the flat ``coeff`` under weights from ``weigh``."""
-        return (weights * coeff[self.src]).sum(axis=0)
+        return (weights * coeff[self.src]).sum(axis=0, out=out)
 
 
 def averaged_operator(flow: FlowSpec, nu: float, cutoff: Lattice | int) -> AveragedOperator:
@@ -203,34 +210,37 @@ def averaged_operator(flow: FlowSpec, nu: float, cutoff: Lattice | int) -> Avera
     harmonic, dst = np.nonzero(drift.vals[0])
     src = drift.src[harmonic, dst]
     # the mode list is the raveled lattice without its centre, flat index n // 2
-    matrix[dst - (dst > n // 2), src - (src > n // 2)] += drift.vals[0, harmonic, dst]
-    return AveragedOperator(nu, cutoff, matrix, modes, _mode_classes(matrix))
+    rows, cols = dst - (dst > n // 2), src - (src > n // 2)
+    matrix[rows, cols] += drift.vals[0, harmonic, dst]
+    return AveragedOperator(nu, cutoff, matrix, modes, _mode_classes(n, rows, cols))
 
 
-def _mode_classes(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Connected components of the nonzero pattern of ``matrix``.
+def _mode_classes(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Connected components of the graph on n modes with an edge per pair (rows[e], cols[e]).
 
-    Union-find over the nonzero entries, each root kept at the smallest index
-    of its component; components come out ordered by that index, members
+    Each mode's label starts at its own index; every round lowers each mode
+    to the smallest label among itself and its neighbours, then jumps every
+    label to its label's label.  A label always names a mode of the same
+    component and never grows, so at the fixed point each component carries
+    its smallest index.  Components come out ordered by that index, members
     ascending.
     """
-    n = matrix.shape[0]
-    parent = list(range(n))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]  # path halving
-            i = parent[i]
-        return i
-
-    rows, cols = np.nonzero(matrix)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        a, b = root(r), root(c)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    labels = np.array([root(i) for i in range(n)])
-    order = np.argsort(labels, kind="stable")
-    return tuple(np.split(order, np.flatnonzero(np.diff(labels[order])) + 1))
+    # both directions of every edge, grouped by the mode they lower
+    ends, others = np.concatenate((rows, cols)), np.concatenate((cols, rows))
+    order = np.argsort(ends, kind="stable")
+    ends, others = ends[order], others[order]
+    starts = np.flatnonzero(np.diff(ends, prepend=-1))
+    targets = ends[starts]
+    label = np.arange(n)
+    while True:
+        lowered = label.copy()
+        lowered[targets] = np.minimum(label[targets], np.minimum.reduceat(label[others], starts))
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            break
+        label = lowered
+    order = np.argsort(label, kind="stable")
+    return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
 
 
 def _size_groups(classes) -> dict[int, list]:
@@ -728,10 +738,18 @@ def evolve_2d(
     ``averaged_operator`` assembles, one per time mode, weighted by 1,
     cos(omega A t) and sin(omega A t).  A = 0 means the steady flow frozen at
     phase 0.  The step size is forced below the fast-phase CFL cap
-    0.2 / (A 2 pi / L + lip kmax).  The raveled lattice is stepped: per step
-    one small matrix product weighs the drift's products at the step's start,
-    midpoint and end, each RK4 stage is one gather and one sum over
-    harmonics, and the heat half-factor is computed once per step size.
+    0.2 / (A 2 pi / L + lip kmax).
+
+    The raveled lattice is advanced one sample segment at a time.  The heat
+    half-factor is computed once per segment.  The time-mode weights at every
+    step's start, midpoint and end, with h/2 folded in, come from one
+    vectorized cos and sin per run of ``_WEIGHT_CHUNK`` steps, so memory does
+    not grow with the step count.  Per step, one small matrix product weighs
+    the drift's products, each RK4 stage is one add, one gather, one product
+    and one sum over harmonics, the update is one product with the RK4 weights, and the
+    step-edge series is one product of the squared moduli.  On the two shipped
+    fast scenarios (lattices 8 and 6) a step takes 33 to 46 us on a 2-core
+    x86 VM with one BLAS thread, as the host's speed drifts.
     """
     if not (nu > 0 and math.isfinite(nu)):
         raise FieldError(f"evolve_2d requires finite nu > 0, got {nu}")
@@ -745,40 +763,44 @@ def evolve_2d(
     w = lattice.weight_grid().ravel()
     centre = w.size // 2
     has_advection = bool(flow.terms)
-    halves: dict[float, np.ndarray] = {}
+    moments = np.stack((np.ones(w.size), w))
+    stages = np.empty((4, w.size), dtype=complex)  # the RK4 stages k1..k4, each times h/2
 
-    def signed_weights(theta: float) -> tuple[float, float, float]:
-        """Time-mode weights of -(u . grad) at phase theta."""
-        phase = flow.omega * theta
-        return -1.0, -math.cos(phase), -math.sin(phase)
+    def stage_weights(t0: np.ndarray, h: float) -> np.ndarray:
+        """(steps, 3, 3) time-mode weights of -(h/2) u . grad at each step's start, midpoint and end."""
+        phase = flow.omega * (A * (t0[:, None] + (0.0, 0.5 * h, h)))
+        return -0.5 * h * np.stack((np.ones_like(phase), np.cos(phase), np.sin(phase)), axis=-1)
 
-    def step(coeff: np.ndarray, t0: float, h: float) -> np.ndarray:
-        half = halves.get(h)
-        if half is None:
-            half = halves[h] = np.exp(-0.5 * nu * w * h)
-        coeff = coeff * half
-        if has_advection:
-            # product weights at the start, midpoint and end of the step
-            thetas = (A * t0, A * (t0 + 0.5 * h), A * (t0 + h))
-            weights = np.array([signed_weights(theta) for theta in thetas])
-            start, mid, end = drift.weigh(weights)
-            k1 = drift.convolve(coeff, start)
-            k2 = drift.convolve(coeff + 0.5 * h * k1, mid)
-            k3 = drift.convolve(coeff + 0.5 * h * k2, mid)
-            k4 = drift.convolve(coeff + h * k3, end)
-            coeff = coeff + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        coeff = coeff * half
-        coeff[centre] = 0.0
-        return coeff
+    def advance(coeff: np.ndarray, t: float, h: float, n: int):
+        series = np.empty((n, 2))
+        half = np.exp(-0.5 * nu * w * h)
+        for first in range(0, n, _WEIGHT_CHUNK):
+            count = min(_WEIGHT_CHUNK, n - first)
+            if has_advection:
+                weights = stage_weights(t + (first + np.arange(count)) * h, h)
+            for j in range(count):
+                coeff = coeff * half
+                if has_advection:
+                    # stage inputs c + h/2 k1, c + h/2 k2 and c + h k3 are one add each
+                    start, mid, end = drift.weigh(weights[j])
+                    drift.convolve(coeff, start, out=stages[0])
+                    drift.convolve(coeff + stages[0], mid, out=stages[1])
+                    drift.convolve(coeff + stages[1], mid, out=stages[2])
+                    drift.convolve(coeff + 2.0 * stages[2], end, out=stages[3])
+                    coeff = coeff + _RK4_SUM @ stages
+                coeff = coeff * half
+                coeff[centre] = 0.0
+                series[first + j] = diag(coeff)
+        return coeff, series[:, 0], series[:, 1]
 
-    def diag(coeff: np.ndarray) -> tuple[float, float]:
-        energy = np.abs(coeff) ** 2
-        return float(energy.sum()), float((w * energy).sum())
+    def diag(coeff: np.ndarray) -> np.ndarray:
+        """(||rho||^2, ||grad rho||^2) as one product of the squared moduli."""
+        return moments @ (np.abs(coeff) ** 2)
 
     def snapshot(coeff: np.ndarray) -> SpectralField2D:
         return SpectralField2D(lattice, coeff.reshape(lattice.shape).copy())
 
-    return _march(nu, times, dt_target, rho0.coeff.ravel(), _stepwise(step, diag), diag, snapshot)
+    return _march(nu, times, dt_target, rho0.coeff.ravel(), advance, diag, snapshot)
 
 
 def observable_series(trajectory: FieldTrajectory, basis: list[SpectralField2D]) -> np.ndarray:

@@ -11,6 +11,7 @@ against a sampling grid, not computed suprema.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -89,6 +90,8 @@ class ShearTerm:
     time_mode: str = "const"
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.ampl):
+            raise FlowSpecError(f"ampl must be finite, got {self.ampl}")
         if self.phase not in ("cos", "sin"):
             raise FlowSpecError(f"phase must be cos or sin, got {self.phase!r}")
         if self.time_mode not in ("const", "cos", "sin"):
@@ -240,6 +243,8 @@ class FlowTerm:
     time_mode: str = "const"
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.ampl):
+            raise FlowSpecError(f"ampl must be finite, got {self.ampl}")
         if self.phase not in ("cos", "sin"):
             raise FlowSpecError(f"phase must be cos or sin, got {self.phase!r}")
         if self.time_mode not in ("const", "cos", "sin"):
@@ -433,29 +438,71 @@ def flow_to_json(spec: ShearSpec | FlowSpec) -> dict:
     }
 
 
+def _spec_number(value, where: str, integer: bool = False) -> float | int:
+    """A JSON number of a flow spec as a float, or as an int when ``integer``; anything else is a FlowSpecError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise FlowSpecError(f"{where} must be a number, got {value!r}")
+    if not integer:
+        return float(value)
+    if not float(value).is_integer():
+        raise FlowSpecError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _spec_terms(data: dict, required: tuple[str, ...]) -> list[tuple]:
+    """Each term object of ``data["terms"]`` as (ampl, kx, ky, phase_mode, time_mode); kx defaults to 0."""
+    terms = data.get("terms", [])
+    if not isinstance(terms, list):
+        raise FlowSpecError(f"terms must be a list, got {terms!r}")
+    out = []
+    for i, term in enumerate(terms):
+        if not isinstance(term, dict):
+            raise FlowSpecError(f"terms[{i}] must be an object, got {term!r}")
+        for key in required:
+            if key not in term:
+                raise FlowSpecError(f"terms[{i}].{key} must be given")
+        out.append((
+            _spec_number(term["ampl"], f"terms[{i}].ampl"),
+            _spec_number(term.get("kx", 0), f"terms[{i}].kx", integer=True),
+            _spec_number(term["ky"], f"terms[{i}].ky", integer=True),
+            term.get("phase_mode", "cos"),
+            term.get("time_mode", "const"),
+        ))
+    return out
+
+
 def flow_from_json(data: dict | str) -> ShearSpec | FlowSpec:
-    """Parse the {kind, terms, bounds, period} schema; strings name presets."""
+    """Parse the {kind, terms, bounds, period} schema; strings name presets.
+
+    A malformed spec (a missing term field, a value that is not a number
+    where one is expected, a fractional wavenumber) raises FlowSpecError, as
+    an inconsistent one does; a shear term's ``kx`` defaults to 0.
+    """
     if isinstance(data, str):
         try:
             return preset_shear(data)
         except FlowSpecError:
             return preset_flow(data)
+    if not isinstance(data, dict):
+        raise FlowSpecError(f"a flow spec must be an object or a preset name, got {data!r}")
     kind = data.get("kind")
     bounds = data.get("bounds", {}) or {}
-    period = float(data.get("period", _TWO_PI))
+    if not isinstance(bounds, dict):
+        raise FlowSpecError(f"bounds must be an object, got {bounds!r}")
+
+    def declared(name: str) -> float | None:
+        value = bounds.get(name)
+        return None if value is None else _spec_number(value, name)
+
+    period = _spec_number(data.get("period", _TWO_PI), "period")
     if kind == "shear":
         terms = []
-        for t in data.get("terms", []):
-            if int(t.get("kx", 0)) != 0:
+        for ampl, kx, ky, phase, time_mode in _spec_terms(data, ("ampl", "ky")):
+            if kx != 0:
                 raise FlowSpecError("shear terms must have kx = 0")
-            terms.append(
-                ShearTerm(float(t["ampl"]), int(t["ky"]), t.get("phase_mode", "cos"), t.get("time_mode", "const"))
-            )
-        return ShearSpec(tuple(terms), period=period, M=bounds.get("M"), w11=bounds.get("w11"))
+            terms.append(ShearTerm(ampl, ky, phase, time_mode))
+        return ShearSpec(tuple(terms), period=period, M=declared("M"), w11=declared("w11"))
     if kind == "flow2d":
-        terms = tuple(
-            FlowTerm(float(t["ampl"]), int(t["kx"]), int(t["ky"]), t.get("phase_mode", "cos"), t.get("time_mode", "const"))
-            for t in data.get("terms", [])
-        )
-        return FlowSpec(terms, period=period, lip=bounds.get("lip"))
+        terms = tuple(FlowTerm(*term) for term in _spec_terms(data, ("ampl", "kx", "ky")))
+        return FlowSpec(terms, period=period, lip=declared("lip"))
     raise FlowSpecError(f"unknown spec kind {kind!r}")

@@ -121,7 +121,7 @@ class Scenario:
         spec_key = "shear" if regime in ("inviscid", "diffusive_shear") else "flow"
         try:
             spec = flow_from_json(_require(data, spec_key, ""))
-        except FlowSpecError as exc:  # a bad period or declared bound is bad input
+        except FlowSpecError as exc:  # a malformed or inconsistent flow spec is bad input
             raise SchemaError(f"invalid field: {exc}") from None
         if spec_key == "shear" and not isinstance(spec, ShearSpec):
             raise SchemaError("invalid field: shear must describe a shear, not a 2D flow")

@@ -313,6 +313,49 @@ class TestModeClasses:
         self._check_partition(op)
         assert len(op.classes) == 1 and op.classes[0].size == op.dim == 288
 
+    @staticmethod
+    def _assert_union_find_classes(op):
+        want = _union_find_classes(op.matrix)
+        assert len(op.classes) == len(want)
+        for got, ref in zip(op.classes, want):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("name", ["fast_shear_mean", "fast_averaging_study"])
+    def test_shipped_flows_match_union_find(self, name):
+        flow = Scenario.from_file(EXTRA_DIR / f"{name}.json").flow_spec
+        for cutoff in range(4, 17):
+            self._assert_union_find_classes(averaged_operator(flow, NU, cutoff))
+
+    @given(flow_terms, st.sampled_from([(1, 1), (2, 5), (5, 3), (4, 4), (6, 2)]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_flows_match_union_find(self, terms, shape):
+        flow = FlowSpec(tuple(FlowTerm(*t) for t in terms), period=1.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # bands beyond cutoff / 2 are truncated
+            op = averaged_operator(flow, NU, Lattice(*shape))
+        self._assert_union_find_classes(op)
+
+
+def _union_find_classes(matrix):
+    """Mode classes by a union-find over the nonzero entries of the dense matrix, kept as the reference."""
+    n = matrix.shape[0]
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    rows, cols = np.nonzero(matrix)
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        a, b = root(r), root(c)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    labels = np.array([root(i) for i in range(n)])
+    order = np.argsort(labels, kind="stable")
+    return tuple(np.split(order, np.flatnonzero(np.diff(labels[order])) + 1))
+
 
 def _greedy_clusters_loop(eigs, tol):
     """The clustering as a Python loop over centres, kept as the reference."""
@@ -792,6 +835,43 @@ class TestEvolve2DReference:
         assert np.array_equal(got.diag_times, want.diag_times)
         if fast:
             assert got.diag_times.size - 1 == 2 * per_segment
+        for f, g in zip(got.fields, want.fields):
+            assert np.max(np.abs(f.coeff - g.coeff)) <= 1e-12 * np.max(np.abs(g.coeff))
+        np.testing.assert_allclose(got.diag_energy, want.diag_energy, rtol=1e-12)
+        np.testing.assert_allclose(got.diag_grad, want.diag_grad, rtol=1e-12)
+
+    @given(
+        flow_terms,
+        st.sampled_from([0.5, 1.0, 1.7, 2 * math.pi]),
+        st.integers(3, 6),
+        st.integers(1, 6),
+        st.one_of(st.just(0.0), st.floats(1.0, 200.0)),
+        st.lists(st.sampled_from(["one", "chunk", "chunks"]), min_size=1, max_size=3),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_flows_match_reference_stepper(self, terms, period, size, band, A, segments, at_zero, seed):
+        flow = FlowSpec(tuple(FlowTerm(*t) for t in terms), period=period)
+        lattice = Lattice(size, size)
+        rng = np.random.default_rng(seed)
+        coeff = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
+        coeff = 0.5 * (coeff + np.conj(coeff[::-1, ::-1]))  # a real field
+        k, l = np.meshgrid(lattice.k_values(), lattice.l_values(), indexing="ij")
+        coeff[(np.abs(k) > band) | (np.abs(l) > band)] = 0.0
+        coeff[lattice.kmax, lattice.lmax] = 0.0
+        rho0 = SpectralField2D(lattice, coeff)
+        # each segment takes 1 step, exactly one chunk of steps, or more than one chunk
+        chunk = averaging._WEIGHT_CHUNK
+        steps = {"one": 1, "chunk": chunk, "chunks": 2 * chunk + 3}
+        dt = min(1e-2, 0.2 / (A * flow.omega + flow.lip * lattice.kmax + 1e-30))
+        times = np.cumsum([(steps[s] - 0.5) * dt for s in segments])
+        if at_zero:
+            times = np.concatenate(([0.0], times))
+        got = evolve_2d(rho0, flow, A, NU, times)
+        want = _reference_evolve_2d(rho0, flow, A, NU, times)
+        assert np.array_equal(got.diag_times, want.diag_times)
+        assert got.diag_times.size - 1 == sum(steps[s] for s in segments)
         for f, g in zip(got.fields, want.fields):
             assert np.max(np.abs(f.coeff - g.coeff)) <= 1e-12 * np.max(np.abs(g.coeff))
         np.testing.assert_allclose(got.diag_energy, want.diag_energy, rtol=1e-12)

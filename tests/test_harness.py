@@ -27,13 +27,16 @@ EXTRA_DIR = ROOT / "scenarios" / "extra"
 
 
 def scenario_with(name: str, key: str, value) -> dict:
-    """A builtin or shipped scenario's JSON with the field at the dotted ``key`` set to ``value``."""
+    """A builtin or shipped scenario's JSON with the field at the dotted ``key`` set to ``value``.
+
+    A part of ``key`` made of digits indexes a list.
+    """
     if name in BUILTIN_SCENARIOS:
         raw = json.loads(json.dumps(BUILTIN_SCENARIOS[name]))
     else:
         path = CORPUS_DIR / f"{name}.json"
         raw = json.loads((path if path.exists() else EXTRA_DIR / f"{name}.json").read_text())
-    *parents, leaf = key.split(".")
+    *parents, leaf = (int(part) if part.isdigit() else part for part in key.split("."))
     node = raw
     for part in parents:
         node = node[part]
@@ -131,6 +134,35 @@ class TestSchema:
         raw = scenario_with(name, key, value)
         with pytest.raises(SchemaError, match=f"invalid field: {key.split('.')[-1]} must be"):
             Scenario.from_json(raw)
+
+    @pytest.mark.parametrize(
+        "name, key, value, message",
+        [
+            ("timeshear_cosx", "shear.terms.0", {"ky": 1, "phase_mode": "sin"}, r"terms\[0\]\.ampl must be given"),
+            ("timeshear_cosx", "shear.bounds.M", "big", "M must be a number"),
+            ("timeshear_cosx", "shear.terms.0.ky", "x", r"terms\[0\]\.ky must be a number"),
+            ("timeshear_cosx", "shear.terms.0.ky", 1.5, r"terms\[0\]\.ky must be an integer"),
+            ("timeshear_cosx", "shear.terms.0.ampl", None, r"terms\[0\]\.ampl must be a number"),
+            ("timeshear_cosx", "shear.terms", {"ky": 1}, "terms must be a list"),
+            ("timeshear_cosx", "shear.terms.0", 1.0, r"terms\[0\] must be an object"),
+            ("timeshear_cosx", "shear.period", "2pi", "period must be a number"),
+            ("timeshear_cosx", "shear.bounds", [1.0], "bounds must be an object"),
+            ("timeshear_cosx", "shear", 1.0, "a flow spec must be an object"),
+            ("fast_shear_mean", "flow.terms.1", {"ampl": 1.0, "ky": 0}, r"terms\[1\]\.kx must be given"),
+            ("fast_shear_mean", "flow.terms.0.kx", True, r"terms\[0\]\.kx must be a number"),
+            ("fast_shear_mean", "flow.bounds.lip", "2", "lip must be a number"),
+            ("timeshear_cosx", "shear.terms.0.ampl", float("nan"), "ampl must be finite"),
+            ("fast_averaging_study", "flow.terms.0.ampl", float("inf"), "ampl must be finite"),
+        ],
+        ids=[
+            "no_ampl", "M_string", "ky_string", "ky_fraction", "ampl_null", "terms_object", "term_number",
+            "period_string", "bounds_list", "spec_number", "no_kx", "kx_bool", "lip_string",
+            "ampl_nan", "ampl_inf",
+        ],
+    )
+    def test_malformed_flow_spec_rejected(self, name, key, value, message):
+        with pytest.raises(SchemaError, match=f"invalid field: {message}"):
+            Scenario.from_json(scenario_with(name, key, value))
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b"])
     def test_name_must_be_plain_stem(self, name):
@@ -352,16 +384,20 @@ class TestCli:
             ["verify", "c2", "--scenario", "{timeshear_cosx:shear.period=-1}"],
             ["verify", "c2", "--scenario", "{timeshear_cosx:shear.bounds.M=NaN}"],
             ["verify", "fast", "--scenario", "{fast_averaging_study:flow.bounds.lip=NaN}"],
+            ["verify", "c2", "--scenario", '{timeshear_cosx:shear.terms.0={"ky": 1, "phase_mode": "sin"}}'],
+            ["verify", "c2", "--scenario", '{timeshear_cosx:shear.bounds.M="big"}'],
+            ["verify", "c2", "--scenario", '{timeshear_cosx:shear.terms.0.ky="x"}'],
         ],
         ids=[
             "nu0", "nu_negative", "nu_nan", "nu_inf", "eta_negative", "eta_nan", "cutoff0", "dt_inf",
             "period_inf", "period_nan", "period_negative", "M_nan", "lip_nan",
+            "term_without_ampl", "M_string", "ky_string",
         ],
     )
     def test_bad_parameter_override_exits_2(self, command, tmp_path, capsys):
         if command[-1].startswith("{"):
-            name, edit = command[-1][1:-1].split(":")
-            key, value = edit.split("=")
+            name, edit = command[-1][1:-1].split(":", 1)
+            key, value = edit.split("=", 1)
             bad = tmp_path / f"{name}.json"
             bad.write_text(json.dumps(scenario_with(name, key, json.loads(value))))
             command = [*command[:-1], str(bad)]
@@ -528,3 +564,42 @@ def test_report_digest_repeats(tmp_path):
     assert first.stdout == second.stdout
     assert [line.split()[1] for line in lines] == [str(tmp_path / "heat_cosy.json"), "all"]
     assert all(len(line.split()[0]) == 64 for line in lines)
+
+
+def test_report_diff_smoke(tmp_path):
+    """scripts/report_diff.py prints each report's largest relative deviation, runtime aside,
+    and exits 1 on any non-numeric difference."""
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    payload = run(Scenario.from_file(CORPUS_DIR / "heat_cosy.json")).to_json()
+    (old / "heat_cosy.json").write_text(harness.json_text(payload))
+    name = sorted(payload["checks"])[0]
+    check = payload["checks"][name]
+
+    def diff():
+        command = [sys.executable, str(ROOT / "scripts" / "report_diff.py"), str(old), str(new)]
+        proc = subprocess.run(command, capture_output=True, text=True)
+        return proc.returncode, proc.stdout.splitlines()
+
+    payload["runtime"] += 1.0
+    (new / "heat_cosy.json").write_text(harness.json_text(payload))
+    assert diff() == (0, ["0.000e+00  heat_cosy.json  -"])
+
+    check["samples"][1][1] *= 1.0 + 1e-9
+    (new / "heat_cosy.json").write_text(harness.json_text(payload))
+    rc, lines = diff()
+    assert rc == 0 and len(lines) == 1
+    dev, report, where = lines[0].split()
+    assert 0.5e-9 < float(dev) < 2e-9 and report == "heat_cosy.json" and where == f".checks.{name}.samples[1][1]"
+
+    check["verdict"] = "FAIL"
+    del payload["min_margin"]
+    (new / "heat_cosy.json").write_text(harness.json_text(payload))
+    rc, lines = diff()
+    assert rc == 1
+    assert [line.split()[1] for line in lines[1:]] == [f".checks.{name}.verdict:", ".min_margin:"]
+
+    (new / "heat_cosy.json").write_text((old / "heat_cosy.json").read_text())
+    (new / "extra.json").write_text("{}")
+    assert diff() == (1, ["extra.json: only in new", "0.000e+00  heat_cosy.json  -"])
