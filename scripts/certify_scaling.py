@@ -20,14 +20,16 @@ import json
 import math
 import sys
 from collections import Counter
+from pathlib import Path
 from time import perf_counter
 
 from mixlab import averaging
-from mixlab.harness import builtin_scenario
+from mixlab.harness import Scenario
 from mixlab.spectral import Lattice, field_from_terms
 
 STAGES = ("averaged_operator", "detecting_spectrum", "sylvester_constant", "fast_certificate")
 REPEATS = 3  # passes per cutoff; the fastest time of each stage is reported
+SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "extra" / "fast_shear_mean.json"
 
 
 def time_chain(scenario, cutoff: int) -> tuple[averaging.AveragedOperator, dict]:
@@ -52,7 +54,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if min(args.cutoffs) < 1:
         parser.error("cutoffs must be at least 1")
-    scenario = builtin_scenario("fast_shear_mean")
+    scenario = Scenario.from_file(SCENARIO)
     previous = None
     for cutoff in args.cutoffs:
         passes = [time_chain(scenario, cutoff) for _ in range(REPEATS)]

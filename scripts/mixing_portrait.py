@@ -8,18 +8,21 @@ values.
 
 import argparse
 import sys
+from pathlib import Path
 
-from mixlab.harness import Scenario, builtin_scenario, run, write_timeseries_csv
+from mixlab.harness import Scenario, run, write_timeseries_csv
+
+DEFAULT = Path(__file__).resolve().parent.parent / "scenarios" / "corpus" / "sinshear_cosx.json"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scenario", help="scenario JSON (default: builtin sinshear_cosx)")
+    parser.add_argument("--scenario", default=DEFAULT, help="scenario JSON (default: the shipped sinshear_cosx)")
     parser.add_argument("--csv", default="mixing_portrait.csv")
     parser.add_argument("--kreport", type=int, default=2)
     args = parser.parse_args(argv)
 
-    scenario = Scenario.from_file(args.scenario) if args.scenario else builtin_scenario("sinshear_cosx")
+    scenario = Scenario.from_file(args.scenario)
     report = run(scenario)
     write_timeseries_csv(report, args.csv, kreport=args.kreport)
 

@@ -528,7 +528,6 @@ class SylvesterEstimate:
     gap: float
     radius: float
     nodes: np.ndarray
-    plain_resolvent_norms: np.ndarray
     h1_weighted_norms: np.ndarray
     h2_weighted_norms: np.ndarray
     flag: str = "estimated at truncation, not rigorous"
@@ -581,7 +580,6 @@ def sylvester_constant(
 
     thetas = 2.0 * np.pi * np.arange(SYLVESTER_NODES) / SYLVESTER_NODES
     nodes = lam + radius * np.exp(1j * thetas)
-    plain = np.zeros(SYLVESTER_NODES)
     h1w = np.zeros(SYLVESTER_NODES)
     h2w = np.zeros(SYLVESTER_NODES)
 
@@ -600,7 +598,6 @@ def sylvester_constant(
         wh, w = w_half[idx], weights[idx]
         for j, z in enumerate(nodes):
             resolvent = np.linalg.inv(z * eye - blocks)
-            plain[j] = max(plain[j], float(np.max(_norm2(resolvent))))
             # R Pi_perp = R - (R p_left) p_right: rank-d correction, in place
             for i, (p_left, p_right) in members:
                 resolvent[i] -= (resolvent[i] @ p_left) @ p_right
@@ -612,7 +609,7 @@ def sylvester_constant(
 
     contour_factor = radius * g_inv_max
     value = max(1.0, contour_factor * float(np.max(np.maximum(h1w, h2w))))
-    return SylvesterEstimate(value, gap, radius, nodes, plain, h1w, h2w)
+    return SylvesterEstimate(value, gap, radius, nodes, h1w, h2w)
 
 
 def c_r_constant(L: float) -> float:
@@ -623,7 +620,7 @@ def c_r_constant(L: float) -> float:
     sqrt(2 max(1/L, L)) of H^1 of an L-periodic interval into C^0 yields one
     concrete choice (any larger value is also admissible).
     """
-    if L <= 0:
+    if not (L > 0):
         raise ValueError("period must be positive")
     multiplier = max(L / (2.0 * math.pi), 1.0, math.sqrt(L / (4.0 * math.pi)))
     embedding = math.sqrt(2.0 * max(1.0 / L, L))
@@ -655,7 +652,7 @@ class FastCertificate:
 
     def rate_for(self, A: float) -> float:
         """Sharper A-dependent admissible exponent gamma + eta + D K / A."""
-        if A <= 0:
+        if not (A > 0):
             raise ValueError("A must be positive")
         return self.gamma_nu + self.eta + self.D_eta * self.K_nu / A
 
@@ -826,7 +823,7 @@ def check_fast_bound(
     (A0 is typically astronomical since K >= 10^6, so this is the expected
     path at desk scale).  Margins are evaluated in log space.
     """
-    if A <= 0:
+    if not (A > 0):
         raise ValueError("fast-bound check needs A > 0; steady flows can be checked at any A")
     if A > cert.A0:
         rate = cert.c_A

@@ -18,14 +18,9 @@ from .spectral import field_to_json, l2_norm
 def _load_scenario(args) -> Scenario:
     with open(args.scenario) as fh:
         raw = json.load(fh)
-    if getattr(args, "nu", None) is not None:
-        raw["nu"] = args.nu
-    if getattr(args, "eta", None) is not None:
-        raw["eta"] = args.eta
-    if getattr(args, "cutoff", None) is not None:
-        raw["cutoff"] = args.cutoff
-    if getattr(args, "dt", None) is not None:
-        raw["dt"] = args.dt
+    for key in ("nu", "eta", "cutoff", "dt"):
+        if getattr(args, key, None) is not None:
+            raw[key] = getattr(args, key)
     return Scenario.from_json(raw)
 
 

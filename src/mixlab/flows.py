@@ -11,13 +11,13 @@ against a sampling grid, not computed suprema.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .spectral import Lattice, FieldError
+from .spectral import Lattice, FieldError, json_number
 
 __all__ = [
     "FlowSpecError",
@@ -438,19 +438,15 @@ def flow_to_json(spec: ShearSpec | FlowSpec) -> dict:
     }
 
 
-def _spec_number(value, where: str, integer: bool = False) -> float | int:
-    """A JSON number of a flow spec as a float, or as an int when ``integer``; anything else is a FlowSpecError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise FlowSpecError(f"{where} must be a number, got {value!r}")
-    if not integer:
-        return float(value)
-    if not float(value).is_integer():
-        raise FlowSpecError(f"{where} must be an integer, got {value!r}")
-    return int(value)
+# A JSON number of a flow spec; anything else is a FlowSpecError.
+_spec_number = partial(json_number, error=FlowSpecError)
 
 
-def _spec_terms(data: dict, required: tuple[str, ...]) -> list[tuple]:
-    """Each term object of ``data["terms"]`` as (ampl, kx, ky, phase_mode, time_mode); kx defaults to 0."""
+def _spec_terms(data: dict, required: tuple[str, ...], phase_key: str = "phase_mode") -> list[tuple]:
+    """Each term object of ``data["terms"]`` as (ampl, kx, ky, phase, time_mode); kx defaults to 0.
+
+    The phase is read from ``phase_key`` (``kind`` in a scenario's initial data).
+    """
     terms = data.get("terms", [])
     if not isinstance(terms, list):
         raise FlowSpecError(f"terms must be a list, got {terms!r}")
@@ -465,7 +461,7 @@ def _spec_terms(data: dict, required: tuple[str, ...]) -> list[tuple]:
             _spec_number(term["ampl"], f"terms[{i}].ampl"),
             _spec_number(term.get("kx", 0), f"terms[{i}].kx", integer=True),
             _spec_number(term["ky"], f"terms[{i}].ky", integer=True),
-            term.get("phase_mode", "cos"),
+            term.get(phase_key, "cos"),
             term.get("time_mode", "const"),
         ))
     return out

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import averaging, certificates, inviscid, shear
-from .flows import FlowSpec, FlowSpecError, ShearSpec, flow_from_json
+from .flows import FlowSpec, FlowSpecError, ShearSpec, _spec_terms, flow_from_json
 from .reports import BoundReport
 from .spectral import (
     FieldError,
@@ -30,6 +30,7 @@ from .spectral import (
     field_from_json,
     field_from_terms,
     hneg1_norm,
+    json_number,
     l2_norm,
     x_mode,
 )
@@ -42,8 +43,6 @@ __all__ = [
     "corpus_run",
     "json_text",
     "write_timeseries_csv",
-    "builtin_scenario",
-    "BUILTIN_SCENARIOS",
 ]
 
 _REGIMES = ("inviscid", "diffusive_shear", "fast_oscillation")
@@ -57,6 +56,107 @@ def _require(data: dict, key: str, path: str):
     if key not in data:
         raise SchemaError(f"missing field: {path}{key}")
     return data[key]
+
+
+def _object(value, path: str) -> dict:
+    """``value`` when it is a JSON object; anything else is a SchemaError naming ``path``."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"invalid field: {path} must be an object, got {value!r}")
+    return value
+
+
+def _number(value, where: str, rule: str, ok, integer: bool = False) -> float | int:
+    """``value`` read by ``json_number``; a SchemaError stating ``rule`` when ``ok`` rejects it."""
+    number = json_number(value, where, integer)
+    if not ok(number):
+        raise SchemaError(f"invalid field: {where} must be {rule}, got {number}")
+    return number
+
+
+def _finite_positive(x: float) -> bool:
+    return x > 0 and math.isfinite(x)
+
+
+def _scenario_fields(data: dict) -> dict:
+    """The Scenario fields of a scenario JSON, each checked against its one rule.
+
+    A value of the wrong JSON type raises FieldError (``json_number``) or
+    FlowSpecError (the flow-spec reader); ``Scenario.from_json`` turns both
+    into a SchemaError.
+    """
+    _object(data, "scenario")
+    name = _require(data, "name", "")
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise SchemaError(f"invalid field: name must be a plain file stem, got {name!r}")
+    regime = _require(data, "regime", "")
+    if regime not in _REGIMES:
+        raise SchemaError(f"invalid field: regime must be one of {_REGIMES}, got {regime!r}")
+    lat = _object(_require(data, "lattice", ""), "lattice")
+    kmax, lmax = (json_number(_require(lat, key, "lattice."), f"lattice.{key}", True) for key in ("kmax", "lmax"))
+    lattice = Lattice(kmax, lmax)
+    init = _object(_require(data, "initial_data", ""), "initial_data")
+    terms: tuple = ()
+    if "terms" in init:
+        terms = tuple(HarmonicTerm(*term[:4]) for term in _spec_terms(init, ("ampl", "kx", "ky"), "kind"))
+        rho0 = field_from_terms(lattice, terms)
+    elif "coeffs" in init:
+        rho0 = field_from_json(init)
+    else:
+        raise SchemaError("missing field: initial_data.terms (or initial_data.coeffs)")
+
+    nu = data.get("nu")
+    if regime == "inviscid":
+        if nu is not None:
+            raise SchemaError("invalid field: nu must be absent for the inviscid regime")
+    elif nu is None:
+        raise SchemaError(f"missing field: nu (required for regime {regime})")
+    else:
+        nu = _number(nu, "nu", "finite and > 0", _finite_positive)
+
+    spec_key = "shear" if regime in ("inviscid", "diffusive_shear") else "flow"
+    spec = flow_from_json(_require(data, spec_key, ""))
+    if spec_key == "shear" and not isinstance(spec, ShearSpec):
+        raise SchemaError("invalid field: shear must describe a shear, not a 2D flow")
+    if spec_key == "flow" and not isinstance(spec, FlowSpec):
+        raise SchemaError("invalid field: flow must describe a 2D flow")
+
+    A = data.get("A")
+    if regime == "fast_oscillation":
+        if A is None:
+            raise SchemaError("missing field: A (required for regime fast_oscillation)")
+        A = _number(A, "A", "finite and >= 0", lambda x: x >= 0 and math.isfinite(x))
+    elif A is not None:
+        raise SchemaError("invalid field: A only applies to the fast_oscillation regime")
+
+    times = _require(data, "times", "")
+    if isinstance(times, dict):
+        t_max = _number(_require(times, "t_max", "times."), "times.t_max", "finite", math.isfinite)
+        n = _number(_require(times, "n", "times."), "times.n", "at least 1", lambda x: x >= 1, integer=True)
+        times = np.linspace(0.0, t_max, n)
+    elif isinstance(times, list):
+        times = [json_number(t, f"times[{i}]") for i, t in enumerate(times)]
+    else:
+        raise SchemaError(f"invalid field: times must be a list or an object, got {times!r}")
+
+    dt, eta = data.get("dt"), data.get("eta")
+    margin = _object(data.get("tolerances", {}), "tolerances").get("margin", 1e-6)
+    return {
+        "name": name,
+        "regime": regime,
+        "lattice": lattice,
+        "rho0": rho0,
+        "initial_terms": terms,
+        "shear_spec": spec if spec_key == "shear" else None,
+        "flow_spec": spec if spec_key == "flow" else None,
+        "nu": nu,
+        "A": A,
+        "times": shear._check_times(times),
+        "dt": None if dt is None else _number(dt, "dt", "positive and finite", _finite_positive),
+        "cutoff": _number(data.get("cutoff", 16), "cutoff", "at least 1", lambda c: c >= 1, integer=True),
+        "eta": None if eta is None else _number(eta, "eta", "in (0, 1]", lambda e: 0.0 < e <= 1.0),
+        "tol": _number(margin, "tolerances.margin", "finite and in [0, 1)", lambda m: 0.0 <= m < 1.0),
+        "raw": data,
+    }
 
 
 @dataclass(frozen=True)
@@ -81,114 +181,11 @@ class Scenario:
 
     @classmethod
     def from_json(cls, data: dict) -> "Scenario":
-        name = str(_require(data, "name", ""))
-        if name in ("", ".", "..") or "/" in name or "\\" in name:
-            raise SchemaError(f"invalid field: name must be a plain file stem, got {name!r}")
-        regime = _require(data, "regime", "")
-        if regime not in _REGIMES:
-            raise SchemaError(f"invalid field: regime must be one of {_REGIMES}, got {regime!r}")
-        lat = _require(data, "lattice", "")
-        lattice = Lattice(int(_require(lat, "kmax", "lattice.")), int(_require(lat, "lmax", "lattice.")))
-        init = _require(data, "initial_data", "")
-        terms: tuple = ()
-        if "terms" in init:
-            terms = tuple(
-                HarmonicTerm(
-                    float(_require(t, "ampl", f"initial_data.terms[{i}].")),
-                    int(_require(t, "kx", f"initial_data.terms[{i}].")),
-                    int(_require(t, "ky", f"initial_data.terms[{i}].")),
-                    t.get("kind", "cos"),
-                )
-                for i, t in enumerate(init["terms"])
-            )
-            rho0 = field_from_terms(lattice, terms)
-        elif "coeffs" in init:
-            rho0 = field_from_json(init)
-        else:
-            raise SchemaError("missing field: initial_data.terms (or initial_data.coeffs)")
-
-        nu = data.get("nu")
-        if regime == "inviscid":
-            if nu is not None:
-                raise SchemaError("invalid field: nu must be absent for the inviscid regime")
-        else:
-            if nu is None:
-                raise SchemaError(f"missing field: nu (required for regime {regime})")
-            nu = float(nu)
-            if not (nu > 0 and math.isfinite(nu)):
-                raise SchemaError(f"invalid field: nu must be finite and > 0, got {nu}")
-
-        spec_key = "shear" if regime in ("inviscid", "diffusive_shear") else "flow"
+        """The scenario a JSON object describes; malformed or out-of-range data is a SchemaError."""
         try:
-            spec = flow_from_json(_require(data, spec_key, ""))
-        except FlowSpecError as exc:  # a malformed or inconsistent flow spec is bad input
+            return cls(**_scenario_fields(data))
+        except (FieldError, FlowSpecError) as exc:  # raised while the lattice, datum, spec or times are built
             raise SchemaError(f"invalid field: {exc}") from None
-        if spec_key == "shear" and not isinstance(spec, ShearSpec):
-            raise SchemaError("invalid field: shear must describe a shear, not a 2D flow")
-        if spec_key == "flow" and not isinstance(spec, FlowSpec):
-            raise SchemaError("invalid field: flow must describe a 2D flow")
-        shear_spec = spec if spec_key == "shear" else None
-        flow_spec = spec if spec_key == "flow" else None
-
-        A = data.get("A")
-        if regime == "fast_oscillation":
-            if A is None:
-                raise SchemaError("missing field: A (required for regime fast_oscillation)")
-            A = float(A)
-            if not (A >= 0 and math.isfinite(A)):
-                raise SchemaError(f"invalid field: A must be finite and >= 0, got {A}")
-        elif A is not None:
-            raise SchemaError("invalid field: A only applies to the fast_oscillation regime")
-
-        times_spec = _require(data, "times", "")
-        if isinstance(times_spec, dict):
-            t_max = float(_require(times_spec, "t_max", "times."))
-            if not math.isfinite(t_max):
-                raise SchemaError(f"invalid field: times.t_max must be finite, got {t_max}")
-            n = int(_require(times_spec, "n", "times."))
-            times = np.linspace(0.0, t_max, n)
-        else:
-            times = [float(t) for t in times_spec]
-        try:
-            times = shear._check_times(times)
-        except FieldError as exc:
-            raise SchemaError(f"invalid field: {exc}") from None
-
-        dt = data.get("dt")
-        if dt is not None:
-            dt = float(dt)
-            if not (dt > 0 and math.isfinite(dt)):
-                raise SchemaError(f"invalid field: dt must be positive and finite, got {dt}")
-
-        cutoff = int(data.get("cutoff", 16))
-        if cutoff < 1:
-            raise SchemaError(f"invalid field: cutoff must be at least 1, got {cutoff}")
-        eta = data.get("eta")
-        if eta is not None:
-            eta = float(eta)
-            if not 0.0 < eta <= 1.0:
-                raise SchemaError(f"invalid field: eta must be in (0, 1], got {eta}")
-
-        tol = float(data.get("tolerances", {}).get("margin", 1e-6))
-        if not 0.0 <= tol < 1.0:
-            raise SchemaError(f"invalid field: tolerances.margin must be finite and in [0, 1), got {tol}")
-        return cls(
-            name=name,
-            regime=regime,
-            lattice=lattice,
-            rho0=rho0,
-            initial_terms=terms,
-            shear_spec=shear_spec,
-            flow_spec=flow_spec,
-            nu=nu,
-            A=A,
-            times=times,
-            dt=dt,
-            cutoff=cutoff,
-            eta=eta,
-            tol=tol,
-            raw=data,
-        )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Scenario":
@@ -302,82 +299,6 @@ def write_timeseries_csv(report: ScenarioReport, path: str | Path, kreport: int 
                 else:
                     row.append(0.0)
             writer.writerow(row)
-
-
-BUILTIN_SCENARIOS: dict[str, dict] = {
-    "heat_cosy": {
-        "name": "heat_cosy",
-        "regime": "diffusive_shear",
-        "lattice": {"kmax": 2, "lmax": 4},
-        "initial_data": {"terms": [{"ampl": 1.0, "kx": 0, "ky": 1, "kind": "cos"}]},
-        "shear": "zero",
-        "nu": 0.1,
-        "times": {"t_max": 5.0, "n": 26},
-    },
-    "sharpness_p1_nu025": {
-        "name": "sharpness_p1_nu025",
-        "regime": "diffusive_shear",
-        "lattice": {"kmax": 1, "lmax": 6},
-        "initial_data": {"terms": [{"ampl": 1.0, "kx": 0, "ky": 4, "kind": "cos"}]},
-        "shear": "zero",
-        "nu": 0.25,
-        "times": {"t_max": 2.0, "n": 21},
-    },
-    "sinshear_cosx": {
-        "name": "sinshear_cosx",
-        "regime": "diffusive_shear",
-        "lattice": {"kmax": 3, "lmax": 16},
-        "initial_data": {"terms": [{"ampl": 1.0, "kx": 1, "ky": 0, "kind": "cos"}]},
-        "shear": {
-            "kind": "shear",
-            "terms": [{"ampl": 1.0, "kx": 0, "ky": 1, "phase_mode": "sin", "time_mode": "const"}],
-            "bounds": {"M": 1.0, "w11": 0.6366197723675814},
-            "period": 6.283185307179586,
-        },
-        "nu": 0.1,
-        "times": {"t_max": 5.0, "n": 26},
-        "dt": 0.005,
-    },
-    "inviscid_cosx_siny": {
-        "name": "inviscid_cosx_siny",
-        "regime": "inviscid",
-        "lattice": {"kmax": 2, "lmax": 2},
-        "initial_data": {"terms": [{"ampl": 1.0, "kx": 1, "ky": 0, "kind": "cos"}]},
-        "shear": {
-            "kind": "shear",
-            "terms": [{"ampl": 1.0, "kx": 0, "ky": 1, "phase_mode": "sin", "time_mode": "const"}],
-            "bounds": {"M": 1.0, "w11": 0.6366197723675814},
-            "period": 6.283185307179586,
-        },
-        "times": {"t_max": 50.0, "n": 51},
-    },
-    "fast_shear_mean": {
-        "name": "fast_shear_mean",
-        "regime": "fast_oscillation",
-        "lattice": {"kmax": 8, "lmax": 8},
-        "initial_data": {"terms": [{"ampl": 1.0, "kx": 0, "ky": 1, "kind": "cos"}]},
-        "flow": {
-            "kind": "flow2d",
-            "terms": [
-                {"ampl": 1.0, "kx": 0, "ky": 1, "phase_mode": "cos", "time_mode": "const"},
-                {"ampl": 1.0, "kx": 1, "ky": 0, "phase_mode": "cos", "time_mode": "cos"},
-            ],
-            "bounds": {"lip": 1.0},
-            "period": 1.0,
-        },
-        "nu": 0.1,
-        "A": 100.0,
-        "cutoff": 12,
-        "times": {"t_max": 2.0, "n": 21},
-    },
-}
-
-
-def builtin_scenario(name: str) -> Scenario:
-    """Named scenarios shipped with the package (see BUILTIN_SCENARIOS)."""
-    if name not in BUILTIN_SCENARIOS:
-        raise SchemaError(f"unknown builtin scenario {name!r}; have {sorted(BUILTIN_SCENARIOS)}")
-    return Scenario.from_json(json.loads(json.dumps(BUILTIN_SCENARIOS[name])))
 
 
 @dataclass

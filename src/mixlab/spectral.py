@@ -10,6 +10,8 @@ All fields are mean-zero: the (0,0) coefficient must vanish.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -56,6 +58,26 @@ class FieldError(ValueError):
 
 class GridError(ValueError):
     """A physical-space grid is too small for the requested lattice."""
+
+
+def json_number(value, where: str, integer: bool = False, error: type[ValueError] = FieldError) -> float | int:
+    """A JSON number of scenario data as a float, or as an int when ``integer``.
+
+    Anything else (a string, a list, null, a boolean, a fractional value
+    where an integer is expected) raises ``error`` naming the field ``where``.
+    """
+    # int and float are listed ahead of the (slower) abstract Real check: the JSON parser yields them
+    if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
+        raise error(f"{where} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise error(f"{where} must be within the float range") from None
+    if not integer:
+        return number
+    if not number.is_integer():
+        raise error(f"{where} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -279,6 +301,8 @@ class HarmonicTerm:
     kind: str = "cos"  # cos | sin
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.ampl):
+            raise FieldError(f"ampl must be finite, got {self.ampl}")
         if self.kind not in ("cos", "sin"):
             raise FieldError(f"harmonic kind must be cos or sin, got {self.kind!r}")
         if self.kx == 0 and self.ky == 0:
@@ -355,8 +379,17 @@ def field_to_json(field: SpectralField2D, tol: float = 0.0) -> dict:
 
 
 def field_from_json(data: dict) -> SpectralField2D:
-    lattice = Lattice(int(data["kmax"]), int(data["lmax"]))
+    """Inverse of field_to_json; a malformed, non-finite or out-of-lattice entry is a FieldError."""
+    lattice = Lattice(*(json_number(data.get(key), key, integer=True) for key in ("kmax", "lmax")))
+    entries = data.get("coeffs")
+    if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 4 for e in entries):
+        raise FieldError(f"coeffs must be a list of [k, l, re, im] entries, got {entries!r}")
     coeff = np.zeros(lattice.shape, dtype=complex)
-    for k, l, re, im in data["coeffs"]:
-        coeff[int(k) + lattice.kmax, int(l) + lattice.lmax] = complex(re, im)
+    for i, entry in enumerate(entries):
+        k, l, re, im = (json_number(v, f"coeffs[{i}]", integer=j < 2) for j, v in enumerate(entry))
+        if abs(k) > lattice.kmax or abs(l) > lattice.lmax:
+            raise FieldError(f"coeffs[{i}] ({k},{l}) outside lattice {lattice}")
+        coeff[k + lattice.kmax, l + lattice.lmax] = complex(re, im)
+    if not np.isfinite(coeff).all():
+        raise FieldError("coeffs must be finite")
     return SpectralField2D(lattice, coeff)

@@ -471,12 +471,11 @@ def _dense_oracle(op, rho0, n_nodes=8):
     p_right = np.hstack([np.eye(d), X]) @ Z.conj().T
     weights = 1.0 + (op.modes[:, 0] ** 2 + op.modes[:, 1] ** 2).astype(float)
     w_half = np.sqrt(weights)
-    norms = {"plain": [], "h1w": [], "h2w": []}
+    norms = {"h1w": [], "h2w": []}
     for theta in 2.0 * np.pi * np.arange(n_nodes) / n_nodes:
         z = lam + 0.5 * gap * np.exp(1j * theta)
         resolvent = np.linalg.inv(z * np.eye(op.dim) - op.matrix)
         r_proj = resolvent - (resolvent @ basis) @ p_right
-        norms["plain"].append(np.linalg.norm(resolvent, 2))
         norms["h1w"].append(np.linalg.norm(w_half[:, None] * r_proj * w_half[None, :], 2))
         norms["h2w"].append(np.linalg.norm(weights[:, None] * r_proj, 2))
     return spectrum, gap, norms
@@ -538,11 +537,7 @@ class TestPerClassAlgebra:
         )
         syl = sylvester_constant(op, spec)
         assert syl.gap == pytest.approx(want_gap, rel=1e-10, abs=0.0)
-        for got, key in (
-            (syl.plain_resolvent_norms, "plain"),
-            (syl.h1_weighted_norms, "h1w"),
-            (syl.h2_weighted_norms, "h2w"),
-        ):
+        for got, key in ((syl.h1_weighted_norms, "h1w"), (syl.h2_weighted_norms, "h2w")):
             np.testing.assert_allclose(got, want_norms[key], rtol=1e-10, atol=0.0, err_msg=key)
 
 
@@ -669,8 +664,12 @@ class TestSylvester:
         op = averaged_operator(ZERO_FLOW, NU, 4)
         spec = detecting_spectrum(op, cos_y(Lattice(4, 4)))
         syl = sylvester_constant(op, spec)
-        for z, got in zip(syl.nodes, syl.plain_resolvent_norms):
-            want = 1.0 / np.min(np.abs(z - spec.eigenvalues))
+        # diagonal operator: mode (k, l) has eigenvalue -nu (k^2 + l^2) and H^2 weight 1 + k^2 + l^2;
+        # the cluster's modes drop out of R (I - P)
+        k2 = (op.modes[:, 0] ** 2 + op.modes[:, 1] ** 2).astype(float)
+        outside = np.abs(-NU * k2 - spec.lambda_nu) > spec.cluster_tol
+        for z, got in zip(syl.nodes, syl.h2_weighted_norms):
+            want = np.max((1.0 + k2[outside]) / np.abs(z + NU * k2[outside]))
             assert got == pytest.approx(want, rel=1e-8)
         assert syl.value >= 1.0
         assert "not rigorous" in syl.flag
@@ -954,6 +953,19 @@ class TestFastBound:
             rep = check_fast_bound(traj, cert, A)
             assert rep.passed
             assert rep.extras["regime"] == "sharper_A_dependent"
+
+    @pytest.mark.parametrize("guard", ["c_r_constant", "rate_for", "check_fast_bound"])
+    def test_nan_argument_rejected(self, guard):
+        # each guard is written as not (x > 0), which NaN fails
+        rho0, cert = self._pipeline(ZERO_FLOW, [HarmonicTerm(1.0, 0, 1)], 4)
+        traj = evolve_2d(rho0, ZERO_FLOW, 1.0, NU, np.linspace(0.0, 0.2, 2))
+        call = {
+            "c_r_constant": lambda: c_r_constant(math.nan),
+            "rate_for": lambda: cert.rate_for(math.nan),
+            "check_fast_bound": lambda: check_fast_bound(traj, cert, math.nan),
+        }[guard]
+        with pytest.raises(ValueError, match="positive|A > 0"):
+            call()
 
 
 def test_certify_scaling_script_smoke():

@@ -12,10 +12,8 @@ import pytest
 from mixlab import harness
 from mixlab.cli import main as cli_main
 from mixlab.harness import (
-    BUILTIN_SCENARIOS,
     Scenario,
     SchemaError,
-    builtin_scenario,
     corpus_run,
     run,
     write_timeseries_csv,
@@ -26,16 +24,18 @@ CORPUS_DIR = ROOT / "scenarios" / "corpus"
 EXTRA_DIR = ROOT / "scenarios" / "extra"
 
 
+def shipped(name: str) -> dict:
+    """The JSON of the scenario file ``name`` shipped in scenarios/corpus or scenarios/extra."""
+    (path,) = ROOT.glob(f"scenarios/*/{name}.json")
+    return json.loads(path.read_text())
+
+
 def scenario_with(name: str, key: str, value) -> dict:
-    """A builtin or shipped scenario's JSON with the field at the dotted ``key`` set to ``value``.
+    """A shipped scenario's JSON with the field at the dotted ``key`` set to ``value``.
 
     A part of ``key`` made of digits indexes a list.
     """
-    if name in BUILTIN_SCENARIOS:
-        raw = json.loads(json.dumps(BUILTIN_SCENARIOS[name]))
-    else:
-        path = CORPUS_DIR / f"{name}.json"
-        raw = json.loads((path if path.exists() else EXTRA_DIR / f"{name}.json").read_text())
+    raw = shipped(name)
     *parents, leaf = (int(part) if part.isdigit() else part for part in key.split("."))
     node = raw
     for part in parents:
@@ -62,11 +62,11 @@ class TestSchema:
             Scenario.from_json(base)
 
     def test_regime_consistency(self):
-        bad = dict(BUILTIN_SCENARIOS["inviscid_cosx_siny"])
+        bad = shipped("inviscid_cosx_siny")
         bad["nu"] = 0.1
         with pytest.raises(SchemaError, match="nu must be absent"):
             Scenario.from_json(bad)
-        bad2 = json.loads(json.dumps(BUILTIN_SCENARIOS["heat_cosy"]))
+        bad2 = shipped("heat_cosy")
         bad2["A"] = 10.0
         with pytest.raises(SchemaError, match="A only applies"):
             Scenario.from_json(bad2)
@@ -78,14 +78,14 @@ class TestSchema:
 
     @pytest.mark.parametrize("dt", [0.0, -0.005])
     def test_nonpositive_dt_rejected(self, dt):
-        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["sinshear_cosx"]))
+        raw = shipped("sinshear_cosx")
         raw["dt"] = dt
         with pytest.raises(SchemaError, match="dt must be positive"):
             Scenario.from_json(raw)
 
     @pytest.mark.parametrize("margin", [1.0, 1.5, -0.1, float("nan"), float("inf")])
     def test_margin_outside_unit_interval_rejected(self, margin):
-        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["heat_cosy"]))
+        raw = shipped("heat_cosy")
         raw["tolerances"] = {"margin": margin}
         with pytest.raises(SchemaError, match="tolerances.margin"):
             Scenario.from_json(raw)
@@ -95,7 +95,7 @@ class TestSchema:
         "times", [[0.0, float("nan")], [0.0, float("inf")], {"t_max": float("nan"), "n": 1}]
     )
     def test_nonfinite_times_rejected(self, name, times):
-        raw = json.loads(json.dumps(BUILTIN_SCENARIOS[name]))
+        raw = shipped(name)
         raw["times"] = times
         with pytest.raises(SchemaError, match="times"):
             Scenario.from_json(raw)
@@ -153,20 +153,54 @@ class TestSchema:
             ("fast_shear_mean", "flow.bounds.lip", "2", "lip must be a number"),
             ("timeshear_cosx", "shear.terms.0.ampl", float("nan"), "ampl must be finite"),
             ("fast_averaging_study", "flow.terms.0.ampl", float("inf"), "ampl must be finite"),
+            # the fields outside the flow spec go through the same typed reader
+            ("heat_cosy", "nu", "x", "nu must be a number, got 'x'"),
+            ("heat_cosy", "nu", True, "nu must be a number, got True"),
+            ("heat_cosy", "nu", 10**400, "nu must be within the float range"),
+            ("heat_cosy", "lattice.kmax", "x", "lattice.kmax must be a number"),
+            ("heat_cosy", "lattice.kmax", 1.5, "lattice.kmax must be an integer"),
+            ("heat_cosy", "lattice.kmax", 0, "lattice cutoffs must be >= 1"),
+            ("heat_cosy", "lattice", 5, "lattice must be an object"),
+            ("sinshear_cosx", "dt", [1], r"dt must be a number, got \[1\]"),
+            ("heat_cosy", "times", 5, "times must be a list or an object"),
+            ("heat_cosy", "times.n", 2.7, "times.n must be an integer"),
+            ("heat_cosy", "times.n", -1, "times.n must be at least 1"),
+            ("heat_cosy", "times", [0.0, "1"], r"times\[1\] must be a number"),
+            ("fast_averaging_study", "cutoff", 2.5, "cutoff must be an integer"),
+            ("fast_averaging_study", "eta", "0.5", "eta must be a number"),
+            ("heat_cosy", "tolerances", 5, "tolerances must be an object"),
+            ("heat_cosy", "initial_data.terms.0.kind", "tan", "harmonic kind must be cos or sin"),
+            ("heat_cosy", "initial_data.terms.0.ky", 9, r"harmonic \(0,9\) outside lattice"),
+            ("heat_cosy", "initial_data.terms.0.kx", 0.5, r"terms\[0\]\.kx must be an integer"),
+            ("heat_cosy", "initial_data.terms", 5, "terms must be a list"),
+            ("sinshear_cosx", "initial_data.terms.0.ampl", float("nan"), "ampl must be finite"),
+            ("sinshear_cosx", "initial_data.terms.0.ampl", float("inf"), "ampl must be finite"),
+            # a datum given by its coefficients [k, l, re, im]
+            ("heat_cosy", "initial_data", {"kmax": 1, "lmax": 1, "coeffs": [[0, 1, "x", 0.0]]},
+             r"coeffs\[0\] must be a number"),
+            ("heat_cosy", "initial_data", {"kmax": 1, "lmax": 1, "coeffs": [[0, 5, 0.5, 0.0]]},
+             r"coeffs\[0\] \(0,5\) outside lattice"),
+            ("heat_cosy", "initial_data", {"kmax": 1, "lmax": 1, "coeffs": [[0, 1, float("nan"), 0.0]]},
+             "coeffs must be finite"),
         ],
         ids=[
             "no_ampl", "M_string", "ky_string", "ky_fraction", "ampl_null", "terms_object", "term_number",
             "period_string", "bounds_list", "spec_number", "no_kx", "kx_bool", "lip_string",
             "ampl_nan", "ampl_inf",
+            "nu_string", "nu_bool", "nu_huge_integer", "kmax_string", "kmax_fraction", "kmax0", "lattice_number",
+            "dt_list", "times_number", "n_fraction", "n_negative", "time_string", "cutoff_fraction", "eta_string",
+            "tolerances_number", "kind_tan", "term_outside_lattice", "kx_fraction",
+            "terms_number", "datum_ampl_nan", "datum_ampl_inf", "coeff_string", "coeff_outside_lattice",
+            "coeff_nan",
         ],
     )
     def test_malformed_flow_spec_rejected(self, name, key, value, message):
         with pytest.raises(SchemaError, match=f"invalid field: {message}"):
             Scenario.from_json(scenario_with(name, key, value))
 
-    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b"])
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b", 5])
     def test_name_must_be_plain_stem(self, name):
-        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["heat_cosy"]))
+        raw = shipped("heat_cosy")
         raw["name"] = name
         with pytest.raises(SchemaError, match="plain file stem"):
             Scenario.from_json(raw)
@@ -174,7 +208,7 @@ class TestSchema:
 
 class TestRun:
     def test_builtin_sharpness_margin_exactly_two(self):
-        report = run(builtin_scenario("sharpness_p1_nu025"))
+        report = run(Scenario.from_json(shipped("sharpness_p1_nu025")))
         assert report.verdict == "PASS"
         mix = report.checks["mixing_floor"]
         assert mix.extras["slack_factor"] == pytest.approx(2.0, abs=1e-12)
@@ -182,14 +216,14 @@ class TestRun:
             assert s.margin == pytest.approx(2.0, abs=1e-12)
 
     def test_builtin_heat_cosy_passes_c2(self):
-        report = run(builtin_scenario("heat_cosy"))
+        report = run(Scenario.from_json(shipped("heat_cosy")))
         assert report.verdict == "PASS"
         c2 = report.checks["c2_floor"]
         assert c2.certificate["c2"] == pytest.approx(0.2, abs=1e-12)
         assert c2.min_margin >= 1.0 - 1e-6
 
     def test_inviscid_scenario(self):
-        report = run(builtin_scenario("inviscid_cosx_siny"))
+        report = run(Scenario.from_json(shipped("inviscid_cosx_siny")))
         assert report.verdict == "PASS"
         assert report.checks["inviscid"].extras["tail_ok"]
         assert report.checks["inviscid"].extras["mass_ok"]
@@ -204,8 +238,8 @@ class TestRun:
         assert len(fast.extras["a0_terms"]) == 6
 
     def test_determinism_byte_identical(self):
-        a = run(builtin_scenario("heat_cosy")).to_json()
-        b = run(builtin_scenario("heat_cosy")).to_json()
+        a = run(Scenario.from_json(shipped("heat_cosy"))).to_json()
+        b = run(Scenario.from_json(shipped("heat_cosy"))).to_json()
         a["runtime"] = b["runtime"] = 0.0
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
@@ -218,7 +252,7 @@ class TestRun:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_timeseries_csv_columns(self, tmp_path):
-        report = run(builtin_scenario("heat_cosy"))
+        report = run(Scenario.from_json(shipped("heat_cosy")))
         out = tmp_path / "series.csv"
         write_timeseries_csv(report, out, kreport=2)
         with open(out) as fh:
@@ -239,7 +273,7 @@ class TestCorpus:
         assert summary.exit_code == 0
 
     def test_corrupted_file_becomes_error_row(self, tmp_path):
-        (tmp_path / "good.json").write_text(json.dumps(BUILTIN_SCENARIOS["heat_cosy"]))
+        (tmp_path / "good.json").write_text((CORPUS_DIR / "heat_cosy.json").read_text())
         (tmp_path / "bad.json").write_text("{not json")
         summary = corpus_run(tmp_path, out_dir=tmp_path / "reports")
         verdicts = {r["file"]: r["verdict"] for r in summary.rows}
@@ -254,7 +288,7 @@ class TestCorpus:
         src = tmp_path / "in"
         out = tmp_path / "reports"
         src.mkdir()
-        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["heat_cosy"]))
+        raw = shipped("heat_cosy")
         raw["name"] = "../escaped"
         (src / "evil.json").write_text(json.dumps(raw))
         summary = corpus_run(src, out_dir=out)
@@ -387,11 +421,26 @@ class TestCli:
             ["verify", "c2", "--scenario", '{timeshear_cosx:shear.terms.0={"ky": 1, "phase_mode": "sin"}}'],
             ["verify", "c2", "--scenario", '{timeshear_cosx:shear.bounds.M="big"}'],
             ["verify", "c2", "--scenario", '{timeshear_cosx:shear.terms.0.ky="x"}'],
+            ["verify", "c2", "--scenario", '{heat_cosy:nu="x"}'],
+            ["verify", "c2", "--scenario", '{heat_cosy:lattice.kmax="x"}'],
+            ["verify", "c2", "--scenario", "{sinshear_cosx:dt=[1]}"],
+            ["verify", "c2", "--scenario", "{heat_cosy:times=5}"],
+            ["verify", "c2", "--scenario", "{heat_cosy:lattice.kmax=1.5}"],
+            ["verify", "c2", "--scenario", "{heat_cosy:times.n=2.7}"],
+            ["verify", "fast", "--scenario", "{fast_averaging_study:cutoff=2.5}"],
+            ["verify", "c2", "--scenario", "{heat_cosy:nu=true}"],
+            ["verify", "c2", "--scenario", "{heat_cosy:lattice.kmax=0}"],
+            ["verify", "c2", "--scenario", '{heat_cosy:initial_data.terms.0.kind="tan"}'],
+            ["verify", "c2", "--scenario", "{heat_cosy:initial_data.terms.0.ky=9}"],
+            ["verify", "c2", "--scenario", "{sinshear_cosx:initial_data.terms.0.ampl=NaN}"],
+            ["verify", "c2", "--scenario", "{sinshear_cosx:initial_data.terms.0.ampl=Infinity}"],
         ],
         ids=[
             "nu0", "nu_negative", "nu_nan", "nu_inf", "eta_negative", "eta_nan", "cutoff0", "dt_inf",
             "period_inf", "period_nan", "period_negative", "M_nan", "lip_nan",
             "term_without_ampl", "M_string", "ky_string",
+            "nu_string", "kmax_string", "dt_list", "times_number", "kmax_fraction", "n_fraction",
+            "cutoff_fraction", "nu_bool", "kmax0", "kind_tan", "term_outside_lattice", "ampl_nan", "ampl_inf",
         ],
     )
     def test_bad_parameter_override_exits_2(self, command, tmp_path, capsys):
@@ -406,6 +455,7 @@ class TestCli:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith(f"{command[0]}: invalid field: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "flags, reason",
@@ -434,7 +484,7 @@ class TestCli:
             return {"inviscid": dataclasses.replace(certify(scenario)["inviscid"], A=0.0, B=0.0)}
 
         monkeypatch.setattr(harness, "_certify", zero_growth)
-        check = run(builtin_scenario("inviscid_cosx_siny")).checks["inviscid"]
+        check = run(Scenario.from_json(shipped("inviscid_cosx_siny"))).checks["inviscid"]
         assert check.min_margin >= 1.0 - check.tol
         assert not check.extras["tail_ok"]
         assert check.verdict == "FAIL"
@@ -459,7 +509,7 @@ class TestCli:
     def test_corpus_command(self, tmp_path, capsys):
         src = tmp_path / "dir"
         src.mkdir()
-        (src / "one.json").write_text(json.dumps(BUILTIN_SCENARIOS["heat_cosy"]))
+        (src / "one.json").write_text((CORPUS_DIR / "heat_cosy.json").read_text())
         rc = cli_main(["corpus", str(src), "--out", str(tmp_path / "reports")])
         assert rc == 0
         captured = capsys.readouterr()
