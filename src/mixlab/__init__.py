@@ -77,7 +77,6 @@ from .averaging import (
     evolve_2d,
     fast_certificate,
     observable_series,
-    spectrum_convergence,
     sylvester_constant,
 )
 from .reports import BoundReport

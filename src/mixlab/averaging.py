@@ -40,7 +40,6 @@ __all__ = [
     "LAMBDA1",
     "AveragedOperator",
     "DetectingSpectrum",
-    "DampingEstimate",
     "SylvesterEstimate",
     "FastCertificate",
     "averaged_operator",
@@ -52,7 +51,6 @@ __all__ = [
     "evolve_2d",
     "observable_series",
     "check_fast_bound",
-    "spectrum_convergence",
 ]
 
 # First eigenvalue of -Laplacian on mean-zero functions under the integer
@@ -67,8 +65,10 @@ EPS_DETECT = 1e-8
 # Contour nodes of the Sylvester-resolvent estimate, evenly spaced on its circle.
 SYLVESTER_NODES = 8
 
-# Coarse samples of the damping-constant search before golden-section refinement.
-DAMPING_SAMPLES = 800
+# The damping constant's grid: 2^DAMPING_LEVELS steps on its first window [0, 10 d / eta], which
+# may double DAMPING_DOUBLINGS times before the window is given up.
+DAMPING_LEVELS = 10
+DAMPING_DOUBLINGS = 4
 
 # Steps of an evolve_2d segment whose stage weights are computed together: a
 # (64, 3, 3) real array, so memory does not grow with the segment's step count.
@@ -430,88 +430,54 @@ def detecting_spectrum(
     )
 
 
-@dataclass(frozen=True)
-class DampingEstimate:
-    """sup_t e^{-(gamma+eta) t} ||e^{-G^T t}|| with its Jordan-style ceiling.
+def damping_constant(G: np.ndarray, gamma: float, eta: float) -> float:
+    """An upper bound on D_eta = sup_t h(t), h(t) = e^{-(gamma+eta) t} ||e^{-G^T t}||.
 
-    For a normal cluster block the value is exactly 1.0, attained at
-    t_star = 0; otherwise it is sampled.  A decay spread beyond eta has no
-    finite value and raises.
-    """
+    With mu the top eigenvalue of the Hermitian part of -G^T (its logarithmic
+    norm), ||e^{-G^T t}|| <= e^{mu t}.  When mu <= gamma + eta this gives
+    h(t) <= 1 = h(0), and the supremum is exactly 1.0.
 
-    value: float
-    t_star: float
-    jordan_bound: float
-    eta: float
-
-
-def damping_constant(G: np.ndarray, gamma: float, eta: float) -> DampingEstimate:
-    """Estimate the transient-growth constant of the observable ODE.
-
-    With T the complex Schur form of G^T, N = triu(T, 1) its strictly upper
-    part and delta = max(-Re diag T) - gamma, ||e^{-G^T t}|| is at least the
-    spectral radius e^{(gamma + delta) t}, so
-    h(t) = e^{-(gamma+eta) t} ||e^{-G^T t}|| >= e^{(delta - eta) t}: for
-    delta > eta the supremum is infinite for every G, and a ValueError names
-    both.  A zero N makes G normal and h(t) = e^{(delta - eta) t} exactly, so
-    when N == 0 exactly the supremum is 1, attained at t = 0, and is returned
-    without sampling; an N that is nonzero only at rounding level takes the
-    sampled path.  Otherwise the supremum of h is located by coarse sampling
-    on [0, 10 d / eta] followed by golden-section refinement; for equal decay
-    rates (delta = 0) the integrand decays like t^{d-1} e^{-eta t} beyond
-    that horizon, so the sampled window contains the global maximum.
-    The Jordan-style ceiling sum_k eta^{-k} ||N^k|| (unitary similarity) is
-    reported for comparison.
+    Otherwise, with delta = max(-Re eig G) - gamma, h(t) >= e^{(delta - eta) t}:
+    for delta > eta the supremum is infinite, and for delta == eta no window
+    can close (h(T) >= 1 for every T); both raise a ValueError naming delta
+    and eta.  For delta < eta, h is sampled at step dt on [0, T], starting at
+    T = 10 d / eta and doubling T while h(T) > 1.  Since h(t + s) <= h(t) h(s),
+    once h(T) <= 1 every later value is at most one in [0, T], and on a grid
+    step h(t_i + s) <= h(t_i) e^{(mu - gamma - eta) s}, so the largest sample
+    times e^{(mu - gamma - eta) dt} bounds the supremum.  A T that still has
+    h(T) > 1 after DAMPING_DOUBLINGS doublings raises a ValueError.
     """
     if not (0.0 < eta <= 1.0):
         raise ValueError("eta must lie in (0, 1]")
     G = np.atleast_2d(np.asarray(G, dtype=complex))
     d = G.shape[0]
-    Gt = G.T
-
-    def h(t: float) -> float:
-        return math.exp(-(gamma + eta) * t) * float(np.linalg.norm(sla.expm(-Gt * t), 2))
-
-    # a 1 x 1 matrix is its own Schur form
-    T = Gt if d == 1 else sla.schur(Gt, output="complex")[0]
-    delta = float(np.max(-T.diagonal().real)) - gamma
+    A = -G.T
+    mu = float(np.linalg.eigvalsh(0.5 * (A + A.conj().T))[-1])
+    if mu <= gamma + eta:
+        return 1.0
+    delta = float(np.max(-np.linalg.eigvals(G).real)) - gamma
     if delta > eta:
         raise ValueError(
             f"decay spread delta = {delta:.6g} exceeds eta = {eta:.6g}: "
             "e^{-(gamma+eta) t} ||e^{-G^T t}|| grows without bound"
         )
-    N = np.triu(T, 1)
-    bound = 0.0
-    Nk = np.eye(d, dtype=complex)
-    for k in range(d):
-        bound += eta ** (-k) * float(np.linalg.norm(Nk, 2))
-        Nk = Nk @ N
-    if not np.any(N):
-        return DampingEstimate(1.0, 0.0, float(bound), eta)
-
-    t_max = 10.0 * d / eta
-    ts = np.linspace(0.0, t_max, DAMPING_SAMPLES)
-    vals = np.array([h(t) for t in ts])
-    i = int(np.argmax(vals))
-    lo = ts[max(0, i - 1)]
-    hi = ts[min(DAMPING_SAMPLES - 1, i + 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - phi * (b - a)
-    c2 = a + phi * (b - a)
-    f1, f2 = h(c1), h(c2)
-    for _ in range(60):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = h(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = h(c1)
-    t_star = 0.5 * (a + b)
-    value = max(float(np.max(vals)), h(t_star), 1.0)
-    return DampingEstimate(value, float(t_star), float(bound), eta)
+    if delta == eta:
+        raise ValueError(
+            f"decay spread delta = {delta:.6g} equals eta = {eta:.6g}: "
+            "e^{-(gamma+eta) t} ||e^{-G^T t}|| >= 1 at every t, so no sampled window holds its supremum"
+        )
+    # powers[k] = e^{A_eta k dt} with A_eta = A - (gamma + eta) I, so h(k dt) = ||powers[k]||; each
+    # doubling appends e^{A_eta T} e^{A_eta t} for the grid t of [0, T] and keeps the step dt
+    dt = 10.0 * d / eta / 2**DAMPING_LEVELS
+    powers = np.stack([np.eye(d, dtype=complex), sla.expm((A - (gamma + eta) * np.eye(d)) * dt)])
+    for level in range(DAMPING_LEVELS + DAMPING_DOUBLINGS):
+        powers = np.concatenate([powers, powers[-1] @ powers[1:]])
+        if level + 1 >= DAMPING_LEVELS and np.linalg.norm(powers[-1], 2) <= 1.0:
+            return float(np.max(_norm2(powers))) * math.exp((mu - gamma - eta) * dt)
+    raise ValueError(
+        f"e^{{-(gamma+eta) t}} ||e^{{-G^T t}}|| still exceeds 1 at t = {dt * (len(powers) - 1):.6g} "
+        f"(decay spread delta = {delta:.6g}, eta = {eta:.6g})"
+    )
 
 
 @dataclass(frozen=True)
@@ -687,7 +653,7 @@ def fast_certificate(
     C_S = sylvester.value
     S_nu = 1.0 + spectrum.K2 + spectrum.g_norm
     K_nu = 1.0e6 * C_R**2 * C_S**2 * M**2 * S_nu**2
-    dmp = damping_constant(spectrum.G, spectrum.gamma_nu, eta)
+    D_eta = damping_constant(spectrum.G, spectrum.gamma_nu, eta)
     rho_norm = l2_norm(rho0)
     terms = {
         "bundle_contraction_4K": 4.0 * K_nu,
@@ -695,11 +661,11 @@ def fast_certificate(
         "bundle_derivative_64K2_over_nu": 64.0 * K_nu**2 / nu,
         "bundle_quadratic_1000CS_K": 1000.0 * C_S * K_nu,
         "pairing_2K_rho_over_Q": 2.0 * K_nu * rho_norm / spectrum.Q,
-        "absorption_DK_over_eta": dmp.value * K_nu / eta,
+        "absorption_DK_over_eta": D_eta * K_nu / eta,
     }
     A0 = max(terms.values())
     c_A = spectrum.gamma_nu + 2.0 * eta
-    prefactor = spectrum.Q / (2.0 * dmp.value * (spectrum.K0 + 1.0))
+    prefactor = spectrum.Q / (2.0 * D_eta * (spectrum.K0 + 1.0))
     return FastCertificate(
         nu=nu,
         eta=eta,
@@ -708,7 +674,7 @@ def fast_certificate(
         C_S=C_S,
         S_nu=S_nu,
         K_nu=K_nu,
-        D_eta=dmp.value,
+        D_eta=D_eta,
         gamma_nu=spectrum.gamma_nu,
         Q=spectrum.Q,
         K0=spectrum.K0,
@@ -847,33 +813,3 @@ def check_fast_bound(
         extras,
     )
 
-
-def spectrum_convergence(
-    flow: FlowSpec,
-    rho0: SpectralField2D,
-    nu: float,
-    cutoffs: list[int],
-) -> list[dict]:
-    """Detecting eigenvalue per cutoff, with the drift between successive rows.
-
-    How large a truncation the detecting cluster needs is flow-dependent;
-    this report surfaces the empirical convergence instead of guessing a rule.
-    """
-    rows: list[dict] = []
-    prev = None
-    for c in cutoffs:
-        op = averaged_operator(flow, nu, c)
-        spec = detecting_spectrum(op, rho0)
-        drift = abs(spec.lambda_nu - prev) if prev is not None else float("nan")
-        rows.append(
-            {
-                "cutoff": c,
-                "lambda_re": spec.lambda_nu.real,
-                "lambda_im": spec.lambda_nu.imag,
-                "gamma": spec.gamma_nu,
-                "d": spec.d_nu,
-                "drift_from_previous": drift,
-            }
-        )
-        prev = spec.lambda_nu
-    return rows

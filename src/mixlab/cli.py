@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from pathlib import Path
@@ -16,8 +15,7 @@ from .spectral import field_to_json, l2_norm
 
 
 def _load_scenario(args) -> Scenario:
-    with open(args.scenario) as fh:
-        raw = json.load(fh)
+    raw = harness._read_json(args.scenario)
     for key in ("nu", "eta", "cutoff", "dt"):
         if getattr(args, key, None) is not None:
             raw[key] = getattr(args, key)
@@ -169,16 +167,22 @@ def _sample_count(text: str) -> int:
     return n
 
 
-def _add_common(p: argparse.ArgumentParser, scenario: bool = True) -> None:
-    if scenario:
-        p.add_argument("--scenario", required=True, help="scenario JSON file")
-    p.add_argument("--out", help="write JSON output to this path (default stdout)")
-    p.add_argument("--csv", help="write CSV output to this path")
-    p.add_argument("--nu", type=float, help="override scenario nu")
-    p.add_argument("--eta", type=float, help="override tuning parameter eta")
-    p.add_argument("--cutoff", type=int, help="override spectrum truncation cutoff")
-    p.add_argument("--dt", type=float, help="override solver step size")
-    p.add_argument("--kreport", type=int, default=2, help="per-mode energy columns |k| <= kreport")
+# Every option a scenario command can take; each command registers only those it reads.
+_OPTIONS = {
+    "scenario": dict(required=True, help="scenario JSON file"),
+    "out": dict(help="write JSON output to this path (default stdout)"),
+    "csv": dict(help="write CSV output to this path"),
+    "nu": dict(type=float, help="override scenario nu"),
+    "eta": dict(type=float, help="override tuning parameter eta"),
+    "cutoff": dict(type=int, help="override spectrum truncation cutoff"),
+    "dt": dict(type=float, help="override solver step size"),
+    "kreport": dict(type=int, default=2, help="per-mode energy columns |k| <= kreport"),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -186,17 +190,17 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a scenario and dump its report/time series")
-    _add_common(p)
+    _add_options(p, *_OPTIONS)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("certify", help="compute a certificate without simulating")
     p.add_argument("kind", choices=["inviscid", "c2", "mix", "fast"])
-    _add_common(p)
+    _add_options(p, "scenario", "out", "csv", "nu", "eta", "cutoff")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("verify", help="certify, simulate, and check one bound")
     p.add_argument("kind", choices=["inviscid", "c2", "mix", "fast"])
-    _add_common(p)
+    _add_options(p, *_OPTIONS)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sharpness", help="run the heat-eigenfunction sharpness family")
@@ -204,11 +208,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--t-max", type=float, default=2.0)
     p.add_argument("--n-times", type=_sample_count, default=41)
-    p.add_argument("--out", help="write JSON output to this path (default stdout)")
+    _add_options(p, "out")
     p.set_defaults(func=_cmd_sharpness)
 
     p = sub.add_parser("spectrum", help="averaged-operator eigenvalues and detecting cluster")
-    _add_common(p)
+    _add_options(p, "scenario", "out", "nu", "cutoff")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("corpus", help="run every scenario in a directory")

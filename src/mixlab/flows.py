@@ -442,37 +442,45 @@ def flow_to_json(spec: ShearSpec | FlowSpec) -> dict:
 _spec_number = partial(json_number, error=FlowSpecError)
 
 
-def _spec_terms(data: dict, required: tuple[str, ...], phase_key: str = "phase_mode") -> list[tuple]:
+def _spec_terms(data: dict, required: tuple[str, ...], path: str, phase_key: str = "phase_mode") -> list[tuple]:
     """Each term object of ``data["terms"]`` as (ampl, kx, ky, phase, time_mode); kx defaults to 0.
 
-    The phase is read from ``phase_key`` (``kind`` in a scenario's initial data).
+    ``path`` names ``data`` in messages (``flow``, ``initial_data``; empty at
+    the top level), so an error says which list holds the bad term.  The
+    phase is read from ``phase_key`` (``kind`` in a scenario's initial data).
     """
+    where = f"{path}.terms" if path else "terms"
     terms = data.get("terms", [])
     if not isinstance(terms, list):
-        raise FlowSpecError(f"terms must be a list, got {terms!r}")
+        raise FlowSpecError(f"{where} must be a list, got {terms!r}")
     out = []
     for i, term in enumerate(terms):
         if not isinstance(term, dict):
-            raise FlowSpecError(f"terms[{i}] must be an object, got {term!r}")
+            raise FlowSpecError(f"{where}[{i}] must be an object, got {term!r}")
         for key in required:
             if key not in term:
-                raise FlowSpecError(f"terms[{i}].{key} must be given")
+                raise FlowSpecError(f"{where}[{i}].{key} must be given")
+        ampl = _spec_number(term["ampl"], f"{where}[{i}].ampl")
+        if not math.isfinite(ampl):
+            raise FlowSpecError(f"{where}[{i}].ampl must be finite, got {ampl}")
         out.append((
-            _spec_number(term["ampl"], f"terms[{i}].ampl"),
-            _spec_number(term.get("kx", 0), f"terms[{i}].kx", integer=True),
-            _spec_number(term["ky"], f"terms[{i}].ky", integer=True),
+            ampl,
+            _spec_number(term.get("kx", 0), f"{where}[{i}].kx", integer=True),
+            _spec_number(term["ky"], f"{where}[{i}].ky", integer=True),
             term.get(phase_key, "cos"),
             term.get("time_mode", "const"),
         ))
     return out
 
 
-def flow_from_json(data: dict | str) -> ShearSpec | FlowSpec:
+def flow_from_json(data: dict | str, path: str = "") -> ShearSpec | FlowSpec:
     """Parse the {kind, terms, bounds, period} schema; strings name presets.
 
     A malformed spec (a missing term field, a value that is not a number
     where one is expected, a fractional wavenumber) raises FlowSpecError, as
-    an inconsistent one does; a shear term's ``kx`` defaults to 0.
+    an inconsistent one does; a shear term's ``kx`` defaults to 0.  ``path``
+    is the spec's field in a scenario (``shear`` or ``flow``), which a term's
+    message names.
     """
     if isinstance(data, str):
         try:
@@ -493,12 +501,12 @@ def flow_from_json(data: dict | str) -> ShearSpec | FlowSpec:
     period = _spec_number(data.get("period", _TWO_PI), "period")
     if kind == "shear":
         terms = []
-        for ampl, kx, ky, phase, time_mode in _spec_terms(data, ("ampl", "ky")):
+        for ampl, kx, ky, phase, time_mode in _spec_terms(data, ("ampl", "ky"), path):
             if kx != 0:
                 raise FlowSpecError("shear terms must have kx = 0")
             terms.append(ShearTerm(ampl, ky, phase, time_mode))
         return ShearSpec(tuple(terms), period=period, M=declared("M"), w11=declared("w11"))
     if kind == "flow2d":
-        terms = tuple(FlowTerm(*term) for term in _spec_terms(data, ("ampl", "kx", "ky")))
+        terms = tuple(FlowTerm(*term) for term in _spec_terms(data, ("ampl", "kx", "ky"), path))
         return FlowSpec(terms, period=period, lip=declared("lip"))
     raise FlowSpecError(f"unknown spec kind {kind!r}")

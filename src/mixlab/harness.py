@@ -97,10 +97,17 @@ def _scenario_fields(data: dict) -> dict:
     init = _object(_require(data, "initial_data", ""), "initial_data")
     terms: tuple = ()
     if "terms" in init:
-        terms = tuple(HarmonicTerm(*term[:4]) for term in _spec_terms(init, ("ampl", "kx", "ky"), "kind"))
+        terms = tuple(
+            HarmonicTerm(*term[:4]) for term in _spec_terms(init, ("ampl", "kx", "ky"), "initial_data", "kind")
+        )
         rho0 = field_from_terms(lattice, terms)
     elif "coeffs" in init:
         rho0 = field_from_json(init)
+        if rho0.lattice != lattice:
+            datum = (rho0.lattice.kmax, rho0.lattice.lmax)
+            raise SchemaError(
+                f"invalid field: initial_data (kmax, lmax) = {datum} must equal lattice (kmax, lmax) = {(kmax, lmax)}"
+            )
     else:
         raise SchemaError("missing field: initial_data.terms (or initial_data.coeffs)")
 
@@ -114,7 +121,7 @@ def _scenario_fields(data: dict) -> dict:
         nu = _number(nu, "nu", "finite and > 0", _finite_positive)
 
     spec_key = "shear" if regime in ("inviscid", "diffusive_shear") else "flow"
-    spec = flow_from_json(_require(data, spec_key, ""))
+    spec = flow_from_json(_require(data, spec_key, ""), spec_key)
     if spec_key == "shear" and not isinstance(spec, ShearSpec):
         raise SchemaError("invalid field: shear must describe a shear, not a 2D flow")
     if spec_key == "flow" and not isinstance(spec, FlowSpec):
@@ -155,8 +162,16 @@ def _scenario_fields(data: dict) -> dict:
         "cutoff": _number(data.get("cutoff", 16), "cutoff", "at least 1", lambda c: c >= 1, integer=True),
         "eta": None if eta is None else _number(eta, "eta", "in (0, 1]", lambda e: 0.0 < e <= 1.0),
         "tol": _number(margin, "tolerances.margin", "finite and in [0, 1)", lambda m: 0.0 <= m < 1.0),
-        "raw": data,
     }
+
+
+def _read_json(path: str | Path):
+    """The parsed JSON of a scenario file; a file that cannot be opened or parsed is a SchemaError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError and UnicodeDecodeError
+        raise SchemaError(f"cannot read scenario file {path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -177,7 +192,6 @@ class Scenario:
     cutoff: int
     eta: float | None
     tol: float
-    raw: dict
 
     @classmethod
     def from_json(cls, data: dict) -> "Scenario":
@@ -189,8 +203,7 @@ class Scenario:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Scenario":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(_read_json(path))
 
 
 @dataclass

@@ -23,7 +23,6 @@ from mixlab.averaging import (
     evolve_2d,
     fast_certificate,
     observable_series,
-    spectrum_convergence,
     sylvester_constant,
 )
 from mixlab.averaging import DetectingSpectrum, SylvesterEstimate
@@ -575,47 +574,35 @@ class TestDetectingSpectrum:
         with pytest.raises(DetectionError):
             detecting_spectrum(op, rho0, eps_detect=1e6)
 
-    def test_convergence_report(self):
-        rows = spectrum_convergence(SHEAR_FLOW, cos_y(Lattice(6, 6)), NU, [6, 8])
-        assert rows[0]["gamma"] == pytest.approx(NU, abs=1e-12)
-        assert math.isnan(rows[0]["drift_from_previous"])
-        assert rows[1]["drift_from_previous"] <= 1e-12
-
 
 class TestDamping:
     def test_dimension_one_is_unity(self):
-        est = damping_constant(np.array([[-0.3 + 0.2j]]), 0.3, 0.7)
-        assert est.value == 1.0 and est.t_star == 0.0
+        assert damping_constant(np.array([[-0.3 + 0.2j]]), 0.3, 0.7) == 1.0
 
     def test_jordan_block_against_dense_sampling(self):
         gamma, eta = 0.2, 0.1
         G = np.array([[-gamma, 1.0], [0.0, -gamma]], dtype=complex)
-        est = damping_constant(G, gamma, eta)
+        value = damping_constant(G, gamma, eta)
         ts = np.linspace(0.0, 300.0, 200001)
         # ||exp(-G^T t)|| = e^{gamma t} * sigma_max([[1,0],[-t,1]])
         sup = np.max(np.exp(-eta * ts) * np.sqrt(1 + ts**2 / 2 + ts * np.sqrt(1 + ts**2 / 4)))
-        assert est.value == pytest.approx(float(sup), rel=1e-6)
-        assert est.value >= 1.0
-
-    @pytest.mark.parametrize("eta", [1.0, 0.3])
-    def test_sampled_below_jordan_bound(self, eta):
-        rng = np.random.default_rng(3)
-        lam = -0.4 + 0.1j
-        for d in (2, 3, 4):
-            N = np.triu(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), 1)
-            G = lam * np.eye(d) + N
-            est = damping_constant(G, -lam.real, eta)
-            assert 1.0 <= est.value <= est.jordan_bound * (1 + 1e-9)
+        # the Hermitian part of -G^T is [[gamma, -1/2], [-1/2, gamma]]: log-norm gamma + 1/2
+        dt = 10.0 * 2 / eta / 2**averaging.DAMPING_LEVELS
+        assert sup <= value <= sup * math.exp((0.5 - eta) * dt)
 
     def test_eta_range_enforced(self):
         with pytest.raises(ValueError):
             damping_constant(np.eye(2, dtype=complex), 0.1, 0.0)
 
     @staticmethod
-    def _dense_sup(G, gamma, eta, n=4001):
-        """sup of e^{-(gamma+eta) t} ||expm(-G^T t)|| on a fine grid of the sampled window."""
+    def _h(G, gamma, eta, t):
+        return math.exp(-(gamma + eta) * t) * np.linalg.norm(sla.expm(-G.T * t), 2)
+
+    @classmethod
+    def _dense_sup(cls, G, gamma, eta, n=4001):
+        """sup of e^{-(gamma+eta) t} ||expm(-G^T t)|| on a fine grid of [0, 10 d / eta]."""
         ts = np.linspace(0.0, 10.0 * G.shape[0] / eta, n)
-        return max(math.exp(-(gamma + eta) * t) * np.linalg.norm(sla.expm(-G.T * t), 2) for t in ts)
+        return max(cls._h(G, gamma, eta, t) for t in ts)
 
     @staticmethod
     def _normal(rng, lam, dense):
@@ -632,16 +619,87 @@ class TestDamping:
         rng = np.random.default_rng(d)
         gamma, eta = 0.3, 0.1
         lam = -gamma + 0.04 * rng.uniform(-1.0, 1.0, d) + 0.5j * rng.standard_normal(d)
-        # a Schur form with an exactly zero strictly upper part: closed form, sup at t = 0
-        G = self._normal(rng, lam, dense=False)
-        est = damping_constant(G, gamma, eta)
-        assert est.value == 1.0 and est.t_star == 0.0 and est.jordan_bound == 1.0
-        assert est.value >= self._dense_sup(G, gamma, eta) - 1e-12
-        # a dense unitary leaves a rounding-level upper part, which takes the sampled path: same value
-        G = self._normal(rng, lam, dense=True)
-        est = damping_constant(G, gamma, eta)
-        assert est.value == pytest.approx(1.0, abs=1e-12)
-        assert est.value >= self._dense_sup(G, gamma, eta) - 1e-12
+        # a normal G with spread below eta has log-norm gamma + spread: closed form, sup at t = 0,
+        # in a permuted basis and in a dense unitary one alike
+        for dense in (False, True):
+            G = self._normal(rng, lam, dense=dense)
+            assert damping_constant(G, gamma, eta) == 1.0
+            assert self._dense_sup(G, gamma, eta) <= 1.0 + 1e-12
+
+    @given(
+        st.integers(2, 5),
+        st.floats(0.05, 1.0),
+        st.floats(0.0, 1.0),
+        st.sampled_from(["permuted", "dense", "nonnormal"]),
+        st.floats(0.0, 2.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bound_brackets_dense_supremum(self, d, eta, gamma, shape, coupling, seed):
+        """1.0 under the log-norm test; otherwise a raise, or a value between the dense supremum and the grid bound."""
+        rng = np.random.default_rng(seed)
+        spread = eta * rng.uniform(-1.0, 0.5, d)
+        if rng.random() < 0.2:  # a spread beyond eta
+            spread[0] = eta * rng.uniform(1.0, 1.5)
+        lam = -(gamma + spread) + 1j * rng.standard_normal(d)
+        if shape == "nonnormal":  # triangular, in a random unitary basis
+            N = coupling * np.triu(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), 1)
+            U, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            G = U @ (np.diag(lam) + N) @ U.conj().T
+        else:
+            G = self._normal(rng, lam, dense=shape == "dense")
+        self._assert_brackets(G, gamma, eta)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.3])
+    def test_sampled_below_jordan_bound(self, eta):
+        """The random triangular blocks once held to the Jordan ceiling, now held to the bracket."""
+        rng = np.random.default_rng(3)
+        lam = -0.4 + 0.1j
+        for d in (2, 3, 4):
+            N = np.triu(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), 1)
+            G = lam * np.eye(d) + N
+            assert damping_constant(G, -lam.real, eta) >= 1.0
+            self._assert_brackets(G, -lam.real, eta)
+
+    def _assert_brackets(self, G, gamma, eta):
+        """1.0 under the log-norm test; otherwise a raise, or a value between the dense supremum and the grid bound."""
+        d = G.shape[0]
+        A = -G.T
+        mu = np.linalg.eigvalsh(0.5 * (A + A.conj().T))[-1]
+        if mu <= gamma + eta:
+            assert damping_constant(G, gamma, eta) == 1.0
+            return
+        if np.max(-np.linalg.eigvals(G).real) - gamma >= eta:
+            with pytest.raises(ValueError, match="delta"):
+                damping_constant(G, gamma, eta)
+            return
+        value = damping_constant(G, gamma, eta)
+        # the window: [0, 10 d / eta], doubled while h(T) > 1, on the rule's grid step
+        T = 10.0 * d / eta
+        while self._h(G, gamma, eta, T) > 1.0:
+            T *= 2.0
+        dt = 10.0 * d / eta / 2**averaging.DAMPING_LEVELS
+        ts = np.linspace(0.0, T, round(T / dt) + 1)
+        hs = np.array([self._h(G, gamma, eta, t) for t in ts])
+        # the dense supremum: the grid, refined on the two steps around its largest sample
+        i = int(np.argmax(hs))
+        near = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)], 201)
+        dense_sup = max(hs.max(), max(self._h(G, gamma, eta, t) for t in near))
+        assert dense_sup - 1e-12 <= value <= hs.max() * math.exp((mu - gamma - eta) * dt) * (1 + 1e-9)
+
+    def test_window_doubles_until_h_falls_to_one(self):
+        # h(t) = e^{-0.01 t} sigma_max([[1, 0], [-t, 1]]) is about 27 at 10 d / eta = 200 and 0.27 at 800
+        gamma, eta = 0.05, 0.1
+        G = np.array([[-gamma - 0.09, 1.0], [0.0, -gamma - 0.09]], dtype=complex)
+        assert self._h(G, gamma, eta, 200.0) > 1.0
+        value = damping_constant(G, gamma, eta)
+        ts = np.linspace(0.0, 800.0, 2001)
+        assert math.isfinite(value)
+        assert value >= max(self._h(G, gamma, eta, t) for t in ts) - 1e-12
+        # a spread just below eta keeps h(T) > 1 past the last doubling
+        G = np.array([[-gamma - (eta - 1e-4), 1.0], [0.0, -gamma - (eta - 1e-4)]], dtype=complex)
+        with pytest.raises(ValueError, match="still exceeds 1"):
+            damping_constant(G, gamma, eta)
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_spread_beyond_eta_raises(self, dense):
@@ -657,6 +715,10 @@ class TestDamping:
             damping_constant(np.diag(lam) + N, gamma, eta)
         with pytest.raises(ValueError, match="delta"):
             damping_constant(np.array([[-gamma - 0.15]]), gamma, eta)
+        # delta == eta exactly (0.375 - 0.25 == 0.125 in binary): h >= 1 everywhere, so no window closes
+        G = np.array([[-0.375, 1.0], [0.0, -0.375]], dtype=complex)
+        with pytest.raises(ValueError, match=r"delta = 0\.125 equals eta = 0\.125"):
+            damping_constant(G, 0.25, 0.125)
 
 
 class TestSylvester:

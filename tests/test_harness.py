@@ -138,21 +138,25 @@ class TestSchema:
     @pytest.mark.parametrize(
         "name, key, value, message",
         [
-            ("timeshear_cosx", "shear.terms.0", {"ky": 1, "phase_mode": "sin"}, r"terms\[0\]\.ampl must be given"),
+            ("timeshear_cosx", "shear.terms.0", {"ky": 1, "phase_mode": "sin"},
+             r"shear\.terms\[0\]\.ampl must be given"),
             ("timeshear_cosx", "shear.bounds.M", "big", "M must be a number"),
-            ("timeshear_cosx", "shear.terms.0.ky", "x", r"terms\[0\]\.ky must be a number"),
-            ("timeshear_cosx", "shear.terms.0.ky", 1.5, r"terms\[0\]\.ky must be an integer"),
-            ("timeshear_cosx", "shear.terms.0.ampl", None, r"terms\[0\]\.ampl must be a number"),
-            ("timeshear_cosx", "shear.terms", {"ky": 1}, "terms must be a list"),
-            ("timeshear_cosx", "shear.terms.0", 1.0, r"terms\[0\] must be an object"),
+            ("timeshear_cosx", "shear.terms.0.ky", "x", r"shear\.terms\[0\]\.ky must be a number"),
+            ("timeshear_cosx", "shear.terms.0.ky", 1.5, r"shear\.terms\[0\]\.ky must be an integer"),
+            ("timeshear_cosx", "shear.terms.0.ampl", None, r"shear\.terms\[0\]\.ampl must be a number"),
+            ("timeshear_cosx", "shear.terms", {"ky": 1}, r"shear\.terms must be a list"),
+            ("timeshear_cosx", "shear.terms.0", 1.0, r"shear\.terms\[0\] must be an object"),
             ("timeshear_cosx", "shear.period", "2pi", "period must be a number"),
             ("timeshear_cosx", "shear.bounds", [1.0], "bounds must be an object"),
             ("timeshear_cosx", "shear", 1.0, "a flow spec must be an object"),
-            ("fast_shear_mean", "flow.terms.1", {"ampl": 1.0, "ky": 0}, r"terms\[1\]\.kx must be given"),
-            ("fast_shear_mean", "flow.terms.0.kx", True, r"terms\[0\]\.kx must be a number"),
+            ("fast_shear_mean", "flow.terms.1", {"ampl": 1.0, "ky": 0}, r"flow\.terms\[1\]\.kx must be given"),
+            ("fast_shear_mean", "flow.terms.0.kx", True, r"flow\.terms\[0\]\.kx must be a number"),
             ("fast_shear_mean", "flow.bounds.lip", "2", "lip must be a number"),
-            ("timeshear_cosx", "shear.terms.0.ampl", float("nan"), "ampl must be finite"),
-            ("fast_averaging_study", "flow.terms.0.ampl", float("inf"), "ampl must be finite"),
+            ("timeshear_cosx", "shear.terms.0.ampl", float("nan"), r"shear\.terms\[0\]\.ampl must be finite"),
+            ("fast_averaging_study", "flow.terms.0.ampl", float("inf"), r"flow\.terms\[0\]\.ampl must be finite"),
+            # the same bad ampl in the datum and in the flow: the message names the list
+            ("fast_shear_mean", "initial_data.terms.0.ampl", "x", r"initial_data\.terms\[0\]\.ampl must be a number"),
+            ("fast_shear_mean", "flow.terms.0.ampl", "x", r"flow\.terms\[0\]\.ampl must be a number"),
             # the fields outside the flow spec go through the same typed reader
             ("heat_cosy", "nu", "x", "nu must be a number, got 'x'"),
             ("heat_cosy", "nu", True, "nu must be a number, got True"),
@@ -171,10 +175,12 @@ class TestSchema:
             ("heat_cosy", "tolerances", 5, "tolerances must be an object"),
             ("heat_cosy", "initial_data.terms.0.kind", "tan", "harmonic kind must be cos or sin"),
             ("heat_cosy", "initial_data.terms.0.ky", 9, r"harmonic \(0,9\) outside lattice"),
-            ("heat_cosy", "initial_data.terms.0.kx", 0.5, r"terms\[0\]\.kx must be an integer"),
-            ("heat_cosy", "initial_data.terms", 5, "terms must be a list"),
-            ("sinshear_cosx", "initial_data.terms.0.ampl", float("nan"), "ampl must be finite"),
-            ("sinshear_cosx", "initial_data.terms.0.ampl", float("inf"), "ampl must be finite"),
+            ("heat_cosy", "initial_data.terms.0.kx", 0.5, r"initial_data\.terms\[0\]\.kx must be an integer"),
+            ("heat_cosy", "initial_data.terms", 5, r"initial_data\.terms must be a list"),
+            ("sinshear_cosx", "initial_data.terms.0.ampl", float("nan"),
+             r"initial_data\.terms\[0\]\.ampl must be finite"),
+            ("sinshear_cosx", "initial_data.terms.0.ampl", float("inf"),
+             r"initial_data\.terms\[0\]\.ampl must be finite"),
             # a datum given by its coefficients [k, l, re, im]
             ("heat_cosy", "initial_data", {"kmax": 1, "lmax": 1, "coeffs": [[0, 1, "x", 0.0]]},
              r"coeffs\[0\] must be a number"),
@@ -182,16 +188,19 @@ class TestSchema:
              r"coeffs\[0\] \(0,5\) outside lattice"),
             ("heat_cosy", "initial_data", {"kmax": 1, "lmax": 1, "coeffs": [[0, 1, float("nan"), 0.0]]},
              "coeffs must be finite"),
+            # on a lattice of its own: the run would evolve on (1, 1), not on the scenario's (2, 4)
+            ("heat_cosy", "initial_data", {"kmax": 1, "lmax": 1, "coeffs": [[0, 1, 0.5, 0.0]]},
+             r"initial_data \(kmax, lmax\) = \(1, 1\) must equal lattice \(kmax, lmax\) = \(2, 4\)"),
         ],
         ids=[
             "no_ampl", "M_string", "ky_string", "ky_fraction", "ampl_null", "terms_object", "term_number",
             "period_string", "bounds_list", "spec_number", "no_kx", "kx_bool", "lip_string",
-            "ampl_nan", "ampl_inf",
+            "ampl_nan", "ampl_inf", "datum_ampl_string", "flow_ampl_string",
             "nu_string", "nu_bool", "nu_huge_integer", "kmax_string", "kmax_fraction", "kmax0", "lattice_number",
             "dt_list", "times_number", "n_fraction", "n_negative", "time_string", "cutoff_fraction", "eta_string",
             "tolerances_number", "kind_tan", "term_outside_lattice", "kx_fraction",
             "terms_number", "datum_ampl_nan", "datum_ampl_inf", "coeff_string", "coeff_outside_lattice",
-            "coeff_nan",
+            "coeff_nan", "coeff_lattice_mismatch",
         ],
     )
     def test_malformed_flow_spec_rejected(self, name, key, value, message):
@@ -456,6 +465,37 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"{command[0]}: invalid field: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not_json"])
+    def test_unreadable_scenario_file_exits_2(self, content, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        if content is not None:
+            path.write_text(content)
+        rc = cli_main(["verify", "c2", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"verify: cannot read scenario file {path}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["spectrum", "--dt", "5"],
+            ["spectrum", "--eta", "0.5"],
+            ["spectrum", "--csv", "s.csv"],
+            ["spectrum", "--kreport", "9"],
+            ["certify", "fast", "--dt", "5"],
+            ["certify", "c2", "--kreport", "9"],
+        ],
+        ids=["spectrum_dt", "spectrum_eta", "spectrum_csv", "spectrum_kreport", "certify_dt", "certify_kreport"],
+    )
+    def test_option_a_command_does_not_read_exits_2(self, command, capsys):
+        scenario = str(EXTRA_DIR / "fast_shear_mean.json")
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*command, "--scenario", scenario])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(command[-2:])}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, reason",
