@@ -51,7 +51,6 @@ from .shear import (
     FieldTrajectory,
     dissipation_report,
     evolve_shear,
-    step_mode,
 )
 from .certificates import (
     C2Certificate,

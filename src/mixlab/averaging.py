@@ -62,6 +62,13 @@ LAMBDA1 = 1.0
 # indistinguishable from zero.
 EPS_DETECT = 1e-8
 
+# Eigenvalues within CLUSTER_TOL * nu of a cluster's centre belong to it.
+CLUSTER_TOL = 1e-6
+
+# The detecting cluster must lie more than GAP_FLOOR cluster tolerances from the
+# rest of the spectrum, or its Sylvester resolvent is not estimated.
+GAP_FLOOR = 10.0
+
 # Contour nodes of the Sylvester-resolvent estimate, evenly spaced on its circle.
 SYLVESTER_NODES = 8
 
@@ -334,12 +341,7 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> list[np.ndarray]:
     return [np.array(clusters[c], dtype=int) for c in keyed]
 
 
-def detecting_spectrum(
-    op: AveragedOperator,
-    rho0: SpectralField2D,
-    eps_detect: float = EPS_DETECT,
-    cluster_tol: float | None = None,
-) -> DetectingSpectrum:
+def detecting_spectrum(op: AveragedOperator, rho0: SpectralField2D) -> DetectingSpectrum:
     """Find the slowest-decaying eigenvalue cluster whose root space sees rho0.
 
     The operator is evaluated class by class (``op.classes``): eigenvalues
@@ -349,11 +351,11 @@ def detecting_spectrum(
     holds a cluster eigenvalue, and the datum's bilinear pairing with its
     columns decides detection.  The cost follows the largest class, not the
     number of modes; a fully coupled operator is one class.  Fails when no
-    cluster pairs above eps_detect * ||rho0||_2 (truncation too small or the
-    datum is orthogonal to everything resolvable).
+    cluster pairs above EPS_DETECT * ||rho0||_2 (truncation too small or the
+    datum is orthogonal to everything resolvable).  Eigenvalues cluster within
+    CLUSTER_TOL * nu.
     """
-    if cluster_tol is None:
-        cluster_tol = 1e-6 * op.nu
+    cluster_tol = CLUSTER_TOL * op.nu
     rho_norm = l2_norm(rho0)
     if rho_norm == 0.0:
         raise FieldError("detecting spectrum requires a nonzero datum")
@@ -399,7 +401,7 @@ def detecting_spectrum(
             j += d
         q0 = basis_matrix.T @ rho_flipped  # bilinear pairing <rho0, phi_j>
         Q = float(np.linalg.norm(q0))
-        if Q <= eps_detect * rho_norm:
+        if Q <= EPS_DETECT * rho_norm:
             continue
         fields = [op.vec_to_field(basis_matrix[:, j]) for j in range(sdim)]
         residual = float(
@@ -510,11 +512,7 @@ def _norm2(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
 
 
-def sylvester_constant(
-    op: AveragedOperator,
-    spectrum: DetectingSpectrum,
-    gap_floor: float | None = None,
-) -> SylvesterEstimate:
+def sylvester_constant(op: AveragedOperator, spectrum: DetectingSpectrum) -> SylvesterEstimate:
     """Numerically estimate the Sylvester-resolvent constant for the detecting cluster.
 
     Evaluated class by class (``op.classes``): the resolvent, the Riesz
@@ -536,7 +534,7 @@ def sylvester_constant(
     if others.size == 0:
         raise ClusterIsolationError("cluster spans the whole resolvable spectrum; no gap")
     gap = float(np.min(np.abs(others - lam)))
-    floor = 10.0 * spectrum.cluster_tol if gap_floor is None else gap_floor
+    floor = GAP_FLOOR * spectrum.cluster_tol
     if gap <= floor:
         raise ClusterIsolationError(f"spectral gap {gap:.3e} below isolation floor {floor:.3e}")
     radius = 0.5 * gap
@@ -637,7 +635,6 @@ def fast_certificate(
     eta: float | None,
     spectrum: DetectingSpectrum,
     sylvester: SylvesterEstimate,
-    c_r: float | None = None,
 ) -> FastCertificate:
     """Assemble the six-term threshold A0 and the exponent c_A = gamma + 2 eta.
 
@@ -649,7 +646,7 @@ def fast_certificate(
     if not (0.0 < eta <= 1.0):
         raise ValueError("eta must lie in (0, 1]")
     M = 1.0 + flow.lip
-    C_R = c_r_constant(flow.period) if c_r is None else c_r
+    C_R = c_r_constant(flow.period)
     C_S = sylvester.value
     S_nu = 1.0 + spectrum.K2 + spectrum.g_norm
     K_nu = 1.0e6 * C_R**2 * C_S**2 * M**2 * S_nu**2

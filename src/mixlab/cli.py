@@ -30,12 +30,13 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-# certificate kind -> (the regime whose scenarios carry it, its report checks)
+# certificate kind -> (the regime whose scenarios carry it, its report checks,
+# the output options of its certify and of its verify sub-command)
 _KINDS = {
-    "inviscid": ("inviscid", ["inviscid"]),
-    "c2": ("diffusive_shear", ["c2_floor", "heat_ceiling"]),
-    "mix": ("diffusive_shear", ["mixing_floor"]),
-    "fast": ("fast_oscillation", ["fast_floor"]),
+    "inviscid": ("inviscid", ["inviscid"], {"certify": (), "verify": ("csv",)}),
+    "c2": ("diffusive_shear", ["c2_floor", "heat_ceiling"], {"certify": ("csv",), "verify": ("csv", "kreport")}),
+    "mix": ("diffusive_shear", ["mixing_floor"], {"certify": ("csv",), "verify": ("csv", "kreport")}),
+    "fast": ("fast_oscillation", ["fast_floor"], {"certify": (), "verify": ("csv", "kreport")}),
 }
 _NEEDS = {
     "inviscid": "a shear and no nu",
@@ -66,7 +67,7 @@ def _cmd_certify(args) -> int:
     if _rejects(scenario, f"certify {args.kind}", _KINDS[args.kind][0]):
         return 2
     cert = harness._certify(scenario)[args.kind]
-    if args.csv and args.kind in ("c2", "mix"):
+    if getattr(args, "csv", None):  # only c2 and mix take --csv: the nu-scaling table
         nus = [scenario.nu, scenario.nu / 2.0, scenario.nu / 4.0]
         rows = certificates.nu_scaling_report(scenario.rho0, scenario.shear_spec.M, nus)
         with open(args.csv, "w", newline="") as fh:
@@ -79,7 +80,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_verify(args) -> int:
     scenario = _load_scenario(args)
-    regime, wanted = _KINDS[args.kind]
+    regime, wanted, _ = _KINDS[args.kind]
     if _rejects(scenario, f"verify {args.kind}", regime):
         return 2
     report = harness.run(scenario)
@@ -185,7 +186,8 @@ def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument(f"--{name}", **_OPTIONS[name])
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    """The mixlab argument parser; certify and verify take one sub-parser per certificate kind."""
     parser = argparse.ArgumentParser(prog="mixlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -193,15 +195,15 @@ def main(argv: list[str] | None = None) -> int:
     _add_options(p, *_OPTIONS)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("certify", help="compute a certificate without simulating")
-    p.add_argument("kind", choices=["inviscid", "c2", "mix", "fast"])
-    _add_options(p, "scenario", "out", "csv", "nu", "eta", "cutoff")
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("verify", help="certify, simulate, and check one bound")
-    p.add_argument("kind", choices=["inviscid", "c2", "mix", "fast"])
-    _add_options(p, *_OPTIONS)
-    p.set_defaults(func=_cmd_verify)
+    for command, func, overrides, help_text in (
+        ("certify", _cmd_certify, ("nu", "eta", "cutoff"), "compute a certificate without simulating"),
+        ("verify", _cmd_verify, ("nu", "eta", "cutoff", "dt"), "certify, simulate, and check one bound"),
+    ):
+        kinds = sub.add_parser(command, help=help_text).add_subparsers(dest="kind", required=True)
+        for kind, (regime, _, outputs) in _KINDS.items():
+            p = kinds.add_parser(kind, help=f"the {kind} bound ({regime} scenarios)")
+            _add_options(p, "scenario", "out", *overrides, *outputs[command])
+            p.set_defaults(func=func)
 
     p = sub.add_parser("sharpness", help="run the heat-eigenfunction sharpness family")
     p.add_argument("--nu", type=float, required=True)
@@ -219,8 +221,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("directory")
     p.add_argument("--out", help="report directory (default <directory>/reports)")
     p.set_defaults(func=_cmd_corpus)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:  # bad input, not a failed bound: exit 2 like a regime mismatch

@@ -44,9 +44,9 @@ class FlowSpecError(ValueError):
     """A shear/flow specification is inconsistent with its declared bounds."""
 
 
-def _check_period(period: float) -> None:
+def _check_period(name: str, period: float) -> None:
     if not (period > 0 and math.isfinite(period)):
-        raise FlowSpecError(f"period must be finite and > 0, got {period}")
+        raise FlowSpecError(f"{name} must be finite and > 0, got {period}")
 
 
 def _check_declared(name: str, value: float | None) -> None:
@@ -127,7 +127,7 @@ class ShearSpec:
     w11: float | None = None
 
     def __post_init__(self) -> None:
-        _check_period(self.period)
+        _check_period("period", self.period)
         _check_declared("M", self.M)
         _check_declared("w11", self.w11)
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -298,7 +298,7 @@ class FlowSpec:
     lip: float | None = None
 
     def __post_init__(self) -> None:
-        _check_period(self.period)
+        _check_period("period", self.period)
         _check_declared("lip", self.lip)
         object.__setattr__(self, "terms", tuple(self.terms))
         sampled = self._sampled_lip()
@@ -479,8 +479,8 @@ def flow_from_json(data: dict | str, path: str = "") -> ShearSpec | FlowSpec:
     A malformed spec (a missing term field, a value that is not a number
     where one is expected, a fractional wavenumber) raises FlowSpecError, as
     an inconsistent one does; a shear term's ``kx`` defaults to 0.  ``path``
-    is the spec's field in a scenario (``shear`` or ``flow``), which a term's
-    message names.
+    is the spec's field in a scenario (``shear`` or ``flow``), which every
+    message about one of its fields names (``shear.bounds.M``).
     """
     if isinstance(data, str):
         try:
@@ -488,25 +488,30 @@ def flow_from_json(data: dict | str, path: str = "") -> ShearSpec | FlowSpec:
         except FlowSpecError:
             return preset_flow(data)
     if not isinstance(data, dict):
-        raise FlowSpecError(f"a flow spec must be an object or a preset name, got {data!r}")
+        raise FlowSpecError(f"{path or 'a flow spec'} must be an object or a preset name, got {data!r}")
+    where = f"{path}." if path else ""
     kind = data.get("kind")
     bounds = data.get("bounds", {}) or {}
     if not isinstance(bounds, dict):
-        raise FlowSpecError(f"bounds must be an object, got {bounds!r}")
+        raise FlowSpecError(f"{where}bounds must be an object, got {bounds!r}")
 
     def declared(name: str) -> float | None:
         value = bounds.get(name)
-        return None if value is None else _spec_number(value, name)
+        if value is not None:
+            value = _spec_number(value, f"{where}bounds.{name}")
+            _check_declared(f"{where}bounds.{name}", value)
+        return value
 
-    period = _spec_number(data.get("period", _TWO_PI), "period")
+    period = _spec_number(data.get("period", _TWO_PI), f"{where}period")
+    _check_period(f"{where}period", period)
     if kind == "shear":
         terms = []
-        for ampl, kx, ky, phase, time_mode in _spec_terms(data, ("ampl", "ky"), path):
+        for i, (ampl, kx, ky, phase, time_mode) in enumerate(_spec_terms(data, ("ampl", "ky"), path)):
             if kx != 0:
-                raise FlowSpecError("shear terms must have kx = 0")
+                raise FlowSpecError(f"{where}terms[{i}].kx must be 0 in a shear, got {kx}")
             terms.append(ShearTerm(ampl, ky, phase, time_mode))
         return ShearSpec(tuple(terms), period=period, M=declared("M"), w11=declared("w11"))
     if kind == "flow2d":
         terms = tuple(FlowTerm(*term) for term in _spec_terms(data, ("ampl", "kx", "ky"), path))
         return FlowSpec(terms, period=period, lip=declared("lip"))
-    raise FlowSpecError(f"unknown spec kind {kind!r}")
+    raise FlowSpecError(f"{where}kind must be shear or flow2d, got {kind!r}")

@@ -77,6 +77,33 @@ def _finite_positive(x: float) -> bool:
     return x > 0 and math.isfinite(x)
 
 
+_REQUIRED = object()
+# The scenario fields that only some regimes read: those regimes, the value the field takes
+# where one of them leaves it out (_REQUIRED: it may not), and the rule it must meet.  Any
+# other regime rejects the field.  cutoff is the one integer among them.
+_REGIME_FIELDS = {
+    "nu": (("diffusive_shear", "fast_oscillation"), _REQUIRED, "finite and > 0", _finite_positive),
+    "A": (("fast_oscillation",), _REQUIRED, "finite and >= 0", lambda x: x >= 0 and math.isfinite(x)),
+    "dt": (("diffusive_shear", "fast_oscillation"), None, "positive and finite", _finite_positive),
+    "eta": (("fast_oscillation",), None, "in (0, 1]", lambda e: 0.0 < e <= 1.0),
+    "cutoff": (("fast_oscillation",), 16, "at least 1", lambda c: c >= 1),
+}
+
+
+def _regime_field(data: dict, regime: str, key: str):
+    """The value of the ``_REGIME_FIELDS`` field ``key`` in a scenario of ``regime``; None where it is not read."""
+    readers, default, rule, ok = _REGIME_FIELDS[key]
+    value = data.get(key)
+    if regime not in readers:
+        if value is not None:
+            scope = f"only applies to the {readers[0]}" if len(readers) == 1 else f"must be absent for the {regime}"
+            raise SchemaError(f"invalid field: {key} {scope} regime")
+        return None
+    if value is None and default is _REQUIRED:
+        raise SchemaError(f"missing field: {key} (required for regime {regime})")
+    return default if value is None else _number(value, key, rule, ok, integer=key == "cutoff")
+
+
 def _scenario_fields(data: dict) -> dict:
     """The Scenario fields of a scenario JSON, each checked against its one rule.
 
@@ -102,7 +129,10 @@ def _scenario_fields(data: dict) -> dict:
         )
         rho0 = field_from_terms(lattice, terms)
     elif "coeffs" in init:
-        rho0 = field_from_json(init)
+        try:
+            rho0 = field_from_json(init)
+        except FieldError as exc:  # field_from_json names the keys of the datum object
+            raise SchemaError(f"invalid field: initial_data.{exc}") from None
         if rho0.lattice != lattice:
             datum = (rho0.lattice.kmax, rho0.lattice.lmax)
             raise SchemaError(
@@ -111,29 +141,12 @@ def _scenario_fields(data: dict) -> dict:
     else:
         raise SchemaError("missing field: initial_data.terms (or initial_data.coeffs)")
 
-    nu = data.get("nu")
-    if regime == "inviscid":
-        if nu is not None:
-            raise SchemaError("invalid field: nu must be absent for the inviscid regime")
-    elif nu is None:
-        raise SchemaError(f"missing field: nu (required for regime {regime})")
-    else:
-        nu = _number(nu, "nu", "finite and > 0", _finite_positive)
-
     spec_key = "shear" if regime in ("inviscid", "diffusive_shear") else "flow"
     spec = flow_from_json(_require(data, spec_key, ""), spec_key)
     if spec_key == "shear" and not isinstance(spec, ShearSpec):
         raise SchemaError("invalid field: shear must describe a shear, not a 2D flow")
     if spec_key == "flow" and not isinstance(spec, FlowSpec):
         raise SchemaError("invalid field: flow must describe a 2D flow")
-
-    A = data.get("A")
-    if regime == "fast_oscillation":
-        if A is None:
-            raise SchemaError("missing field: A (required for regime fast_oscillation)")
-        A = _number(A, "A", "finite and >= 0", lambda x: x >= 0 and math.isfinite(x))
-    elif A is not None:
-        raise SchemaError("invalid field: A only applies to the fast_oscillation regime")
 
     times = _require(data, "times", "")
     if isinstance(times, dict):
@@ -145,7 +158,6 @@ def _scenario_fields(data: dict) -> dict:
     else:
         raise SchemaError(f"invalid field: times must be a list or an object, got {times!r}")
 
-    dt, eta = data.get("dt"), data.get("eta")
     margin = _object(data.get("tolerances", {}), "tolerances").get("margin", 1e-6)
     return {
         "name": name,
@@ -155,12 +167,8 @@ def _scenario_fields(data: dict) -> dict:
         "initial_terms": terms,
         "shear_spec": spec if spec_key == "shear" else None,
         "flow_spec": spec if spec_key == "flow" else None,
-        "nu": nu,
-        "A": A,
+        **{key: _regime_field(data, regime, key) for key in _REGIME_FIELDS},
         "times": shear._check_times(times),
-        "dt": None if dt is None else _number(dt, "dt", "positive and finite", _finite_positive),
-        "cutoff": _number(data.get("cutoff", 16), "cutoff", "at least 1", lambda c: c >= 1, integer=True),
-        "eta": None if eta is None else _number(eta, "eta", "in (0, 1]", lambda e: 0.0 < e <= 1.0),
         "tol": _number(margin, "tolerances.margin", "finite and in [0, 1)", lambda m: 0.0 <= m < 1.0),
     }
 
@@ -176,7 +184,7 @@ def _read_json(path: str | Path):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: regime-consistent fields only."""
+    """Validated scenario; a ``_REGIME_FIELDS`` field its regime does not read is None."""
 
     name: str
     regime: str
@@ -189,7 +197,7 @@ class Scenario:
     A: float | None
     times: np.ndarray
     dt: float | None
-    cutoff: int
+    cutoff: int | None
     eta: float | None
     tol: float
 

@@ -151,11 +151,7 @@ def evolve_inviscid(theta0: SpectralField2D, shear: ShearSpec, times) -> FieldTr
     return FieldTrajectory(0.0, times, [SpectralField2D(out_lattice, c) for c in coeff])
 
 
-def inviscid_certificate(
-    theta0: SpectralField2D,
-    shear: ShearSpec,
-    safety: float = _DEFAULT_SAFETY,
-) -> InviscidCertificate:
+def inviscid_certificate(theta0: SpectralField2D, shear: ShearSpec) -> InviscidCertificate:
     """Certificate constants for the polynomial H^{-1} floor.
 
     Every nonzero x-mode certifies the bound; the mode maximizing c_star is
@@ -177,7 +173,7 @@ def inviscid_certificate(
             candidates.append((k, mass))
     if not candidates:
         return InviscidCertificate(
-            k=0, S=0.0, A=0.0, B=0.0, D=0.0, c_star=hneg1_norm(theta0), stationary=True, safety=safety
+            k=0, S=0.0, A=0.0, B=0.0, D=0.0, c_star=hneg1_norm(theta0), stationary=True, safety=_DEFAULT_SAFETY
         )
 
     ny = next_fast_len(_CERT_OVERSAMPLE * (2 * lattice.lmax + 1))
@@ -186,12 +182,12 @@ def inviscid_certificate(
     df_vals = y_grid_values(1j * lattice.l_values() * rows, ny)
     best: InviscidCertificate | None = None
     for (k, mass), f, df in zip(candidates, f_vals, df_vals):
-        a_const = float(np.mean(np.abs(df))) * safety
-        sup_f = float(np.max(np.abs(f))) * safety
+        a_const = float(np.mean(np.abs(df))) * _DEFAULT_SAFETY
+        sup_f = float(np.max(np.abs(f))) * _DEFAULT_SAFETY
         b_const = abs(k) * shear.w11 * sup_f
         d_const = 1.0 + 8.0 * (a_const**2 + b_const**2) / mass
         c_star = math.sqrt(mass / (2.0 * (k * k + 2.0 * d_const**2)))
-        cert = InviscidCertificate(k=k, S=mass, A=a_const, B=b_const, D=d_const, c_star=c_star, safety=safety)
+        cert = InviscidCertificate(k=k, S=mass, A=a_const, B=b_const, D=d_const, c_star=c_star, safety=_DEFAULT_SAFETY)
         if (
             best is None
             or cert.c_star > best.c_star

@@ -17,10 +17,9 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .flows import ShearSpec
-from .spectral import FieldError, ModeProfile, SpectralField2D, y_grid_coeffs, y_grid_values
+from .spectral import FieldError, SpectralField2D, y_grid_coeffs, y_grid_values
 
-__all__ = ["FieldTrajectory", "default_dt", "step_mode", "evolve_shear", "dissipation_report",
-           "DissipationReport"]
+__all__ = ["FieldTrajectory", "default_dt", "evolve_shear", "dissipation_report", "DissipationReport"]
 
 
 def default_dt(k: int, M: float) -> float:
@@ -218,14 +217,6 @@ def _add_diag(states: np.ndarray, weight: np.ndarray, energy: np.ndarray, grad: 
     power = states.real**2 + states.imag**2
     energy += power.sum(axis=(0, 2))
     grad += np.einsum("rsl,rl->s", power, weight)
-
-
-def step_mode(profile: ModeProfile, shear: ShearSpec, nu: float, t: float, dt: float) -> ModeProfile:
-    """One Strang step of the mode equation from time t to t + dt."""
-    if not (dt > 0 and math.isfinite(dt)):
-        raise FieldError(f"dt must be finite and positive, got {dt}")
-    stepper = _ShearStepper([profile.k], profile.lmax, shear, nu)
-    return ModeProfile(profile.k, profile.lmax, stepper.step(profile.coeff[None, :], t, dt)[0])
 
 
 def _check_times(times) -> np.ndarray:

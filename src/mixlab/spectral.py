@@ -9,7 +9,6 @@ All fields are mean-zero: the (0,0) coefficient must vanish.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -143,9 +142,6 @@ class SpectralField2D:
     def __getitem__(self, kl: tuple[int, int]) -> complex:
         k, l = kl
         return complex(self.coeff[k + self.lattice.kmax, l + self.lattice.lmax])
-
-    def with_coeff(self, coeff: np.ndarray) -> "SpectralField2D":
-        return SpectralField2D(self.lattice, coeff)
 
 
 @dataclass(frozen=True)

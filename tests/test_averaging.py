@@ -261,7 +261,7 @@ def _harmonic_fill(ubar, nu, cutoff, modes):
 def _weighted(f, fn):
     k = f.lattice.k_values()[:, None]
     l = f.lattice.l_values()[None, :]
-    return f.with_coeff(fn(k, l) * f.coeff)
+    return SpectralField2D(f.lattice, fn(k, l) * f.coeff)
 
 
 def _dx(f):
@@ -566,13 +566,14 @@ class TestDetectingSpectrum:
         assert spec.residual <= 1e-8
         assert spec.gamma_nu > NU  # enhanced decay on nonzero x-modes
 
-    def test_no_detection_raises(self):
+    def test_no_detection_raises(self, monkeypatch):
         op = averaged_operator(ZERO_FLOW, NU, 3)
         # datum orthogonal to every mode the operator resolves is impossible;
         # instead ask for a datum whose pairing threshold cannot be met
         rho0 = cos_y(Lattice(3, 3))
+        monkeypatch.setattr(averaging, "EPS_DETECT", 1e6)
         with pytest.raises(DetectionError):
-            detecting_spectrum(op, rho0, eps_detect=1e6)
+            detecting_spectrum(op, rho0)
 
 
 class TestDamping:
@@ -743,15 +744,17 @@ class TestSylvester:
         assert syl.gap == pytest.approx(NU)  # -nu to -2 nu
         assert syl.radius == pytest.approx(NU / 2)
 
-    def test_degenerate_gap_raises(self):
+    def test_degenerate_gap_raises(self, monkeypatch):
         op = averaged_operator(ZERO_FLOW, NU, 4)
         spec = detecting_spectrum(op, cos_y(Lattice(4, 4)))
-        with pytest.raises(ClusterIsolationError):
-            sylvester_constant(op, spec, gap_floor=1.0)
+        assert spec.cluster_tol == averaging.CLUSTER_TOL * NU
+        monkeypatch.setattr(averaging, "GAP_FLOOR", 1.0 / spec.cluster_tol)  # a floor of 1.0 above the gap NU
+        with pytest.raises(ClusterIsolationError, match="below isolation floor"):
+            sylvester_constant(op, spec)
 
 
 class TestFastCertificate:
-    def test_arithmetic_with_unit_constants(self):
+    def test_arithmetic_with_unit_constants(self, monkeypatch):
         # D = 1, C_S = 1, C_R = 1, M = 1, S_nu = 3 -> K = 9e6, A0 >= 3.6e7
         lat = Lattice(2, 2)
         basis = [field_from_terms(lat, [HarmonicTerm(math.sqrt(2), 0, 1)])]
@@ -773,7 +776,9 @@ class TestFastCertificate:
         )
         syl = SylvesterEstimate(1.0, 0.3, 0.15, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1))
         rho0 = cos_y(lat)
-        cert = fast_certificate(ZERO_FLOW, rho0, NU, 0.5, spec, syl, c_r=1.0)
+        monkeypatch.setattr(averaging, "c_r_constant", lambda period: 1.0)
+        cert = fast_certificate(ZERO_FLOW, rho0, NU, 0.5, spec, syl)
+        assert cert.C_R == 1.0
         assert cert.S_nu == pytest.approx(3.0)
         assert cert.K_nu == pytest.approx(9.0e6)
         assert cert.a0_terms["bundle_contraction_4K"] == pytest.approx(3.6e7)

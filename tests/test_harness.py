@@ -1,15 +1,17 @@
+import argparse
 import csv
 import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from mixlab import harness
+from mixlab import cli, harness
 from mixlab.cli import main as cli_main
 from mixlab.harness import (
     Scenario,
@@ -71,6 +73,30 @@ class TestSchema:
         with pytest.raises(SchemaError, match="A only applies"):
             Scenario.from_json(bad2)
 
+    @pytest.mark.parametrize(
+        "name, key, value, message",
+        [
+            ("heat_cosy", "cutoff", 8, "cutoff only applies to the fast_oscillation regime"),
+            ("heat_cosy", "eta", 0.5, "eta only applies to the fast_oscillation regime"),
+            ("inviscid_cosx_siny", "dt", 0.01, "dt must be absent for the inviscid regime"),
+            ("inviscid_cosx_siny", "cutoff", 8, "cutoff only applies to the fast_oscillation regime"),
+            ("inviscid_cosx_siny", "eta", 0.5, "eta only applies to the fast_oscillation regime"),
+        ],
+        ids=["diffusive_cutoff", "diffusive_eta", "inviscid_dt", "inviscid_cutoff", "inviscid_eta"],
+    )
+    def test_field_the_regime_does_not_read_rejected(self, name, key, value, message):
+        with pytest.raises(SchemaError, match=f"invalid field: {message}"):
+            Scenario.from_json(scenario_with(name, key, value))
+
+    def test_unread_fields_are_none(self):
+        inviscid = Scenario.from_json(shipped("inviscid_cosx_siny"))
+        assert (inviscid.nu, inviscid.A, inviscid.dt, inviscid.eta, inviscid.cutoff) == (None,) * 5
+        heat = Scenario.from_json(shipped("heat_cosy"))
+        assert (heat.nu, heat.A, heat.eta, heat.cutoff) == (0.1, None, None, None)
+        raw = shipped("fast_averaging_study")
+        del raw["cutoff"]
+        assert Scenario.from_json(raw).cutoff == 16
+
     def test_unknown_regime(self):
         with pytest.raises(SchemaError, match="regime"):
             Scenario.from_json({"name": "x", "regime": "warp"})
@@ -118,7 +144,7 @@ class TestSchema:
             ("fast_averaging_study", "cutoff", 0),
             ("fast_averaging_study", "cutoff", -4),
             ("sinshear_cosx", "dt", float("inf")),
-            # a dotted key lies inside the flow spec; the message names its last part
+            # a dotted key lies inside the flow spec; the message names its whole path
             ("timeshear_cosx", "shear.period", float("inf")),
             ("timeshear_cosx", "shear.period", float("nan")),
             ("timeshear_cosx", "shear.period", -1.0),
@@ -132,7 +158,7 @@ class TestSchema:
     )
     def test_out_of_range_parameter_rejected(self, name, key, value):
         raw = scenario_with(name, key, value)
-        with pytest.raises(SchemaError, match=f"invalid field: {key.split('.')[-1]} must be"):
+        with pytest.raises(SchemaError, match=f"invalid field: {re.escape(key)} must be"):
             Scenario.from_json(raw)
 
     @pytest.mark.parametrize(
@@ -140,18 +166,20 @@ class TestSchema:
         [
             ("timeshear_cosx", "shear.terms.0", {"ky": 1, "phase_mode": "sin"},
              r"shear\.terms\[0\]\.ampl must be given"),
-            ("timeshear_cosx", "shear.bounds.M", "big", "M must be a number"),
+            ("timeshear_cosx", "shear.bounds.M", "big", r"shear\.bounds\.M must be a number"),
             ("timeshear_cosx", "shear.terms.0.ky", "x", r"shear\.terms\[0\]\.ky must be a number"),
             ("timeshear_cosx", "shear.terms.0.ky", 1.5, r"shear\.terms\[0\]\.ky must be an integer"),
             ("timeshear_cosx", "shear.terms.0.ampl", None, r"shear\.terms\[0\]\.ampl must be a number"),
             ("timeshear_cosx", "shear.terms", {"ky": 1}, r"shear\.terms must be a list"),
             ("timeshear_cosx", "shear.terms.0", 1.0, r"shear\.terms\[0\] must be an object"),
-            ("timeshear_cosx", "shear.period", "2pi", "period must be a number"),
-            ("timeshear_cosx", "shear.bounds", [1.0], "bounds must be an object"),
-            ("timeshear_cosx", "shear", 1.0, "a flow spec must be an object"),
+            ("timeshear_cosx", "shear.period", "2pi", r"shear\.period must be a number"),
+            ("timeshear_cosx", "shear.bounds", [1.0], r"shear\.bounds must be an object"),
+            ("timeshear_cosx", "shear", 1.0, "shear must be an object"),
+            ("timeshear_cosx", "shear.terms.0.kx", 1, r"shear\.terms\[0\]\.kx must be 0 in a shear, got 1"),
+            ("timeshear_cosx", "shear.kind", "flow3d", r"shear\.kind must be shear or flow2d"),
             ("fast_shear_mean", "flow.terms.1", {"ampl": 1.0, "ky": 0}, r"flow\.terms\[1\]\.kx must be given"),
             ("fast_shear_mean", "flow.terms.0.kx", True, r"flow\.terms\[0\]\.kx must be a number"),
-            ("fast_shear_mean", "flow.bounds.lip", "2", "lip must be a number"),
+            ("fast_shear_mean", "flow.bounds.lip", "2", r"flow\.bounds\.lip must be a number"),
             ("timeshear_cosx", "shear.terms.0.ampl", float("nan"), r"shear\.terms\[0\]\.ampl must be finite"),
             ("fast_averaging_study", "flow.terms.0.ampl", float("inf"), r"flow\.terms\[0\]\.ampl must be finite"),
             # the same bad ampl in the datum and in the flow: the message names the list
@@ -183,18 +211,19 @@ class TestSchema:
              r"initial_data\.terms\[0\]\.ampl must be finite"),
             # a datum given by its coefficients [k, l, re, im]
             ("heat_cosy", "initial_data", {"kmax": 1, "lmax": 1, "coeffs": [[0, 1, "x", 0.0]]},
-             r"coeffs\[0\] must be a number"),
+             r"initial_data\.coeffs\[0\] must be a number"),
             ("heat_cosy", "initial_data", {"kmax": 1, "lmax": 1, "coeffs": [[0, 5, 0.5, 0.0]]},
-             r"coeffs\[0\] \(0,5\) outside lattice"),
+             r"initial_data\.coeffs\[0\] \(0,5\) outside lattice"),
             ("heat_cosy", "initial_data", {"kmax": 1, "lmax": 1, "coeffs": [[0, 1, float("nan"), 0.0]]},
-             "coeffs must be finite"),
+             r"initial_data\.coeffs must be finite"),
             # on a lattice of its own: the run would evolve on (1, 1), not on the scenario's (2, 4)
             ("heat_cosy", "initial_data", {"kmax": 1, "lmax": 1, "coeffs": [[0, 1, 0.5, 0.0]]},
              r"initial_data \(kmax, lmax\) = \(1, 1\) must equal lattice \(kmax, lmax\) = \(2, 4\)"),
         ],
         ids=[
             "no_ampl", "M_string", "ky_string", "ky_fraction", "ampl_null", "terms_object", "term_number",
-            "period_string", "bounds_list", "spec_number", "no_kx", "kx_bool", "lip_string",
+            "period_string", "bounds_list", "spec_number", "shear_kx_nonzero", "spec_kind", "no_kx", "kx_bool",
+            "lip_string",
             "ampl_nan", "ampl_inf", "datum_ampl_string", "flow_ampl_string",
             "nu_string", "nu_bool", "nu_huge_integer", "kmax_string", "kmax_fraction", "kmax0", "lattice_number",
             "dt_list", "times_number", "n_fraction", "n_negative", "time_string", "cutoff_fraction", "eta_string",
@@ -479,23 +508,90 @@ class TestCli:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "command",
+        "command, scenario, rejected_by",
         [
-            ["spectrum", "--dt", "5"],
-            ["spectrum", "--eta", "0.5"],
-            ["spectrum", "--csv", "s.csv"],
-            ["spectrum", "--kreport", "9"],
-            ["certify", "fast", "--dt", "5"],
-            ["certify", "c2", "--kreport", "9"],
+            (["spectrum", "--dt", "5"], "fast_shear_mean", "argparse"),
+            (["spectrum", "--eta", "0.5"], "fast_shear_mean", "argparse"),
+            (["spectrum", "--csv", "s.csv"], "fast_shear_mean", "argparse"),
+            (["spectrum", "--kreport", "9"], "fast_shear_mean", "argparse"),
+            (["certify", "fast", "--dt", "5"], "fast_shear_mean", "argparse"),
+            (["certify", "c2", "--kreport", "9"], "heat_cosy", "argparse"),
+            (["certify", "inviscid", "--eta", "0.3"], "inviscid_cosx_siny", "schema"),
+            (["certify", "inviscid", "--cutoff", "5"], "inviscid_cosx_siny", "schema"),
+            (["certify", "inviscid", "--csv", "x.csv"], "inviscid_cosx_siny", "argparse"),
+            (["certify", "c2", "--eta", "0.3"], "heat_cosy", "schema"),
+            (["certify", "c2", "--cutoff", "5"], "heat_cosy", "schema"),
+            (["certify", "mix", "--eta", "0.3"], "heat_cosy", "schema"),
+            (["certify", "mix", "--cutoff", "5"], "heat_cosy", "schema"),
+            (["certify", "fast", "--csv", "x.csv"], "fast_shear_mean", "argparse"),
+            (["verify", "inviscid", "--eta", "0.3"], "inviscid_cosx_siny", "schema"),
+            (["verify", "inviscid", "--cutoff", "5"], "inviscid_cosx_siny", "schema"),
+            (["verify", "inviscid", "--dt", "0.5"], "inviscid_cosx_siny", "schema"),
+            (["verify", "inviscid", "--kreport", "5"], "inviscid_cosx_siny", "argparse"),
+            (["verify", "c2", "--eta", "0.3"], "heat_cosy", "schema"),
+            (["verify", "c2", "--cutoff", "5"], "heat_cosy", "schema"),
+            (["verify", "mix", "--eta", "0.3"], "heat_cosy", "schema"),
+            (["verify", "mix", "--cutoff", "5"], "heat_cosy", "schema"),
+            (["simulate", "--eta", "0.3"], "inviscid_cosx_siny", "schema"),
+            (["simulate", "--cutoff", "5"], "inviscid_cosx_siny", "schema"),
+            (["simulate", "--dt", "0.5"], "inviscid_cosx_siny", "schema"),
+            (["simulate", "--eta", "0.3"], "heat_cosy", "schema"),
+            (["simulate", "--cutoff", "5"], "heat_cosy", "schema"),
         ],
-        ids=["spectrum_dt", "spectrum_eta", "spectrum_csv", "spectrum_kreport", "certify_dt", "certify_kreport"],
+        ids=[
+            "spectrum_dt", "spectrum_eta", "spectrum_csv", "spectrum_kreport", "certify_dt", "certify_kreport",
+            "certify_inviscid_eta", "certify_inviscid_cutoff", "certify_inviscid_csv",
+            "certify_c2_eta", "certify_c2_cutoff", "certify_mix_eta", "certify_mix_cutoff", "certify_fast_csv",
+            "verify_inviscid_eta", "verify_inviscid_cutoff", "verify_inviscid_dt", "verify_inviscid_kreport",
+            "verify_c2_eta", "verify_c2_cutoff", "verify_mix_eta", "verify_mix_cutoff",
+            "simulate_inviscid_eta", "simulate_inviscid_cutoff", "simulate_inviscid_dt",
+            "simulate_diffusive_eta", "simulate_diffusive_cutoff",
+        ],
     )
-    def test_option_a_command_does_not_read_exits_2(self, command, capsys):
+    def test_option_a_command_does_not_read_exits_2(self, command, scenario, rejected_by, capsys):
+        """An option that would be ignored is an argparse error when the sub-command never reads it,
+        and a schema error naming the field when the scenario's regime does not."""
+        (path,) = ROOT.glob(f"scenarios/*/{scenario}.json")
+        argv = [*command, "--scenario", str(path)]
+        if rejected_by == "argparse":
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv)
+            rc = exc.value.code
+        else:
+            rc = cli_main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        if rejected_by == "argparse":
+            assert f"unrecognized arguments: {' '.join(command[-2:])}" in captured.err
+        else:
+            assert captured.err.startswith(f"{command[0]}: invalid field: {command[-2][2:]} ")
+            assert captured.err.count("\n") == 1
+
+    def test_verify_fast_reads_cutoff_and_eta(self, monkeypatch, capsys):
+        cutoffs = []
+        fast_spectrum = harness._fast_spectrum
+
+        def recorded(scenario):
+            cutoffs.append(scenario.cutoff)
+            return fast_spectrum(scenario)
+
+        monkeypatch.setattr(harness, "_fast_spectrum", recorded)
         scenario = str(EXTRA_DIR / "fast_shear_mean.json")
-        with pytest.raises(SystemExit) as exc:
-            cli_main([*command, "--scenario", scenario])
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {' '.join(command[-2:])}" in capsys.readouterr().err
+        rc = cli_main(["verify", "fast", "--scenario", scenario, "--cutoff", "6", "--eta", "0.5"])
+        assert rc == 0
+        assert cutoffs == [6]
+        assert json.loads(capsys.readouterr().out)["fast_floor"]["certificate"]["eta"] == 0.5
+
+    @pytest.mark.parametrize("path", [CORPUS_DIR / "heat_cosy.json", EXTRA_DIR / "inviscid_cosx_siny.json",
+                                      EXTRA_DIR / "fast_averaging_study.json"], ids=lambda p: p.stem)
+    def test_simulate_reads_csv_and_kreport(self, path, tmp_path):
+        csv_path = tmp_path / "series.csv"
+        rc = cli_main(["simulate", "--scenario", str(path), "--csv", str(csv_path), "--kreport", "1",
+                       "--out", str(tmp_path / "r.json")])
+        assert rc == 0
+        with open(csv_path) as fh:
+            assert next(csv.reader(fh)) == ["t", "l2", "hneg1", "mix_scale", "E_-1", "E_0", "E_1"]
 
     @pytest.mark.parametrize(
         "flags, reason",
@@ -642,6 +738,30 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "simulate" in proc.stdout and "corpus" in proc.stdout
+
+    def test_readme_synopsis_matches_each_parser(self):
+        """The options each (command, kind) parser registers are those of its README synopsis line."""
+        text = (ROOT / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```")[1]
+        synopsis = {}
+        for line in block.splitlines():
+            if line.startswith("mixlab "):
+                words = line.split()
+                key = tuple(words[1:3]) if words[1] in ("certify", "verify") else (words[1],)
+                synopsis[key] = set(re.findall(r"--[a-z-]+", line))
+
+        def subparsers(parser) -> dict:
+            actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return actions[0].choices if actions else {}
+
+        def options(parser) -> set:
+            return {s for a in parser._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+
+        registered = {}
+        for command, parser in subparsers(cli._parser()).items():
+            kinds = {(command, kind): options(p) for kind, p in subparsers(parser).items()}
+            registered.update(kinds or {(command,): options(parser)})
+        assert registered == synopsis
 
 
 def test_report_digest_repeats(tmp_path):
