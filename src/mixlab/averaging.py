@@ -706,10 +706,11 @@ def evolve_2d(
     vectorized cos and sin per run of ``_WEIGHT_CHUNK`` steps, so memory does
     not grow with the step count.  Per step, one small matrix product weighs
     the drift's products, each RK4 stage is one add, one gather, one product
-    and one sum over harmonics, the update is one product with the RK4 weights, and the
-    step-edge series is one product of the squared moduli.  On the two shipped
-    fast scenarios (lattices 8 and 6) a step takes 33 to 46 us on a 2-core
-    x86 VM with one BLAS thread, as the host's speed drifts.
+    and one sum over harmonics, and the update is one product with the RK4
+    weights.  The fields are kept at the sample times only; sample every step
+    edge to audit the energy identity (``shear.dissipation_report``).  On the
+    two shipped fast scenarios (lattices 8 and 6) a step takes 33 to 46 us on
+    a 2-core x86 VM with one BLAS thread, as the host's speed drifts.
     """
     if not (nu > 0 and math.isfinite(nu)):
         raise FieldError(f"evolve_2d requires finite nu > 0, got {nu}")
@@ -723,7 +724,6 @@ def evolve_2d(
     w = lattice.weight_grid().ravel()
     centre = w.size // 2
     has_advection = bool(flow.terms)
-    moments = np.stack((np.ones(w.size), w))
     stages = np.empty((4, w.size), dtype=complex)  # the RK4 stages k1..k4, each times h/2
 
     def stage_weights(t0: np.ndarray, h: float) -> np.ndarray:
@@ -732,7 +732,6 @@ def evolve_2d(
         return -0.5 * h * np.stack((np.ones_like(phase), np.cos(phase), np.sin(phase)), axis=-1)
 
     def advance(coeff: np.ndarray, t: float, h: float, n: int):
-        series = np.empty((n, 2))
         half = np.exp(-0.5 * nu * w * h)
         for first in range(0, n, _WEIGHT_CHUNK):
             count = min(_WEIGHT_CHUNK, n - first)
@@ -750,17 +749,12 @@ def evolve_2d(
                     coeff = coeff + _RK4_SUM @ stages
                 coeff = coeff * half
                 coeff[centre] = 0.0
-                series[first + j] = diag(coeff)
-        return coeff, series[:, 0], series[:, 1]
-
-    def diag(coeff: np.ndarray) -> np.ndarray:
-        """(||rho||^2, ||grad rho||^2) as one product of the squared moduli."""
-        return moments @ (np.abs(coeff) ** 2)
+        return coeff
 
     def snapshot(coeff: np.ndarray) -> SpectralField2D:
         return SpectralField2D(lattice, coeff.reshape(lattice.shape).copy())
 
-    return _march(nu, times, dt_target, rho0.coeff.ravel(), advance, diag, snapshot)
+    return _march(nu, times, dt_target, rho0.coeff.ravel(), advance, snapshot)
 
 
 def observable_series(trajectory: FieldTrajectory, basis: list[SpectralField2D]) -> np.ndarray:

@@ -138,6 +138,13 @@ def _scenario_fields(data: dict) -> dict:
             raise SchemaError(
                 f"invalid field: initial_data (kmax, lmax) = {datum} must equal lattice (kmax, lmax) = {(kmax, lmax)}"
             )
+        try:
+            SpectralField2D(lattice, rho0.coeff, validate_real=True)
+        except FieldError:
+            raise SchemaError(
+                "invalid field: initial_data.coeffs must describe a real field, "
+                "with the conjugate symmetry c(-k,-l) = conj(c(k,l))"
+            ) from None
     else:
         raise SchemaError("missing field: initial_data.terms (or initial_data.coeffs)")
 

@@ -375,8 +375,16 @@ def field_to_json(field: SpectralField2D, tol: float = 0.0) -> dict:
 
 
 def field_from_json(data: dict) -> SpectralField2D:
-    """Inverse of field_to_json; a malformed, non-finite or out-of-lattice entry is a FieldError."""
-    lattice = Lattice(*(json_number(data.get(key), key, integer=True) for key in ("kmax", "lmax")))
+    """Inverse of field_to_json; a malformed, non-finite or out-of-lattice entry is a FieldError.
+
+    Each message names the key at fault.  The conjugate symmetry of a real
+    field is not checked here.
+    """
+    cutoffs = [json_number(data.get(key), key, integer=True) for key in ("kmax", "lmax")]
+    for key, cutoff in zip(("kmax", "lmax"), cutoffs):
+        if cutoff < 1:
+            raise FieldError(f"{key} must be at least 1, got {cutoff}")
+    lattice = Lattice(*cutoffs)
     entries = data.get("coeffs")
     if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 4 for e in entries):
         raise FieldError(f"coeffs must be a list of [k, l, re, im] entries, got {entries!r}")
@@ -388,4 +396,8 @@ def field_from_json(data: dict) -> SpectralField2D:
         coeff[k + lattice.kmax, l + lattice.lmax] = complex(re, im)
     if not np.isfinite(coeff).all():
         raise FieldError("coeffs must be finite")
-    return SpectralField2D(lattice, coeff)
+    try:
+        return SpectralField2D(lattice, coeff)
+    except FieldError:  # the shape fits the lattice, so the (0,0) entry broke the mean-zero rule
+        origin = coeff[lattice.kmax, lattice.lmax]
+        raise FieldError(f"coeffs (0,0) entry must be 0 in a mean-zero field, got {origin}") from None

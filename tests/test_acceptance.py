@@ -65,7 +65,7 @@ def test_01_heat_exactness():
 
 def test_02_energy_identity():
     rho0 = field_from_terms(Lattice(3, 16), [HarmonicTerm(1.0, 1, 0)])
-    traj = evolve_shear(rho0, SIN_Y, 0.1, np.array([1.0]), dt=1e-3)
+    traj = evolve_shear(rho0, SIN_Y, 0.1, np.arange(1001) * 1e-3, dt=1e-3)  # every step edge
     res = dissipation_report(traj).max_residual
     ok = res <= 1e-5
     _verdict(2, "energy identity residual", ok, f"max residual {res:.2e}")

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mixlab import averaging
 from mixlab.averaging import (
@@ -28,7 +28,7 @@ from mixlab.averaging import (
 from mixlab.averaging import DetectingSpectrum, SylvesterEstimate
 from mixlab.flows import FlowSpec, FlowTerm, preset_shear, time_average
 from mixlab.harness import Scenario
-from mixlab.shear import _march, _stepwise, evolve_shear
+from mixlab.shear import _march, dissipation_report, evolve_shear
 from mixlab.spectral import (
     FieldError,
     HarmonicTerm,
@@ -597,7 +597,8 @@ class TestDamping:
 
     @staticmethod
     def _h(G, gamma, eta, t):
-        return math.exp(-(gamma + eta) * t) * np.linalg.norm(sla.expm(-G.T * t), 2)
+        """e^{-(gamma+eta) t} ||expm(-G^T t)||, with the shift inside expm so that it cannot overflow."""
+        return np.linalg.norm(sla.expm((-G.T - (gamma + eta) * np.eye(G.shape[0])) * t), 2)
 
     @classmethod
     def _dense_sup(cls, G, gamma, eta, n=4001):
@@ -635,6 +636,7 @@ class TestDamping:
         st.floats(0.0, 2.0),
         st.integers(0, 2**32 - 1),
     )
+    @example(d=4, eta=0.0546875, gamma=1.0, shape="nonnormal", coupling=1.0, seed=0)  # expm(-G^T t) overflowed
     @settings(max_examples=40, deadline=None)
     def test_bound_brackets_dense_supremum(self, d, eta, gamma, shape, coupling, seed):
         """1.0 under the log-norm test; otherwise a raise, or a value between the dense supremum and the grid bound."""
@@ -820,9 +822,17 @@ class TestEvolve2D:
         lat = Lattice(6, 6)
         rho0 = field_from_terms(lat, [HarmonicTerm(1.0, 1, 1)])
         flow = FlowSpec((FlowTerm(1.0, 1, 0, "cos", "cos"), FlowTerm(1.0, 0, 1, "cos")), period=1.0)
-        traj = evolve_2d(rho0, flow, 30.0, NU, np.array([0.5]))
-        assert np.all(np.diff(traj.diag_energy) <= 1e-12)
-        assert abs(traj.fields[0][(0, 0)]) == 0.0
+        coarse = evolve_2d(rho0, flow, 30.0, NU, np.array([0.5]))
+        traj = evolve_2d(rho0, flow, 30.0, NU, coarse.diag_times)  # sampled at every step edge
+        assert np.all(np.diff(traj.l2_series() ** 2) <= 1e-12)
+        assert all(abs(f[(0, 0)]) == 0.0 for f in traj.fields)
+
+    def test_energy_identity_on_step_edges(self):
+        """d/dt (1/2 ||rho||^2) = -nu ||grad rho||^2 on every step of the fast flow at A = 100."""
+        scenario = Scenario.from_file(EXTRA_DIR / "fast_shear_mean.json")
+        coarse = evolve_2d(scenario.rho0, scenario.flow_spec, 100.0, scenario.nu, np.array([0.1]))
+        traj = evolve_2d(scenario.rho0, scenario.flow_spec, 100.0, scenario.nu, coarse.diag_times)
+        assert dissipation_report(traj).max_residual <= 1e-8
 
     def test_nonpositive_dt_rejected(self):
         rho0 = cos_y(Lattice(4, 4))
@@ -877,13 +887,15 @@ def _reference_evolve_2d(rho0, flow, A, nu, times):
         coeff[lattice.kmax, lattice.lmax] = 0.0
         return coeff
 
-    def diag(coeff):
-        return float(np.sum(np.abs(coeff) ** 2)), float(np.sum(w * np.abs(coeff) ** 2))
+    def advance(coeff, t, h, n):
+        for i in range(n):
+            coeff = step(coeff, t + i * h, h)
+        return coeff
 
     def snapshot(c):
         return SpectralField2D(lattice, c.copy())
 
-    return _march(nu, times, dt_target, rho0.coeff, _stepwise(step, diag), diag, snapshot)
+    return _march(nu, times, dt_target, rho0.coeff, advance, snapshot)
 
 
 class TestEvolve2DReference:
@@ -903,8 +915,6 @@ class TestEvolve2DReference:
             assert got.diag_times.size - 1 == 2 * per_segment
         for f, g in zip(got.fields, want.fields):
             assert np.max(np.abs(f.coeff - g.coeff)) <= 1e-12 * np.max(np.abs(g.coeff))
-        np.testing.assert_allclose(got.diag_energy, want.diag_energy, rtol=1e-12)
-        np.testing.assert_allclose(got.diag_grad, want.diag_grad, rtol=1e-12)
 
     @given(
         flow_terms,
@@ -940,8 +950,6 @@ class TestEvolve2DReference:
         assert got.diag_times.size - 1 == sum(steps[s] for s in segments)
         for f, g in zip(got.fields, want.fields):
             assert np.max(np.abs(f.coeff - g.coeff)) <= 1e-12 * np.max(np.abs(g.coeff))
-        np.testing.assert_allclose(got.diag_energy, want.diag_energy, rtol=1e-12)
-        np.testing.assert_allclose(got.diag_grad, want.diag_grad, rtol=1e-12)
 
 
 class TestObservables:

@@ -219,6 +219,11 @@ class TestSchema:
             # on a lattice of its own: the run would evolve on (1, 1), not on the scenario's (2, 4)
             ("heat_cosy", "initial_data", {"kmax": 1, "lmax": 1, "coeffs": [[0, 1, 0.5, 0.0]]},
              r"initial_data \(kmax, lmax\) = \(1, 1\) must equal lattice \(kmax, lmax\) = \(2, 4\)"),
+            # the datum's messages name its key
+            ("heat_cosy", "initial_data", {"kmax": 2, "lmax": 4, "coeffs": [[0, 0, 0.5, 0.0]]},
+             r"initial_data\.coeffs \(0,0\) entry must be 0 in a mean-zero field"),
+            ("heat_cosy", "initial_data", {"kmax": 0, "lmax": 4, "coeffs": [[0, 1, 0.5, 0.0]]},
+             r"initial_data\.kmax must be at least 1, got 0$"),
         ],
         ids=[
             "no_ampl", "M_string", "ky_string", "ky_fraction", "ampl_null", "terms_object", "term_number",
@@ -229,12 +234,21 @@ class TestSchema:
             "dt_list", "times_number", "n_fraction", "n_negative", "time_string", "cutoff_fraction", "eta_string",
             "tolerances_number", "kind_tan", "term_outside_lattice", "kx_fraction",
             "terms_number", "datum_ampl_nan", "datum_ampl_inf", "coeff_string", "coeff_outside_lattice",
-            "coeff_nan", "coeff_lattice_mismatch",
+            "coeff_nan", "coeff_lattice_mismatch", "coeff_mean", "coeff_kmax0",
         ],
     )
     def test_malformed_flow_spec_rejected(self, name, key, value, message):
         with pytest.raises(SchemaError, match=f"invalid field: {message}"):
             Scenario.from_json(scenario_with(name, key, value))
+
+    @pytest.mark.parametrize("name, lattice", [("heat_cosy", (2, 4)), ("sinshear_cosx", (3, 16))])
+    def test_complex_coeffs_datum_rejected(self, name, lattice):
+        """The single mode e^{i(x+y)} lacks the conjugate symmetry of a real field."""
+        datum = {"kmax": lattice[0], "lmax": lattice[1], "coeffs": [[1, 1, 0.5, 0.0]]}
+        with pytest.raises(SchemaError, match=r"initial_data\.coeffs .*conjugate symmetry"):
+            Scenario.from_json(scenario_with(name, "initial_data", datum))
+        datum["coeffs"].append([-1, -1, 0.5, 0.0])  # with its conjugate partner the datum is real
+        assert Scenario.from_json(scenario_with(name, "initial_data", datum)).rho0[(1, 1)] == 0.5
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b", 5])
     def test_name_must_be_plain_stem(self, name):
@@ -494,6 +508,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"{command[0]}: invalid field: ")
         assert captured.err.count("\n") == 1
+
+    def test_complex_coeffs_datum_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(scenario_with(
+            "heat_cosy", "initial_data", {"kmax": 2, "lmax": 4, "coeffs": [[1, 1, 0.5, 0.0]]}
+        )))
+        rc = cli_main(["verify", "c2", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "initial_data.coeffs" in captured.err and "conjugate symmetry" in captured.err
 
     @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not_json"])
     def test_unreadable_scenario_file_exits_2(self, content, tmp_path, capsys):

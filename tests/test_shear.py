@@ -13,7 +13,6 @@ from mixlab import shear as shear_module
 from mixlab.shear import (
     _march,
     _ShearStepper,
-    _stepwise,
     default_dt,
     dissipation_report,
     evolve_shear,
@@ -32,6 +31,7 @@ from mixlab.spectral import (
 
 SIN_Y = preset_shear("couette")
 ZERO = preset_shear("zero")
+TIME_SIN_Y = ShearSpec((ShearTerm(1.0, 1, "sin", "cos"),), period=1.0)
 
 
 def one_row(rho0, k):
@@ -193,14 +193,10 @@ def oracle_evolve(rho0, shear, nu, times, dt):
     active = [k for k in lattice.k_values() if np.any(np.abs(rho0.coeff[k + lattice.kmax]) > 0.0)]
     steppers = [_OracleModeStepper(k, lattice.lmax, shear, nu) for k in active]
 
-    def step(coeffs, t, h):
-        return [s.step(c, t, h) for s, c in zip(steppers, coeffs)]
-
-    def diag(coeffs):
-        pairs = list(zip(steppers, coeffs))
-        energy = sum(float(np.sum(np.abs(c) ** 2)) for _, c in pairs)
-        grad = sum(float(np.sum((s.k**2 + s.ls**2) * np.abs(c) ** 2)) for s, c in pairs)
-        return energy, grad
+    def advance(coeffs, t, h, n):
+        for i in range(n):
+            coeffs = [s.step(c, t + i * h, h) for s, c in zip(steppers, coeffs)]
+        return coeffs
 
     def snapshot(coeffs):
         coeff = np.zeros(lattice.shape, dtype=complex)
@@ -209,7 +205,7 @@ def oracle_evolve(rho0, shear, nu, times, dt):
         return SpectralField2D(lattice, coeff)
 
     state = [rho0.coeff[k + lattice.kmax] for k in active]
-    return _march(nu, times, dt, state, _stepwise(step, diag), diag, snapshot)
+    return _march(nu, times, dt, state, advance, snapshot)
 
 
 @st.composite
@@ -251,18 +247,19 @@ class TestStackedStepper:
         for g, w in zip(got.fields, want.fields):
             assert np.max(np.abs(g.coeff - w.coeff)) <= 1e-12 * np.max(np.abs(w.coeff))
         np.testing.assert_array_equal(got.diag_times, want.diag_times)
-        np.testing.assert_allclose(got.diag_energy, want.diag_energy, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(got.diag_grad, want.diag_grad, rtol=1e-12, atol=0.0)
 
 
 def stepwise_evolve(monkeypatch, rho0, shear, nu, times, dt):
-    """evolve_shear with the stepper's segment advance replaced by its own step loop."""
+    """evolve_shear with each segment of n steps taken as n one-step advances."""
+    one_step = shear_module._ShearStepper.advance
+
+    def advance(self, coeff, t, h, n):
+        for i in range(n):
+            coeff = one_step(self, coeff, t + i * h, h, 1)
+        return coeff
+
     with monkeypatch.context() as patch:
-        patch.setattr(
-            shear_module._ShearStepper,
-            "advance",
-            lambda self, c, t, h, n: _stepwise(self.step, self.diag)(c, t, h, n),
-        )
+        patch.setattr(shear_module._ShearStepper, "advance", advance)
         return evolve_shear(rho0, shear, nu, times, dt=dt)
 
 
@@ -270,8 +267,6 @@ def assert_same_trajectory(got, want, rtol=1e-12):
     for g, w in zip(got.fields, want.fields):
         assert np.max(np.abs(g.coeff - w.coeff)) <= rtol * np.max(np.abs(w.coeff))
     np.testing.assert_array_equal(got.diag_times, want.diag_times)
-    np.testing.assert_allclose(got.diag_energy, want.diag_energy, rtol=rtol, atol=0.0)
-    np.testing.assert_allclose(got.diag_grad, want.diag_grad, rtol=rtol, atol=0.0)
 
 
 # (datum lattice, terms, shear, nu, dt): a zero shear, a steady shear beside a
@@ -289,44 +284,50 @@ def segment_setup(name):
 
 
 class TestSegmentAdvance:
-    """A steady segment filled by doubling against the same stepper taking its steps one at a time."""
+    """A segment advanced in one call against the same stepper taking its steps one at a time."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 40, 1000])
     @pytest.mark.parametrize("name", sorted(SEGMENT_SETUPS))
-    def test_matches_step_loop(self, monkeypatch, name, n):
+    def test_matches_step_loop(self, name, n):
         rho0, shear, nu, dt = segment_setup(name)
-        times = np.array([n * dt])
-        got = evolve_shear(rho0, shear, nu, times, dt=dt)
-        want = stepwise_evolve(monkeypatch, rho0, shear, nu, times, dt)
-        assert got.diag_times.size == n + 1
-        assert_same_trajectory(got, want)
-        gap = dissipation_report(got).max_residual - dissipation_report(want).max_residual
-        assert abs(gap) <= 1e-9
+        rows = np.flatnonzero(np.any(rho0.coeff != 0.0, axis=1))
+        stepper = _ShearStepper(rows - rho0.lattice.kmax, rho0.lattice.lmax, shear, nu)
+        got = stepper.advance(rho0.coeff[rows], 0.0, dt, n)
+        want = rho0.coeff[rows]
+        for i in range(n):
+            want = stepper.step(want, i * dt, dt)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("size", [4, 8], ids=["4-4-3", "8-3"])
-    def test_blocks_match_step_loop(self, monkeypatch, size):
-        """Eleven steps in blocks of 4/4/3 or 8/3 steps, each block computed from the one before."""
-        rho0, shear, nu, dt = segment_setup("steady_with_k0")
-        times = np.array([11 * dt])
-        stepped = stepwise_evolve(monkeypatch, rho0, shear, nu, times, dt)
-        monkeypatch.setattr(shear_module._ShearStepper, "_block_steps", lambda self, n: size)
-        assert_same_trajectory(evolve_shear(rho0, shear, nu, times, dt=dt), stepped)
+    @pytest.mark.parametrize("shear", [SIN_Y, TIME_SIN_Y, ZERO], ids=["steady", "time_periodic", "zero"])
+    def test_every_edge_sampled_matches_one_segment(self, shear):
+        """Sampling every step edge takes the same steps as one segment: the fields agree."""
+        rho0, _, nu, dt = segment_setup("steady_with_k0")
+        one = evolve_shear(rho0, shear, nu, np.array([40 * dt]), dt=dt)
+        dense = evolve_shear(rho0, shear, nu, one.diag_times, dt=dt)
+        assert dense.diag_times.size == one.diag_times.size == 41
+        want = one.fields[-1].coeff
+        assert np.max(np.abs(dense.fields[-1].coeff - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("budget_steps", [1, 3, 4, 50])
-    def test_block_fits_the_budget(self, monkeypatch, budget_steps):
-        """A block holds at most _BLOCK_BUDGET values; a budget below 4 states steps."""
-        stepper = shear_module._ShearStepper([0, 1, 2], 12, SIN_Y, 0.1)
-        monkeypatch.setattr(shear_module, "_BLOCK_BUDGET", budget_steps * stepper.weight.size)
-        size = stepper._block_steps(1000)
-        assert size <= budget_steps
-        assert (size == 1) == (budget_steps < 4)
+    @pytest.mark.parametrize("lmax", [16, 64, 128])
+    def test_matrix_cache_holds_a_linspace_grid(self, lmax):
+        """The 25 segments of linspace(0, 5, 26) at dt = 0.005 share 6 distinct step sizes, all kept."""
+        stepper = _ShearStepper([-1, 1], lmax, SIN_Y, 0.1)
+        state = np.ones((2, 2 * lmax + 1), dtype=complex)
+        _march(0.1, np.linspace(0.0, 5.0, 26), 0.005, state, stepper.advance, lambda c: None)
+        assert len(stepper._matrix_cache) == 6
 
-    @pytest.mark.parametrize("lmax, blocked", [(16, True), (64, False)])
-    def test_wide_lattice_keeps_stepping(self, lmax, blocked):
-        """A squaring of a (2 lmax+1)^2 step matrix only pays on a narrow lattice; a wide one steps."""
-        stepper = shear_module._ShearStepper([-1, 1], lmax, SIN_Y, 0.1)
-        assert (stepper._block_steps(40) > 1) == blocked
-        assert stepper._block_steps(1) == 1
+    def test_irregular_times_keep_the_matrix_cache_bounded(self):
+        """400 irregular sample times give 400 step sizes; the cache is emptied when full, not kept for each."""
+        rho0 = field_from_terms(Lattice(3, 64), [HarmonicTerm(1.0, 1, 0)])
+        times = np.sort(np.random.default_rng(0).uniform(0.0, 5.0, 400))
+        tracemalloc.start()
+        try:
+            got = evolve_shear(rho0, SIN_Y, 0.1, times, dt=0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(f.coeff.nbytes for f in got.fields) > 5 * 2**20  # the result alone
+        assert peak <= 32 * 2**20  # one (2, 129, 129) stack per step size would be over 200 MB
 
     def test_wide_zero_shear_stays_elementwise(self, monkeypatch):
         """The sharpness family at nu = 0.001 (lmax 1000) only diffuses: no dense step matrix is built."""
@@ -364,21 +365,25 @@ class TestStepGrid:
             evolve_2d(rho0, FlowSpec(()), 0.0, 0.1, np.array(times))
 
 
+# every step edge of a dt = 1e-3 grid on [0, 1]: the dense energy-identity check
+STEP_EDGES = np.arange(1001) * 1e-3
+
+
 class TestDissipation:
     def test_heat_residual(self):
         rho0 = field_from_terms(Lattice(1, 2), [HarmonicTerm(1.0, 0, 1)])
-        traj = evolve_shear(rho0, ZERO, 0.1, np.array([1.0]), dt=1e-3)
+        traj = evolve_shear(rho0, ZERO, 0.1, STEP_EDGES, dt=1e-3)
         assert dissipation_report(traj).max_residual <= 1e-6
 
     def test_constant_shear_residual_matches_heat(self):
         rho0 = field_from_terms(Lattice(2, 2), [HarmonicTerm(1.0, 1, 1)])
         sh = ShearSpec((ShearTerm(0.5, 0),))
-        traj = evolve_shear(rho0, sh, 0.1, np.array([1.0]), dt=1e-3)
+        traj = evolve_shear(rho0, sh, 0.1, STEP_EDGES, dt=1e-3)
         assert dissipation_report(traj).max_residual <= 1e-6
 
     def test_sin_shear_residual(self):
         rho0 = field_from_terms(Lattice(2, 16), [HarmonicTerm(1.0, 1, 0)])
-        traj = evolve_shear(rho0, SIN_Y, 0.1, np.array([1.0]), dt=1e-3)
+        traj = evolve_shear(rho0, SIN_Y, 0.1, STEP_EDGES, dt=1e-3)
         assert dissipation_report(traj).max_residual <= 1e-5
 
     def test_zero_datum_rejected(self):
