@@ -19,7 +19,6 @@ import warnings
 from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .flows import FlowSpec, SpectralVelocity, time_average
 from .reports import BoundReport, make_report
@@ -52,6 +51,22 @@ __all__ = [
     "observable_series",
     "check_fast_bound",
 ]
+
+
+class _Linalg:
+    """``scipy.linalg``, imported at its first use: only the certificate's dense algebra reads it.
+
+    ``sla.schur`` and the other calls look the module attribute ``sla`` up
+    when they run, so it can be swapped for a stand-in.
+    """
+
+    def __getattr__(self, name: str):
+        import scipy.linalg
+
+        return getattr(scipy.linalg, name)
+
+
+sla = _Linalg()
 
 # First eigenvalue of -Laplacian on mean-zero functions under the integer
 # frequency lattice convention.

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .spectral import Lattice, FieldError, json_number
+from .spectral import Lattice, FieldError, json_number, known_keys
 
 __all__ = [
     "FlowSpecError",
@@ -438,16 +438,25 @@ def flow_to_json(spec: ShearSpec | FlowSpec) -> dict:
     }
 
 
-# A JSON number of a flow spec; anything else is a FlowSpecError.
+# A JSON number of a flow spec, and a flow-spec object with no unread key; anything else is a FlowSpecError.
 _spec_number = partial(json_number, error=FlowSpecError)
+_spec_keys = partial(known_keys, error=FlowSpecError)
+
+# The text fields of a flow-spec term, with their defaults.
+_FLOW_TEXT = (("phase_mode", "cos"), ("time_mode", "const"))
+
+# The declared bounds each spec kind reads.
+_BOUND_KEYS = {"shear": ("M", "w11"), "flow2d": ("lip",)}
 
 
-def _spec_terms(data: dict, required: tuple[str, ...], path: str, phase_key: str = "phase_mode") -> list[tuple]:
-    """Each term object of ``data["terms"]`` as (ampl, kx, ky, phase, time_mode); kx defaults to 0.
+def _spec_terms(data: dict, required: tuple[str, ...], path: str, text: tuple = _FLOW_TEXT) -> list[tuple]:
+    """Each term object of ``data["terms"]`` as (ampl, kx, ky, *text values); kx defaults to 0.
 
     ``path`` names ``data`` in messages (``flow``, ``initial_data``; empty at
-    the top level), so an error says which list holds the bad term.  The
-    phase is read from ``phase_key`` (``kind`` in a scenario's initial data).
+    the top level), so an error says which list holds the bad term.  ``text``
+    holds the (key, default) pairs of the term's text fields: ``phase_mode``
+    and ``time_mode`` in a flow spec, ``kind`` in a scenario's initial data.
+    A term key outside ampl, kx, ky and these is a FlowSpecError.
     """
     where = f"{path}.terms" if path else "terms"
     terms = data.get("terms", [])
@@ -457,6 +466,7 @@ def _spec_terms(data: dict, required: tuple[str, ...], path: str, phase_key: str
     for i, term in enumerate(terms):
         if not isinstance(term, dict):
             raise FlowSpecError(f"{where}[{i}] must be an object, got {term!r}")
+        _spec_keys(term, ("ampl", "kx", "ky", *(key for key, _ in text)), f"{where}[{i}]")
         for key in required:
             if key not in term:
                 raise FlowSpecError(f"{where}[{i}].{key} must be given")
@@ -467,8 +477,7 @@ def _spec_terms(data: dict, required: tuple[str, ...], path: str, phase_key: str
             ampl,
             _spec_number(term.get("kx", 0), f"{where}[{i}].kx", integer=True),
             _spec_number(term["ky"], f"{where}[{i}].ky", integer=True),
-            term.get(phase_key, "cos"),
-            term.get("time_mode", "const"),
+            *(term.get(key, default) for key, default in text),
         ))
     return out
 
@@ -477,10 +486,11 @@ def flow_from_json(data: dict | str, path: str = "") -> ShearSpec | FlowSpec:
     """Parse the {kind, terms, bounds, period} schema; strings name presets.
 
     A malformed spec (a missing term field, a value that is not a number
-    where one is expected, a fractional wavenumber) raises FlowSpecError, as
-    an inconsistent one does; a shear term's ``kx`` defaults to 0.  ``path``
-    is the spec's field in a scenario (``shear`` or ``flow``), which every
-    message about one of its fields names (``shear.bounds.M``).
+    where one is expected, a fractional wavenumber, a key the spec's kind
+    does not read) raises FlowSpecError, as an inconsistent one does; a shear
+    term's ``kx`` defaults to 0.  ``path`` is the spec's field in a scenario
+    (``shear`` or ``flow``), which every message about one of its fields
+    names (``shear.bounds.M``).
     """
     if isinstance(data, str):
         try:
@@ -490,10 +500,14 @@ def flow_from_json(data: dict | str, path: str = "") -> ShearSpec | FlowSpec:
     if not isinstance(data, dict):
         raise FlowSpecError(f"{path or 'a flow spec'} must be an object or a preset name, got {data!r}")
     where = f"{path}." if path else ""
+    _spec_keys(data, ("kind", "terms", "bounds", "period"), path or "the flow spec")
     kind = data.get("kind")
+    if kind not in _BOUND_KEYS:
+        raise FlowSpecError(f"{where}kind must be shear or flow2d, got {kind!r}")
     bounds = data.get("bounds", {}) or {}
     if not isinstance(bounds, dict):
         raise FlowSpecError(f"{where}bounds must be an object, got {bounds!r}")
+    _spec_keys(bounds, _BOUND_KEYS[kind], f"{where}bounds")
 
     def declared(name: str) -> float | None:
         value = bounds.get(name)
@@ -511,7 +525,5 @@ def flow_from_json(data: dict | str, path: str = "") -> ShearSpec | FlowSpec:
                 raise FlowSpecError(f"{where}terms[{i}].kx must be 0 in a shear, got {kx}")
             terms.append(ShearTerm(ampl, ky, phase, time_mode))
         return ShearSpec(tuple(terms), period=period, M=declared("M"), w11=declared("w11"))
-    if kind == "flow2d":
-        terms = tuple(FlowTerm(*term) for term in _spec_terms(data, ("ampl", "kx", "ky"), path))
-        return FlowSpec(terms, period=period, lip=declared("lip"))
-    raise FlowSpecError(f"{where}kind must be shear or flow2d, got {kind!r}")
+    terms = tuple(FlowTerm(*term) for term in _spec_terms(data, ("ampl", "kx", "ky"), path))
+    return FlowSpec(terms, period=period, lip=declared("lip"))

@@ -31,6 +31,7 @@ from .spectral import (
     field_from_terms,
     hneg1_norm,
     json_number,
+    known_keys,
     l2_norm,
     x_mode,
 )
@@ -107,9 +108,10 @@ def _regime_field(data: dict, regime: str, key: str):
 def _scenario_fields(data: dict) -> dict:
     """The Scenario fields of a scenario JSON, each checked against its one rule.
 
-    A value of the wrong JSON type raises FieldError (``json_number``) or
-    FlowSpecError (the flow-spec reader); ``Scenario.from_json`` turns both
-    into a SchemaError.
+    A value of the wrong JSON type, or an object key that no field is read
+    from, raises FieldError (``json_number``, ``known_keys``) or FlowSpecError
+    (the flow-spec reader); ``Scenario.from_json`` turns both into a
+    SchemaError.
     """
     _object(data, "scenario")
     name = _require(data, "name", "")
@@ -118,17 +120,23 @@ def _scenario_fields(data: dict) -> dict:
     regime = _require(data, "regime", "")
     if regime not in _REGIMES:
         raise SchemaError(f"invalid field: regime must be one of {_REGIMES}, got {regime!r}")
-    lat = _object(_require(data, "lattice", ""), "lattice")
+    spec_key = "shear" if regime in ("inviscid", "diffusive_shear") else "flow"
+    read = ("name", "regime", "lattice", "initial_data", spec_key, "times", "tolerances", *_REGIME_FIELDS)
+    known_keys(data, read, "scenario")
+    lat = known_keys(_object(_require(data, "lattice", ""), "lattice"), ("kmax", "lmax"), "lattice")
     kmax, lmax = (json_number(_require(lat, key, "lattice."), f"lattice.{key}", True) for key in ("kmax", "lmax"))
     lattice = Lattice(kmax, lmax)
     init = _object(_require(data, "initial_data", ""), "initial_data")
     terms: tuple = ()
     if "terms" in init:
+        known_keys(init, ("terms",), "initial_data")
         terms = tuple(
-            HarmonicTerm(*term[:4]) for term in _spec_terms(init, ("ampl", "kx", "ky"), "initial_data", "kind")
+            HarmonicTerm(*term)
+            for term in _spec_terms(init, ("ampl", "kx", "ky"), "initial_data", (("kind", "cos"),))
         )
         rho0 = field_from_terms(lattice, terms)
     elif "coeffs" in init:
+        known_keys(init, ("kmax", "lmax", "coeffs"), "initial_data")
         try:
             rho0 = field_from_json(init)
         except FieldError as exc:  # field_from_json names the keys of the datum object
@@ -148,7 +156,6 @@ def _scenario_fields(data: dict) -> dict:
     else:
         raise SchemaError("missing field: initial_data.terms (or initial_data.coeffs)")
 
-    spec_key = "shear" if regime in ("inviscid", "diffusive_shear") else "flow"
     spec = flow_from_json(_require(data, spec_key, ""), spec_key)
     if spec_key == "shear" and not isinstance(spec, ShearSpec):
         raise SchemaError("invalid field: shear must describe a shear, not a 2D flow")
@@ -157,6 +164,7 @@ def _scenario_fields(data: dict) -> dict:
 
     times = _require(data, "times", "")
     if isinstance(times, dict):
+        known_keys(times, ("t_max", "n"), "times")
         t_max = _number(_require(times, "t_max", "times."), "times.t_max", "finite", math.isfinite)
         n = _number(_require(times, "n", "times."), "times.n", "at least 1", lambda x: x >= 1, integer=True)
         times = np.linspace(0.0, t_max, n)
@@ -165,7 +173,8 @@ def _scenario_fields(data: dict) -> dict:
     else:
         raise SchemaError(f"invalid field: times must be a list or an object, got {times!r}")
 
-    margin = _object(data.get("tolerances", {}), "tolerances").get("margin", 1e-6)
+    tolerances = known_keys(_object(data.get("tolerances", {}), "tolerances"), ("margin",), "tolerances")
+    margin = tolerances.get("margin", 1e-6)
     return {
         "name": name,
         "regime": regime,

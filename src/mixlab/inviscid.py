@@ -13,7 +13,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .flows import ShearSpec, phase_integral
 from .reports import BoundReport, make_report
@@ -25,6 +24,7 @@ from .spectral import (
     embed,
     hneg1_norm,
     l2_norm,
+    next_fast_len,
     y_grid_coeffs,
     y_grid_values,
 )

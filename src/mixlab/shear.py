@@ -14,10 +14,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .flows import ShearSpec
-from .spectral import FieldError, SpectralField2D, grad_l2_sq, l2_norm, y_grid_coeffs, y_grid_values
+from .spectral import (
+    FieldError,
+    SpectralField2D,
+    grad_l2_sq,
+    l2_norm,
+    next_fast_len,
+    y_grid_coeffs,
+    y_grid_values,
+)
 
 __all__ = ["FieldTrajectory", "default_dt", "evolve_shear", "dissipation_report", "DissipationReport"]
 

@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 __all__ = [
     "FieldError",
@@ -77,6 +76,20 @@ def json_number(value, where: str, integer: bool = False, error: type[ValueError
     if not number.is_integer():
         raise error(f"{where} must be an integer, got {value!r}")
     return int(value)
+
+
+def known_keys(data: dict, allowed: tuple[str, ...], where: str, error: type[ValueError] = FieldError) -> dict:
+    """``data``, a JSON object of scenario data, when it has no key outside ``allowed``.
+
+    Any other key would be read by nothing, so a misspelt field would run
+    with its default: ``error`` names the object ``where`` and the keys.
+    """
+    unknown = sorted(key for key in data if key not in allowed)
+    if unknown:
+        raise error(
+            f"{where} has unknown key(s) {', '.join(map(repr, unknown))}; it reads only {', '.join(map(repr, allowed))}"
+        )
+    return data
 
 
 @dataclass(frozen=True)
@@ -208,6 +221,23 @@ def low_block_energy(profile: ModeProfile, N: int) -> float:
     n = min(N, profile.lmax)
     c = profile.coeff[profile.lmax - n : profile.lmax + n + 1]
     return float(np.sum(np.abs(c) ** 2))
+
+
+def next_fast_len(n: int) -> int:
+    """The least 11-smooth integer >= n (prime factors 2, 3, 5, 7, 11 only): a fast FFT length.
+
+    The same lengths as ``scipy.fft.next_fast_len``, without importing scipy.fft.
+    """
+    if n < 1:
+        raise ValueError(f"FFT length must be at least 1, got {n}")
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
 def _check_grid(lattice: Lattice, nx: int, ny: int) -> None:

@@ -224,6 +224,22 @@ class TestSchema:
              r"initial_data\.coeffs \(0,0\) entry must be 0 in a mean-zero field"),
             ("heat_cosy", "initial_data", {"kmax": 0, "lmax": 4, "coeffs": [[0, 1, 0.5, 0.0]]},
              r"initial_data\.kmax must be at least 1, got 0$"),
+            # a key no reader reads would run the scenario with that field's default
+            ("heat_cosy", "nuu", 0.3, r"scenario has unknown key\(s\) 'nuu'"),
+            ("heat_cosy", "tolerances", {"marg": 0.5},
+             r"tolerances has unknown key\(s\) 'marg'; it reads only 'margin'"),
+            ("timeshear_cosx", "shear.perod", 1.0, r"shear has unknown key\(s\) 'perod'"),
+            ("timeshear_cosx", "shear.terms.0.phse_mode", "cos",
+             r"shear\.terms\[0\] has unknown key\(s\) 'phse_mode'"),
+            ("sinshear_cosx", "shear.bounds.Mx", 3,
+             r"shear\.bounds has unknown key\(s\) 'Mx'; it reads only 'M', 'w11'$"),
+            ("sinshear_cosx", "lattice.nmax", 2, r"lattice has unknown key\(s\) 'nmax'"),
+            ("heat_cosy", "initial_data.terms.0.phase", 0.3, r"initial_data\.terms\[0\] has unknown key\(s\) 'phase'"),
+            ("heat_cosy", "initial_data.coeffs", [[0, 1, 0.5, 0.0]],
+             r"initial_data has unknown key\(s\) 'coeffs'; it reads only 'terms'"),
+            ("fast_shear_mean", "flow.bounds.M", 1.0, r"flow\.bounds has unknown key\(s\) 'M'; it reads only 'lip'$"),
+            ("heat_cosy", "times.t_min", 0.5, r"times has unknown key\(s\) 't_min'"),
+            ("inviscid_cosx_siny", "flow", "cellular", r"scenario has unknown key\(s\) 'flow'"),
         ],
         ids=[
             "no_ampl", "M_string", "ky_string", "ky_fraction", "ampl_null", "terms_object", "term_number",
@@ -235,6 +251,9 @@ class TestSchema:
             "tolerances_number", "kind_tan", "term_outside_lattice", "kx_fraction",
             "terms_number", "datum_ampl_nan", "datum_ampl_inf", "coeff_string", "coeff_outside_lattice",
             "coeff_nan", "coeff_lattice_mismatch", "coeff_mean", "coeff_kmax0",
+            "unknown_scenario_key", "unknown_tolerance", "unknown_spec_key", "unknown_term_key", "unknown_bound",
+            "unknown_lattice_key", "unknown_datum_term_key", "datum_terms_and_coeffs", "bound_of_other_kind",
+            "unknown_times_key", "spec_of_other_regime",
         ],
     )
     def test_malformed_flow_spec_rejected(self, name, key, value, message):
@@ -486,6 +505,7 @@ class TestCli:
             ["verify", "c2", "--scenario", "{heat_cosy:initial_data.terms.0.ky=9}"],
             ["verify", "c2", "--scenario", "{sinshear_cosx:initial_data.terms.0.ampl=NaN}"],
             ["verify", "c2", "--scenario", "{sinshear_cosx:initial_data.terms.0.ampl=Infinity}"],
+            ["verify", "c2", "--scenario", "{heat_cosy:nuu=0.3}"],
         ],
         ids=[
             "nu0", "nu_negative", "nu_nan", "nu_inf", "eta_negative", "eta_nan", "cutoff0", "dt_inf",
@@ -493,6 +513,7 @@ class TestCli:
             "term_without_ampl", "M_string", "ky_string",
             "nu_string", "kmax_string", "dt_list", "times_number", "kmax_fraction", "n_fraction",
             "cutoff_fraction", "nu_bool", "kmax0", "kind_tan", "term_outside_lattice", "ampl_nan", "ampl_inf",
+            "unknown_key",
         ],
     )
     def test_bad_parameter_override_exits_2(self, command, tmp_path, capsys):
@@ -787,6 +808,34 @@ class TestCli:
             kinds = {(command, kind): options(p) for kind, p in subparsers(parser).items()}
             registered.update(kinds or {(command,): options(parser)})
         assert registered == synopsis
+
+
+def test_scipy_loads_only_for_the_fast_certificate():
+    """Importing mixlab and running a diffusive and an inviscid scenario load no scipy module;
+    the fast certificate's dense algebra loads scipy.linalg at its first call."""
+    code = """
+import json, sys
+import mixlab, mixlab.cli
+from mixlab import harness
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = [scipy_modules()]
+for name in sys.argv[1:3]:
+    harness.run(harness.Scenario.from_file(name))
+loaded.append(scipy_modules())
+raw = json.loads(open(sys.argv[3]).read())
+raw["cutoff"] = 4
+harness._certify(harness.Scenario.from_json(raw))
+loaded.append("scipy.linalg" in sys.modules)
+print(json.dumps(loaded))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    paths = [CORPUS_DIR / "heat_cosy.json", EXTRA_DIR / "inviscid_cosx_siny.json", EXTRA_DIR / "fast_shear_mean.json"]
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, paths)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [], True]
 
 
 def test_report_digest_repeats(tmp_path):

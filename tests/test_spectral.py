@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import next_fast_len as scipy_next_fast_len
 
 from mixlab.spectral import (
     FieldError,
@@ -20,6 +21,7 @@ from mixlab.spectral import (
     l2_norm,
     low_block_energy,
     mixing_scale,
+    next_fast_len,
     pair_bilinear,
     synthesize,
     x_mode,
@@ -170,6 +172,13 @@ class TestGridTransforms:
     def test_grid_too_small(self):
         with pytest.raises(GridError):
             grid_sample(cos_y(), 4, 4)
+
+    def test_next_fast_len_matches_scipy(self):
+        """The grid lengths are those scipy.fft.next_fast_len picks, so no grid size moves."""
+        sizes = range(1, 20001)
+        assert [next_fast_len(n) for n in sizes] == [scipy_next_fast_len(n) for n in sizes]
+        with pytest.raises(ValueError, match="at least 1"):
+            next_fast_len(0)
 
 
 class TestStructure:
