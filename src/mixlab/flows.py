@@ -166,42 +166,40 @@ class ShearSpec:
     def _sampled_bounds(self, ny: int = 512) -> tuple[float, float]:
         y = np.linspace(0.0, _TWO_PI, ny, endpoint=False)
         ts = self._time_grid()
-        u_at = self.sampler(y)
-        m = 0.0
-        w = 0.0
-        for t in ts:
-            u = u_at(t)
-            du = self.dy_sample(t, y)
-            m = max(m, float(np.max(np.abs(u))))
-            w = max(w, float(np.mean(np.abs(du))))
+        m = float(np.max(np.abs(self.sampler(y)(ts))))
+        w = float(np.max(np.mean(np.abs(self.dy_sample(ts, y)), axis=-1)))
         return m, w
 
     def sample(self, t: float, y: np.ndarray) -> np.ndarray:
         """Values of U(t, .) at the points y."""
         return self.sampler(y)(t)
 
-    def sampler(self, y: np.ndarray) -> Callable[[float], np.ndarray]:
+    def sampler(self, y: np.ndarray) -> Callable[[float | np.ndarray], np.ndarray]:
         """U(t, .) at the fixed points y as a function of t.
 
         Each term's spatial profile is evaluated once; a call only combines
-        them with the time factors.
+        them with the time factors.  A 1-D array of times gives one row per
+        time, shape (len(t), len(y)), each equal to the call at that time.
         """
         y = np.asarray(y, dtype=float)
-        profiles = [(term.ampl, term.time_mode, term.spatial(y)) for term in self.terms]
+        return self._combiner([(term.ampl, term.time_mode, term.spatial(y)) for term in self.terms], y.shape)
 
-        def at(t: float) -> np.ndarray:
-            out = np.zeros_like(y)
+    def dy_sample(self, t: float | np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Values of dU/dy(t, .) at the points y; a 1-D array of times gives one row per time."""
+        y = np.asarray(y, dtype=float)
+        return self._combiner([(term.ampl, term.time_mode, term.dy_spatial(y)) for term in self.terms], y.shape)(t)
+
+    def _combiner(self, profiles: list, shape: tuple) -> Callable[[float | np.ndarray], np.ndarray]:
+        """t -> sum of (ampl * tau(t)) * profile over the (ampl, time mode, profile) triples, one row per time."""
+        omega = self.omega
+
+        def at(t: float | np.ndarray) -> np.ndarray:
+            out = np.zeros(np.shape(t) + shape)
             for ampl, mode, profile in profiles:
-                out += ampl * _time_factor(mode, self.omega, t) * profile
+                out += np.multiply.outer(ampl * _time_factor(mode, omega, t), profile)
             return out
 
         return at
-
-    def dy_sample(self, t: float, y: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(y, dtype=float))
-        for term in self.terms:
-            out += term.ampl * _time_factor(term.time_mode, self.omega, t) * term.dy_spatial(y)
-        return out
 
 
 def _add_harmonic(vec: np.ndarray, lmax: int, ky: int, phase: str, a: float) -> None:

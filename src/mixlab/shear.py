@@ -3,14 +3,19 @@
 Each x-frequency k obeys the 1D equation d_t f_k + nu (k^2 - d_yy) f_k = -i k U(t,y) f_k.
 The scheme is Strang splitting with the exact diffusion semigroup in
 coefficient space and a unimodular grid-space advection factor sampled at the
-substep midpoint, applied to all active modes at once.  Both structural facts
-the lower-bound proofs rely on are preserved exactly: advection never changes
-a mode's energy, diffusion damps coefficient (k,l) by precisely e^{-nu (k^2+l^2) dt}.
+substep midpoint, applied to all active modes at once.  A steady shear's step
+is one cached matrix per step size; a time-periodic shear's rows stay on the
+padded y-grid for a whole sample segment, one FFT pair and two multiplies a
+step, with the advection factors of many steps made by one exp.  Both
+structural facts the lower-bound proofs rely on are preserved exactly:
+advection never changes a mode's energy, diffusion damps coefficient (k,l) by
+precisely e^{-nu (k^2+l^2) dt}.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +24,7 @@ from .flows import ShearSpec
 from .spectral import (
     FieldError,
     SpectralField2D,
+    _y_index,
     grad_l2_sq,
     l2_norm,
     next_fast_len,
@@ -56,6 +62,8 @@ class FieldTrajectory:
 # Most bytes of steady step matrices a _ShearStepper caches (16 MB): one
 # (rows, 2 lmax+1, 2 lmax+1) stack per distinct step size, all dropped when
 # the next would not fit, so irregular sample times do not grow the cache.
+# A time-periodic shear's advection factors are built in chunks of steps
+# held within the same bound.
 _MATRIX_BUDGET = 16 << 20
 
 
@@ -63,8 +71,11 @@ class _ShearStepper:
     """Strang stepper for the x-modes ks stacked as rows; rows with k = 0 or a zero shear only diffuse.
 
     A steady shear makes an advected row's step one fixed matrix per step
-    size, cached within _MATRIX_BUDGET.  A time-periodic shear steps one FFT
-    pair at a time.  Rows that only diffuse are scaled elementwise, and no
+    size, cached within _MATRIX_BUDGET.  A time-periodic shear keeps the
+    advected rows on the padded y-grid for a whole segment: each step is a
+    grid multiply by its advection factor and an FFT pair around one
+    multiply by the squared heat half-factor, which also truncates to
+    |l| <= lmax.  Rows that only diffuse are scaled elementwise, and no
     step matrix is built for them.
     """
 
@@ -74,32 +85,29 @@ class _ShearStepper:
                 f"shear-diffusion integrator requires finite nu > 0 (inviscid transport is separate), got {nu}"
             )
         ks = np.asarray(ks, dtype=int)
-        self.nu, self.steady, self.lmax = nu, shear.time_kind == "steady", lmax
-        self.weight = ks[:, None] ** 2 + np.arange(-lmax, lmax + 1) ** 2
+        self.steady, self.lmax = shear.time_kind == "steady", lmax
+        # log of the heat half-factor per unit step: -nu (k^2 + l^2) / 2
+        self.half_rate = -0.5 * nu * (ks[:, None] ** 2 + np.arange(-lmax, lmax + 1) ** 2)
         advected = (ks != 0) & (not shear.is_zero())
         self.adv, self.heat = np.flatnonzero(advected), np.flatnonzero(~advected)
         self.phase = -1j * ks[self.adv, None]
         self.ny = next_fast_len(2 * (2 * lmax + 1))
-        self.grid = np.empty((self.adv.size, self.ny), dtype=complex) if not self.steady else None
         self.u_at = shear.sampler(2.0 * np.pi * np.arange(self.ny) / self.ny)
         self._matrix_cache: dict[float, np.ndarray] = {}
-
-    def _advection(self, phase: np.ndarray, t: float, h: float) -> np.ndarray:
-        """Grid factor exp(-i k U(t + h/2, y) h) of the advected rows; ``phase`` is -i k h per row."""
-        return np.exp(phase * self.u_at(t + 0.5 * h))
 
     def _matrices(self, h: float, half: np.ndarray) -> np.ndarray:
         """Steady step matrices of the advected rows, row adv[i] stepping as c @ mats[i].
 
         ``half`` is the advected rows' heat half-factor for h.  The grid round
-        trip c -> coefficients of (values of c) * e is the Toeplitz matrix of
-        e's coefficients, so a row's matrix is that matrix between its heat
+        trip c -> coefficients of (values of c) * e, with e = exp(-i k h U(y))
+        the grid advection factor, is the Toeplitz matrix of e's
+        coefficients, so a row's matrix is that matrix between its heat
         half-factors.
         """
         mats = self._matrix_cache.get(h)
         if mats is None:
             lmax = self.lmax
-            e_hat = y_grid_coeffs(self._advection(self.phase * h, 0.0, h), 2 * lmax)  # l = -2 lmax..2 lmax
+            e_hat = y_grid_coeffs(np.exp(self.phase * h * self.u_at(0.5 * h)), 2 * lmax)  # l = -2 lmax..2 lmax
             ls = np.arange(-lmax, lmax + 1)
             toeplitz = ls[None, :] - ls[:, None] + 2 * lmax
             mats = half[:, :, None] * e_hat[:, toeplitz] * half[:, None, :]
@@ -108,15 +116,36 @@ class _ShearStepper:
             self._matrix_cache[h] = mats
         return mats
 
+    def _factors(self, t: float, h: float, n: int) -> Iterator[np.ndarray]:
+        """Grid advection factors exp(-i k h U(t + i h + h/2, y)) of the advected rows, for steps i = 0..n-1.
+
+        One exp makes the factors of a chunk of steps, a (steps, rows, ny)
+        block held within _MATRIX_BUDGET; the factors are yielded a step at a
+        time.  The midpoints are summed as Python floats, the same values as
+        array arithmetic at less cost for the one-step segments of sampling
+        every step edge.
+        """
+        phase = self.phase * h
+        chunk = max(1, _MATRIX_BUDGET // (16 * phase.size * self.ny))  # 16 bytes a complex entry
+        for start in range(0, n, chunk):
+            mids = np.array([t + i * h + 0.5 * h for i in range(start, min(n, start + chunk))])
+            block = phase * self.u_at(mids)[:, None, :]
+            yield from np.exp(block, out=block)
+
     def advance(self, coeff: np.ndarray, t: float, h: float, n: int) -> np.ndarray:
         """The state after n steps of size h from t.
 
         Rows that only diffuse are scaled once by their heat factor to the
         n-th power.  Advected rows of a steady shear take n batched products
-        with the step matrices of h; those of a time-periodic shear take n
-        FFT-pair steps.  The heat half-factor is computed once.
+        with the step matrices of h.  Those of a time-periodic shear enter
+        the y-grid once, with the first heat half-step; each step multiplies
+        by its advection factor, and between two steps the values take the
+        FFT pair around the squared half-factor ``heat2``, zero outside
+        |l| <= lmax.  The last step's forward FFT leaves the grid, and its
+        slots take the closing half-step.  The heat half-factor is computed
+        once.
         """
-        half = np.exp(-0.5 * self.nu * self.weight * h)
+        half = np.exp(self.half_rate * h)
         out = np.empty_like(coeff)
         heat, adv = self.heat, self.adv
         if heat.size:
@@ -127,12 +156,19 @@ class _ShearStepper:
                 rows = np.matmul(rows, mats)
             out[adv] = rows[:, 0, :]
         elif adv.size:
-            rows, half, phase = coeff[adv], half[adv], self.phase * h
-            for i in range(n):
-                vals = y_grid_values(rows * half, self.ny, out=self.grid)
-                vals *= self._advection(phase, t + i * h, h)
-                rows = y_grid_coeffs(vals, self.lmax) * half
-            out[adv] = rows
+            half = half[adv]
+            if n > 1:  # heat2 is used only between two steps
+                heat2 = np.zeros((adv.size, self.ny), dtype=complex)
+                heat2[:, _y_index(self.lmax, self.ny)] = half * half
+            factors = self._factors(t, h, n)
+            vals = y_grid_values(coeff[adv] * half, self.ny)
+            vals *= next(factors)
+            for factor in factors:
+                np.fft.fft(vals, axis=-1, norm="forward", out=vals)
+                vals *= heat2
+                np.fft.ifft(vals, axis=-1, norm="forward", out=vals)
+                vals *= factor
+            out[adv] = y_grid_coeffs(vals, self.lmax) * half
         return out
 
     def step(self, coeff: np.ndarray, t: float, h: float) -> np.ndarray:

@@ -291,19 +291,15 @@ def _y_index(lmax: int, ny: int) -> np.ndarray:
     return index
 
 
-def y_grid_values(coeff: np.ndarray, ny: int, out: np.ndarray | None = None) -> np.ndarray:
+def y_grid_values(coeff: np.ndarray, ny: int) -> np.ndarray:
     """Values at y_j = 2*pi*j/ny of coefficient rows over l = -lmax..lmax (the last axis).
 
-    The grid must hold the rows without aliasing: ny >= 2*lmax + 1.  ``out``,
-    a complex array of shape ``coeff.shape[:-1] + (ny,)``, receives the
-    values when given, so a stepper can reuse one buffer.
+    The grid must hold the rows without aliasing: ny >= 2*lmax + 1.
     """
     lmax = (coeff.shape[-1] - 1) // 2
-    if out is None:
-        out = np.zeros(coeff.shape[:-1] + (ny,), dtype=complex)
-    else:
-        out.fill(0.0)
-    out[..., _y_index(lmax, ny)] = coeff
+    out = np.zeros(coeff.shape[:-1] + (ny,), dtype=complex)
+    out[..., : lmax + 1] = coeff[..., lmax:]  # l = 0..lmax in slots 0..lmax
+    out[..., ny - lmax :] = coeff[..., :lmax]  # l = -lmax..-1 in the last lmax slots
     np.fft.ifft(out, axis=-1, norm="forward", out=out)
     return out
 
@@ -314,7 +310,7 @@ def y_grid_coeffs(values: np.ndarray, lmax: int) -> np.ndarray:
     The transform runs in place: ``values`` is overwritten.
     """
     np.fft.fft(values, axis=-1, norm="forward", out=values)
-    return values[..., _y_index(lmax, values.shape[-1])]
+    return values.take(_y_index(lmax, values.shape[-1]), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -153,12 +153,20 @@ class TestDeclaredBounds:
             period=1.5,
         )
         u_at = sh.sampler(Y)
-        for t in (0.0, 0.4, 2.9):
-            ref = np.zeros_like(Y)
+        ts = np.array([0.0, 0.4, 2.9])
+        rows, dy_rows = u_at(ts), sh.dy_sample(ts, Y)
+        assert rows.shape == dy_rows.shape == (ts.size, Y.size)
+        for i, t in enumerate(ts):
+            ref, dy_ref = np.zeros_like(Y), np.zeros_like(Y)
             for term in sh.terms:
                 ref += term.ampl * _time_factor(term.time_mode, sh.omega, t) * term.spatial(Y)
+                dy_ref += term.ampl * _time_factor(term.time_mode, sh.omega, t) * term.dy_spatial(Y)
             assert np.array_equal(u_at(t), ref)
+            assert np.array_equal(u_at(float(t)), ref)
             assert np.array_equal(sh.sample(t, Y), ref)
+            assert np.array_equal(rows[i], ref)
+            assert np.array_equal(sh.dy_sample(t, Y), dy_ref)
+            assert np.array_equal(dy_rows[i], dy_ref)
 
 
 class TestJson:

@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,8 @@ from scipy.fft import next_fast_len
 
 from mixlab.averaging import evolve_2d
 from mixlab.certificates import c2_certificate, sharpness_family
-from mixlab.flows import FlowSpec, ShearSpec, ShearTerm, preset_shear
+from mixlab.flows import FlowSpec, ShearSpec, ShearTerm, _time_factor, preset_shear
+from mixlab.harness import Scenario
 from mixlab import shear as shear_module
 from mixlab.shear import (
     _march,
@@ -29,6 +35,7 @@ from mixlab.spectral import (
     zeros,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 SIN_Y = preset_shear("couette")
 ZERO = preset_shear("zero")
 TIME_SIN_Y = ShearSpec((ShearTerm(1.0, 1, "sin", "cos"),), period=1.0)
@@ -249,6 +256,37 @@ class TestStackedStepper:
         np.testing.assert_array_equal(got.diag_times, want.diag_times)
 
 
+def loop_bounds(shear: ShearSpec, ny: int = 512) -> tuple[float, float]:
+    """sup |U| and sup_t mean |dU/dy| on ShearSpec's sampling grid, one time and one term at a time."""
+    y = np.linspace(0.0, 2.0 * np.pi, ny, endpoint=False)
+    m = w = 0.0
+    for t in shear._time_grid():
+        u, du = np.zeros_like(y), np.zeros_like(y)
+        for term in shear.terms:
+            tau = _time_factor(term.time_mode, shear.omega, t)
+            u += term.ampl * tau * term.spatial(y)
+            du += term.ampl * tau * term.dy_spatial(y)
+        m = max(m, float(np.max(np.abs(u))))
+        w = max(w, float(np.mean(np.abs(du))))
+    return m, w
+
+
+class TestSampledBounds:
+    """The sampled M and w11 come from one array-time call each, equal to the per-time loop."""
+
+    def test_shipped_shears(self):
+        for path in sorted((ROOT / "scenarios").glob("*/*.json")):
+            shear = Scenario.from_file(path).shear_spec
+            if shear is not None:
+                assert shear._sampled_bounds() == loop_bounds(shear), path.name
+
+    @given(shear_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_random_shears(self, shear):
+        assert shear._sampled_bounds() == loop_bounds(shear)
+        assert (shear.M, shear.w11) == loop_bounds(shear)
+
+
 def stepwise_evolve(monkeypatch, rho0, shear, nu, times, dt):
     """evolve_shear with each segment of n steps taken as n one-step advances."""
     one_step = shear_module._ShearStepper.advance
@@ -270,10 +308,13 @@ def assert_same_trajectory(got, want, rtol=1e-12):
 
 
 # (datum lattice, terms, shear, nu, dt): a zero shear, a steady shear beside a
-# k = 0 row, and the energy-identity acceptance setup
+# k = 0 row, a time-periodic one beside a k = 0 row with a term at the band
+# edge |l| = lmax (so a step that kept the slots beyond it would show), and
+# the energy-identity acceptance setup
 SEGMENT_SETUPS = {
     "zero_shear": (Lattice(2, 6), [(1.0, 1, 2), (0.5, 0, 3)], ZERO, 0.1, 1e-2),
     "steady_with_k0": (Lattice(2, 12), [(1.0, 0, 3), (0.5, 1, 2), (0.3, 2, 1)], SIN_Y, 0.1, 5e-3),
+    "time_periodic": (Lattice(2, 12), [(1.0, 0, 3), (0.5, 1, 2), (0.3, 2, 12)], TIME_SIN_Y, 0.1, 5e-3),
     "energy_identity": (Lattice(3, 16), [(1.0, 1, 0)], SIN_Y, 0.1, 1e-3),
 }
 
@@ -307,6 +348,14 @@ class TestSegmentAdvance:
         assert dense.diag_times.size == one.diag_times.size == 41
         want = one.fields[-1].coeff
         assert np.max(np.abs(dense.fields[-1].coeff - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_factor_chunks_match_oracle(self, monkeypatch):
+        """Advection factors made three steps to a chunk, so segments span 4 and 30 chunks, step as the oracle does."""
+        rho0, shear, nu, dt = segment_setup("time_periodic")
+        stepper = _ShearStepper([1, 2], rho0.lattice.lmax, shear, nu)
+        monkeypatch.setattr(shear_module, "_MATRIX_BUDGET", 3 * 16 * stepper.phase.size * stepper.ny)
+        times = np.array([10 * dt, 11 * dt, 0.5])
+        assert_same_trajectory(evolve_shear(rho0, shear, nu, times, dt=dt), oracle_evolve(rho0, shear, nu, times, dt))
 
     @pytest.mark.parametrize("lmax", [16, 64, 128])
     def test_matrix_cache_holds_a_linspace_grid(self, lmax):
@@ -400,3 +449,20 @@ class TestDissipation:
         )
         with pytest.raises(FieldError):
             dissipation_report(traj)
+
+
+def test_shear_scaling_script_smoke():
+    """scripts/shear_scaling.py prints one JSON line per shear and lmax, with slopes from each shear's second on."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, str(ROOT / "scripts" / "shear_scaling.py"), "--lmax", "4", "8"]
+    proc = subprocess.run(command, capture_output=True, text=True, env=env, check=True)
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(line["shear"], line["lmax"]) for line in lines] == [
+        ("steady", 4), ("steady", 8), ("time_periodic", 4), ("time_periodic", 8)
+    ]
+    for line in lines:
+        assert line["mode_steps"] == 2000  # 1000 steps of dt 0.005 to t = 5, x-modes k = +-1
+        assert line["evolve_shear_s"] > 0.0
+        assert line["us_per_mode_step"] == pytest.approx(1e6 * line["evolve_shear_s"] / 2000)
+    assert [line["slope"] is None for line in lines] == [True, False, True, False]
+    assert all(math.isfinite(line["slope"]) for line in lines[1::2])
