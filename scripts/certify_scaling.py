@@ -1,21 +1,28 @@
 #!/usr/bin/env python3
 """Wall time of each fast-certificate stage as the cutoff grows.
 
-For each cutoff c, the flow, viscosity and datum of the ``fast_shear_mean``
-scenario are certified on the lattice (c, c): averaged operator, detecting
-spectrum, Sylvester constant, then the certificate itself (which takes the
-damping constant).  One JSON line per cutoff gives the operator dimension
-``n``, the mode-class sizes as {size: count}, the fastest of REPEATS wall
-times of each stage, and each stage's log-log slope in ``n`` from the previous
-cutoff (null on the first line), so the scaling exponent is visible:
+For each cutoff c, the viscosity and datum (cos y) of the ``fast_shear_mean``
+scenario are certified on the lattice (c, c) under one of two flows:
+averaged operator, detecting spectrum, Sylvester constant, then the
+certificate itself (which takes the damping constant).  ``--mean shear``
+(the default) takes the scenario's own flow, whose mean is the shear
+(sin y, 0): one mode class per x-wavenumber.  ``--mean coupled`` takes the
+steady flow with streamfunction cos y + 0.7 cos x, whose mean couples every
+mode into one class, so the dense path of a single class is timed by the
+same command.  One JSON line per cutoff gives the operator dimension ``n``,
+the mode-class sizes as {size: count}, the fastest of REPEATS wall times of
+each stage, and each stage's log-log slope in ``n`` from the previous cutoff
+(null on the first line), so the scaling exponent is visible:
 
     PYTHONPATH=src python scripts/certify_scaling.py --cutoffs 6 8 10 12 16 24
+    PYTHONPATH=src python scripts/certify_scaling.py --mean coupled --cutoffs 4 6 8
 
 Timings depend on the BLAS thread count; set ``OPENBLAS_NUM_THREADS=1`` to
 match the benchmark's single-thread runs.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -24,12 +31,14 @@ from pathlib import Path
 from time import perf_counter
 
 from mixlab import averaging
+from mixlab.flows import FlowSpec, FlowTerm
 from mixlab.harness import Scenario
 from mixlab.spectral import Lattice, field_from_terms
 
 STAGES = ("averaged_operator", "detecting_spectrum", "sylvester_constant", "fast_certificate")
 REPEATS = 3  # passes per cutoff; the fastest time of each stage is reported
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "extra" / "fast_shear_mean.json"
+COUPLED = FlowSpec((FlowTerm(1.0, 0, 1, "cos"), FlowTerm(0.7, 1, 0, "cos")))
 
 
 def time_chain(scenario, cutoff: int) -> tuple[averaging.AveragedOperator, dict]:
@@ -51,10 +60,13 @@ def time_chain(scenario, cutoff: int) -> tuple[averaging.AveragedOperator, dict]
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--cutoffs", type=int, nargs="+", default=[6, 8, 10, 12, 16, 24])
+    parser.add_argument("--mean", choices=("shear", "coupled"), default="shear")
     args = parser.parse_args(argv)
     if min(args.cutoffs) < 1:
         parser.error("cutoffs must be at least 1")
     scenario = Scenario.from_file(SCENARIO)
+    if args.mean == "coupled":
+        scenario = dataclasses.replace(scenario, flow_spec=COUPLED)
     previous = None
     for cutoff in args.cutoffs:
         passes = [time_chain(scenario, cutoff) for _ in range(REPEATS)]

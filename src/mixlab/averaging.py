@@ -115,6 +115,12 @@ class AveragedOperator:
     ``classes`` are the mode classes: the connected components of the
     matrix's nonzero pattern, each an ascending index array, ordered by first
     index.  No entry links two classes, so each is an invariant block.
+
+    The flow is real, so the matrix is real-structured: with ``f =
+    flip_permutation()``, ``matrix[np.ix_(f, f)]`` equals ``matrix.conj()``
+    exactly.  The flip of a class ``idx`` is therefore a class,
+    ``dim - 1 - idx[::-1]`` (its flip partner, possibly itself), whose block
+    is the reversed conjugate of the block of ``idx``.
     """
 
     nu: float
@@ -328,28 +334,43 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> list[np.ndarray]:
     Eigenvalues are visited by decreasing real part; each joins the first
     cluster (in order of creation) whose centre lies within tol, and that
     centre becomes the mean of its members; otherwise it opens a cluster.
-    The centres are held in one array, so each eigenvalue is tested against
-    all of them by one array comparison.  Clusters come out sorted by their
-    centre quantized at tol.
+
+    A sweep line keeps only the clusters that can still be joined.  Every
+    member of a cluster, so its centre too, lies at or right of its latest
+    member (the lowest real part so far); a cluster whose latest member lies
+    more than tol right of the current eigenvalue cannot hold it or any later
+    one.  The sweep drops a cluster at 2 tol, which leaves a margin of tol
+    for rounding.  Distances are taken on Python complex scalars, and a
+    centre is the running sum of its members over their count.  Clusters come out
+    sorted by their centre quantized at tol.
     """
-    order = np.argsort(-eigs.real)
+    order = np.argsort(-eigs.real).tolist()
     clusters: list[list[int]] = []
-    centers = np.empty(eigs.size, dtype=complex)
-    for i in order:
-        lam = eigs[i]
-        hit = np.flatnonzero(np.abs(centers[: len(clusters)] - lam) <= tol)
-        if hit.size:
-            c = hit[0]
-            clusters[c].append(i)
-            centers[c] = np.mean(eigs[clusters[c]])
+    sums: list[complex] = []
+    centers: list[complex] = []
+    edges: list[float] = []  # real part of each cluster's latest member
+    active: list[int] = []  # joinable clusters, in order of creation
+    reach = 2.0 * tol
+    for i, lam in zip(order, eigs[order].tolist()):
+        active = [c for c in active if edges[c] - lam.real <= reach]
+        for c in active:
+            if abs(centers[c] - lam) <= tol:
+                clusters[c].append(i)
+                sums[c] += lam
+                centers[c] = sums[c] / len(clusters[c])
+                edges[c] = lam.real
+                break
         else:
-            centers[len(clusters)] = lam
+            active.append(len(clusters))
             clusters.append([i])
+            sums.append(lam)
+            centers.append(lam)
+            edges.append(lam.real)
 
     def quantized(c: int) -> tuple:
         # keys rounded at cluster granularity so conjugate-pair ordering does
         # not depend on last-bit noise
-        z = complex(centers[c])
+        z = centers[c]
         return (round(-z.real / tol), round(abs(z.imag) / tol), -np.sign(round(z.imag / tol)))
 
     keyed = sorted(range(len(clusters)), key=quantized)
@@ -360,7 +381,11 @@ def detecting_spectrum(op: AveragedOperator, rho0: SpectralField2D) -> Detecting
     """Find the slowest-decaying eigenvalue cluster whose root space sees rho0.
 
     The operator is evaluated class by class (``op.classes``): eigenvalues
-    come from each class's diagonal block and are clustered together.
+    come from each class's diagonal block and are clustered together.  The
+    flip partner of a class is a class whose block is the flipped conjugate
+    (``AveragedOperator``), so its eigenvalues are the conjugates: of each
+    pair, only the class with the lower first index calls ``eigvals``, and
+    a class that is its own flip is computed whole.
     Clusters are visited by increasing decay rate; for each, the invariant
     subspace is taken from a sorted Schur decomposition of every class that
     holds a cluster eigenvalue, and the datum's bilinear pairing with its
@@ -380,8 +405,14 @@ def detecting_spectrum(op: AveragedOperator, rho0: SpectralField2D) -> Detecting
 
     eig_parts, owner_parts = [], []
     for group in _size_groups(op.classes).values():
-        blocks, idx = _stacked_blocks(op.matrix, group)
-        eig_parts.append(np.linalg.eigvals(blocks).ravel())
+        idx = np.array(group)
+        partner = op.dim - 1 - idx[:, -1]  # first index of each class's flip partner, of the same size
+        computed = idx[:, 0] <= partner
+        eig = np.empty(idx.shape, dtype=complex)
+        eig[computed] = np.linalg.eigvals(_stacked_blocks(op.matrix, idx[computed])[0])
+        # the rows are ordered by first index, so a partner's row is found by bisection
+        eig[~computed] = eig[np.searchsorted(idx[:, 0], partner[~computed])].conj()
+        eig_parts.append(eig.ravel())
         owner_parts.append(np.repeat(idx[:, 0], idx.shape[1]))  # a class is named by its first index
     eigs = np.concatenate(eig_parts)
     owner = np.concatenate(owner_parts)
@@ -540,6 +571,13 @@ def sylvester_constant(op: AveragedOperator, spectrum: DetectingSpectrum) -> Syl
     Each 2-norm is the square root of the top eigenvalue of the Gram matrix
     A^H A (``_norm2``), one batched Hermitian eigenvalue call per stack with
     no SVD.  The cost follows the largest class, not the number of modes.
+
+    The operator is real-structured: with F the flip, F M F = conj(M), so
+    R(conj z) = F conj(R(z)) F, and the weights and the Riesz projector of a
+    conjugation-closed cluster commute with the same map.  When lambda_nu is
+    real, node N - j of the N contour nodes is the conjugate of node j, so
+    the norms are evaluated at nodes 0..N/2 and copied to their mirrors;
+    at any other lambda_nu every node is evaluated.
     """
     if spectrum.schur_blocks is None:
         raise ValueError("spectrum must carry its Schur factors (rerun detecting_spectrum)")
@@ -559,6 +597,7 @@ def sylvester_constant(op: AveragedOperator, spectrum: DetectingSpectrum) -> Syl
 
     thetas = 2.0 * np.pi * np.arange(SYLVESTER_NODES) / SYLVESTER_NODES
     nodes = lam + radius * np.exp(1j * thetas)
+    evaluated = SYLVESTER_NODES // 2 + 1 if lam.imag == 0.0 else SYLVESTER_NODES
     h1w = np.zeros(SYLVESTER_NODES)
     h2w = np.zeros(SYLVESTER_NODES)
 
@@ -575,13 +614,16 @@ def sylvester_constant(op: AveragedOperator, spectrum: DetectingSpectrum) -> Syl
         members = [(i, projectors[first]) for i, first in enumerate(idx[:, 0].tolist()) if first in projectors]
         eye = np.eye(idx.shape[1], dtype=complex)
         wh, w = w_half[idx], weights[idx]
-        for j, z in enumerate(nodes):
+        for j, z in enumerate(nodes[:evaluated]):
             resolvent = np.linalg.inv(z * eye - blocks)
             # R Pi_perp = R - (R p_left) p_right: rank-d correction, in place
             for i, (p_left, p_right) in members:
                 resolvent[i] -= (resolvent[i] @ p_left) @ p_right
             h1w[j] = max(h1w[j], float(np.max(_norm2(wh[:, :, None] * resolvent * wh[:, None, :]))))
             h2w[j] = max(h2w[j], float(np.max(_norm2(w[:, :, None] * resolvent))))
+    # h[N - j] = h[j] for the nodes not evaluated; empty when every node was
+    h1w[evaluated:] = h1w[SYLVESTER_NODES - evaluated : 0 : -1]
+    h2w[evaluated:] = h2w[SYLVESTER_NODES - evaluated : 0 : -1]
 
     d = spectrum.d_nu
     g_inv_max = float(np.max(_norm2(np.linalg.inv(nodes[:, None, None] * np.eye(d) - spectrum.G))))

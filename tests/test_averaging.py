@@ -384,17 +384,30 @@ def _greedy_clusters_loop(eigs, tol):
 
 @st.composite
 def planted_spectra(draw):
-    """Random spectra with planted duplicates, conjugates and points just inside and outside tol."""
+    """Random spectra with planted duplicates, conjugates, points just inside and outside tol,
+    chains and runs of equal real parts.
+
+    A chain is a walk of 8 to 16 steps of 0.5 tol in random directions, so that a centre
+    drifts as members join and a cluster can pass 8 members; a run shares the anchor's real
+    part exactly, so that the visiting order and the sweep line meet ties.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     tol = draw(st.sampled_from([1e-7, 1e-3, 0.1]))
     n = draw(st.integers(1, 30))
     eigs = list(-rng.uniform(0.0, 5.0, n) + 1j * rng.uniform(-5.0, 5.0, n) * (rng.random(n) < 0.7))
-    for kind in draw(st.lists(st.sampled_from(["duplicate", "conjugate", "inside", "outside"]), max_size=40)):
+    kinds = ["duplicate", "conjugate", "inside", "outside", "chain", "equal_real"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=40)):
         anchor = eigs[rng.integers(len(eigs))]  # may itself be planted, so chains form
         if kind == "duplicate":
             eigs.append(anchor)
         elif kind == "conjugate":
             eigs.append(np.conj(anchor))
+        elif kind == "chain":
+            steps = 0.5 * tol * np.exp(2j * np.pi * rng.random(rng.integers(8, 17)))
+            eigs.extend(anchor + np.cumsum(steps))
+        elif kind == "equal_real":
+            offsets = tol * rng.uniform(-3.0, 3.0, rng.integers(2, 9))
+            eigs.extend(complex(anchor.real, anchor.imag + o) for o in offsets)
         else:
             step = (0.99 if kind == "inside" else 1.01) * tol * np.exp(2j * np.pi * rng.random())
             eigs.append(anchor + step)
@@ -407,6 +420,21 @@ class TestClusterEigenvalues:
     @settings(max_examples=200, deadline=None)
     def test_matches_loop_over_centres(self, case):
         eigs, tol = case
+        self._assert_matches_loop(eigs, tol)
+
+    @pytest.mark.parametrize("cutoff", [6, 8, 10, 12])
+    @pytest.mark.parametrize("name", ["fast_shear_mean", "fast_averaging_study"])
+    def test_shipped_spectra_match_loop(self, name, cutoff):
+        scenario = Scenario.from_file(EXTRA_DIR / f"{name}.json")
+        lattice = Lattice(cutoff, cutoff)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # bands beyond cutoff / 2 are truncated
+            op = averaged_operator(scenario.flow_spec, scenario.nu, lattice)
+        spec = detecting_spectrum(op, field_from_terms(lattice, scenario.initial_terms))
+        self._assert_matches_loop(spec.eigenvalues, spec.cluster_tol)
+
+    @staticmethod
+    def _assert_matches_loop(eigs, tol):
         got = averaging._cluster_eigenvalues(eigs, tol)
         want = _greedy_clusters_loop(eigs, tol)
         assert len(got) == len(want)
@@ -517,6 +545,17 @@ datum_terms = st.lists(
 
 
 class TestPerClassAlgebra:
+    @given(averaged_flows(), st.integers(4, 6), st.floats(0.05, 0.5))
+    @settings(max_examples=40, deadline=None)
+    def test_flip_conjugates_matrix_and_pairs_classes(self, flow, cutoff, nu):
+        """F M F = conj(M) exactly, and the flip of every class is a class: the pairing detecting_spectrum reads."""
+        op = averaged_operator(flow, nu, cutoff)
+        f = op.flip_permutation()
+        assert np.array_equal(op.matrix[np.ix_(f, f)], op.matrix.conj())
+        classes = {tuple(idx.tolist()) for idx in op.classes}
+        for idx in op.classes:
+            assert tuple((op.dim - 1 - idx[::-1]).tolist()) in classes
+
     @given(averaged_flows(), datum_terms, st.integers(4, 6), st.floats(0.05, 0.5))
     @settings(max_examples=25, deadline=None)
     def test_matches_dense_oracle(self, flow, terms, cutoff, nu):
@@ -745,6 +784,50 @@ class TestSylvester:
         syl = sylvester_constant(op, spec)
         assert syl.gap == pytest.approx(NU)  # -nu to -2 nu
         assert syl.radius == pytest.approx(NU / 2)
+
+    @staticmethod
+    def _counted_sylvester(monkeypatch, op, spec):
+        """sylvester_constant with np.linalg.inv counted: the estimate and the number of contour nodes evaluated."""
+        calls = []
+        inv = np.linalg.inv
+
+        def counting(a):
+            calls.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        syl = sylvester_constant(op, spec)
+        monkeypatch.undo()
+        # one stacked inverse per size group and evaluated node, plus the one for g_inv_max
+        groups = len(averaging._size_groups(op.classes))
+        assert (len(calls) - 1) % groups == 0
+        return syl, (len(calls) - 1) // groups
+
+    def test_real_lambda_mirrors_nodes(self, monkeypatch):
+        """A real lambda_nu evaluates nodes 0..N/2 and copies each norm to node N - j, exactly."""
+        op = averaged_operator(SHEAR_FLOW, NU, 6)
+        rho0 = cos_y(Lattice(6, 6))
+        spec = detecting_spectrum(op, rho0)
+        assert spec.lambda_nu.imag == 0.0
+        syl, evaluated = self._counted_sylvester(monkeypatch, op, spec)
+        assert evaluated == averaging.SYLVESTER_NODES // 2 + 1
+        _, _, norms = _dense_oracle(op, rho0)
+        for got, key in ((syl.h1_weighted_norms, "h1w"), (syl.h2_weighted_norms, "h2w")):
+            assert np.array_equal(got[1:], got[1:][::-1]), key
+            np.testing.assert_allclose(got, norms[key], rtol=1e-10, atol=0.0, err_msg=key)
+
+    def test_complex_lambda_evaluates_every_node(self, monkeypatch):
+        """The complex cluster of an x-mode datum has no mirror: all 8 nodes match the dense oracle."""
+        op = averaged_operator(SHEAR_FLOW, NU, 8)
+        rho0 = field_from_terms(Lattice(8, 8), [HarmonicTerm(1.0, 1, 0)])
+        spec = detecting_spectrum(op, rho0)
+        assert spec.lambda_nu.imag != 0.0
+        syl, evaluated = self._counted_sylvester(monkeypatch, op, spec)
+        assert evaluated == averaging.SYLVESTER_NODES
+        _, gap, norms = _dense_oracle(op, rho0)
+        assert syl.gap == pytest.approx(gap, rel=1e-10, abs=0.0)
+        for got, key in ((syl.h1_weighted_norms, "h1w"), (syl.h2_weighted_norms, "h2w")):
+            np.testing.assert_allclose(got, norms[key], rtol=1e-10, atol=0.0, err_msg=key)
 
     def test_degenerate_gap_raises(self, monkeypatch):
         op = averaged_operator(ZERO_FLOW, NU, 4)
@@ -1044,18 +1127,28 @@ class TestFastBound:
 
 
 def test_certify_scaling_script_smoke():
-    """scripts/certify_scaling.py prints one JSON line per cutoff, with slopes from the second on."""
+    """scripts/certify_scaling.py prints one JSON line per cutoff, with slopes from the second on;
+    ``--mean coupled`` certifies the one-class mean."""
     root = EXTRA_DIR.parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    command = [sys.executable, str(root / "scripts" / "certify_scaling.py"), "--cutoffs", "4", "6"]
-    proc = subprocess.run(command, capture_output=True, text=True, env=env, check=True)
-    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    script = str(root / "scripts" / "certify_scaling.py")
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, script, *args], capture_output=True, text=True, env=env, check=True)
+        return [json.loads(line) for line in proc.stdout.splitlines()]
+
+    lines = run("--cutoffs", "4", "6")
     stages = {"averaged_operator", "detecting_spectrum", "sylvester_constant", "fast_certificate", "total"}
     assert [line["cutoff"] for line in lines] == [4, 6]
     for line in lines:
         c = line["cutoff"]
         assert line["n"] == (2 * c + 1) ** 2 - 1
         assert sum(int(s) * m for s, m in line["class_sizes"].items()) == line["n"]
+        assert len(line["class_sizes"]) > 1  # the shear mean splits into classes
         assert set(line["stages_s"]) == stages and all(t > 0.0 for t in line["stages_s"].values())
     assert lines[0]["slope"] is None
     assert set(lines[1]["slope"]) == stages and all(math.isfinite(s) for s in lines[1]["slope"].values())
+    (coupled,) = run("--mean", "coupled", "--cutoffs", "4")
+    assert coupled["cutoff"] == 4 and coupled["n"] == 80
+    assert coupled["class_sizes"] == {"80": 1}
+    assert set(coupled["stages_s"]) == stages and coupled["slope"] is None
