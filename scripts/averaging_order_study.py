@@ -39,7 +39,7 @@ def main(argv=None) -> int:
     for a in args.frequencies:
         dt = args.cfl / (a * flow.omega + flow.lip * lat.kmax)
         traj = evolve_2d(rho0, flow, a, args.nu, np.array([args.t_final]), dt=dt)
-        err = float(np.linalg.norm(traj.fields[0].coeff - heat))
+        err = float(np.linalg.norm(traj.coeff[0] - heat))
         rows.append({"A": a, "error": err})
         print(f"A={a:8.1f}  ||rho_A - rho_heat|| = {err:.6e}")
 

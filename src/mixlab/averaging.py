@@ -22,7 +22,7 @@ import numpy as np
 
 from .flows import FlowSpec, SpectralVelocity, time_average
 from .reports import BoundReport, make_report
-from .shear import FieldTrajectory, _march
+from .shear import FieldTrajectory, _check_times, _march
 from .spectral import (
     FieldError,
     Lattice,
@@ -30,7 +30,6 @@ from .spectral import (
     embed,
     h2_norm,
     l2_norm,
-    pair_bilinear,
 )
 
 __all__ = [
@@ -764,10 +763,11 @@ def evolve_2d(
     not grow with the step count.  Per step, one small matrix product weighs
     the drift's products, each RK4 stage is one add, one gather, one product
     and one sum over harmonics, and the update is one product with the RK4
-    weights.  The fields are kept at the sample times only; sample every step
-    edge to audit the energy identity (``shear.dissipation_report``).  On the
-    two shipped fast scenarios (lattices 8 and 6) a step takes 33 to 46 us on
-    a 2-core x86 VM with one BLAS thread, as the host's speed drifts.
+    weights.  The trajectory stacks the fields at the sample times only;
+    sample every step edge to audit the energy identity
+    (``shear.dissipation_report``).  On the two shipped fast scenarios
+    (lattices 8 and 6) a step takes 33 to 46 us on a 2-core x86 VM with one
+    BLAS thread, as the host's speed drifts.
     """
     if not (nu > 0 and math.isfinite(nu)):
         raise FieldError(f"evolve_2d requires finite nu > 0, got {nu}")
@@ -808,19 +808,25 @@ def evolve_2d(
                 coeff[centre] = 0.0
         return coeff
 
-    def snapshot(coeff: np.ndarray) -> SpectralField2D:
-        return SpectralField2D(lattice, coeff.reshape(lattice.shape).copy())
-
-    return _march(nu, times, dt_target, rho0.coeff.ravel(), advance, snapshot)
+    times = _check_times(times)
+    samples, diag_times = _march(times, dt_target, rho0.coeff.ravel(), advance)
+    return FieldTrajectory(nu, times, lattice, samples.reshape((times.size,) + lattice.shape), diag_times)
 
 
 def observable_series(trajectory: FieldTrajectory, basis: list[SpectralField2D]) -> np.ndarray:
-    """Adjoint observables q_j(t) = <rho(t), phi_j> under the bilinear pairing."""
-    out = np.zeros((len(trajectory.fields), len(basis)), dtype=complex)
-    for i, f in enumerate(trajectory.fields):
-        for j, phi in enumerate(basis):
-            out[i, j] = pair_bilinear(embed(f, phi.lattice) if f.lattice != phi.lattice else f, phi)
-    return out
+    """Adjoint observables q_j(t) = <rho(t), phi_j> under the bilinear pairing, one row per sample.
+
+    A basis field may sit on a larger lattice than the trajectory: the
+    pairing then reads its coefficients on the trajectory's lattice.
+    """
+    kmax, lmax = trajectory.lattice.kmax, trajectory.lattice.lmax
+    flipped = []
+    for phi in basis:
+        dk, dl = phi.lattice.kmax - kmax, phi.lattice.lmax - lmax
+        if dk < 0 or dl < 0:
+            raise FieldError(f"cannot embed {trajectory.lattice} into smaller {phi.lattice}")
+        flipped.append(phi.coeff[::-1, ::-1][dk : dk + 2 * kmax + 1, dl : dl + 2 * lmax + 1])
+    return np.einsum("tkl,jkl->tj", trajectory.coeff, np.reshape(flipped, (-1,) + trajectory.lattice.shape))
 
 
 def check_fast_bound(
@@ -851,13 +857,9 @@ def check_fast_bound(
         "regime": regime,
         "a0_terms": cert.a0_terms,
     }
+    times = trajectory.times
+    log_env = cert.log_envelope(times, rate)
     return make_report(
-        scenario,
-        "fast_l2_exponential_floor",
-        cert.to_json(),
-        zip(trajectory.times, trajectory.fields),
-        lambda t, f: (l2_norm(f), cert.log_envelope(t, rate)),
-        tol,
-        extras,
+        scenario, "fast_l2_exponential_floor", cert.to_json(), times, l2_norm(trajectory), log_env, tol, extras
     )
 

@@ -69,7 +69,10 @@ def _cmd_certify(args) -> int:
     cert = harness._certify(scenario)[args.kind]
     if getattr(args, "csv", None):  # only c2 and mix take --csv: the nu-scaling table
         nus = [scenario.nu, scenario.nu / 2.0, scenario.nu / 4.0]
-        rows = certificates.nu_scaling_report(scenario.rho0, scenario.shear_spec.M, nus)
+        try:
+            rows = certificates.nu_scaling_report(scenario.rho0, scenario.shear_spec.M, nus)
+        except certificates.CertificateError as exc:  # a valid scenario nu above 1 has no table: bad input
+            raise SchemaError(f"--csv nu-scaling table: {exc}") from exc
         with open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["nu", "c2", "c2_times_nu", "c2_over_nu", "branch"])
             writer.writeheader()
@@ -90,8 +93,8 @@ def _cmd_verify(args) -> int:
             with open(args.csv, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["t", "l2", "hneg1", "envelope"])
-                for s, state in zip(checks["inviscid"].samples, report.trajectory.fields):
-                    writer.writerow([s.t, l2_norm(state), s.measured, s.envelope])
+                l2s = l2_norm(report.trajectory).tolist()
+                writer.writerows([s.t, l2, s.measured, s.envelope] for s, l2 in zip(checks["inviscid"].samples, l2s))
         else:
             harness.write_timeseries_csv(report, args.csv, kreport=args.kreport)
     payload = {k: v.to_json() for k, v in checks.items()}
@@ -119,7 +122,7 @@ def _cmd_sharpness(args) -> int:
     report = harness.run(scenario)
     mix_rep, exp_rep = report.checks["mixing_floor"], report.checks["c2_floor"]
     times = scenario.times
-    l2s = report.trajectory.l2_series()
+    l2s = l2_norm(report.trajectory)
     fitted = None  # a norm that underflowed to zero has no logarithm
     if l2s[0] > 0 and l2s[-1] > 0:
         fitted = float(-(math.log(l2s[-1]) - math.log(l2s[0])) / (times[-1] - times[0]))
@@ -160,12 +163,16 @@ def _cmd_corpus(args) -> int:
     return summary.exit_code
 
 
-def _sample_count(text: str) -> int:
-    """argparse type for --n-times: the fitted decay rate needs two distinct sample times."""
-    n = int(text)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
-    return n
+def _int_at_least(least: int):
+    """argparse type for an integer option of at least ``least``."""
+
+    def parse(text: str) -> int:
+        if (n := int(text)) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 # Every option a scenario command can take; each command registers only those it reads.
@@ -177,7 +184,7 @@ _OPTIONS = {
     "eta": dict(type=float, help="override tuning parameter eta"),
     "cutoff": dict(type=int, help="override spectrum truncation cutoff"),
     "dt": dict(type=float, help="override solver step size"),
-    "kreport": dict(type=int, default=2, help="per-mode energy columns |k| <= kreport"),
+    "kreport": dict(type=_int_at_least(0), default=2, help="per-mode energy columns |k| <= kreport"),
 }
 
 
@@ -209,7 +216,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--t-max", type=float, default=2.0)
-    p.add_argument("--n-times", type=_sample_count, default=41)
+    p.add_argument("--n-times", type=_int_at_least(2), default=41)  # the fitted decay rate needs two times
     _add_options(p, "out")
     p.set_defaults(func=_cmd_sharpness)
 

@@ -33,7 +33,6 @@ from .spectral import (
     json_number,
     known_keys,
     l2_norm,
-    x_mode,
 )
 
 __all__ = [
@@ -240,29 +239,12 @@ class ScenarioReport:
     verdict: str
     min_margin: float
     runtime: float = 0.0
-    trajectory: object = field(default=None, repr=False, compare=False)
+    trajectory: shear.FieldTrajectory | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "regime": self.regime,
-            "verdict": self.verdict,
-            "min_margin": self.min_margin,
-            "runtime": self.runtime,
-            "checks": {k: r.to_json() for k, r in sorted(self.checks.items())},
-        }
-
-
-def _finish(name: str, regime: str, checks: dict[str, BoundReport], t0: float, trajectory=None) -> ScenarioReport:
-    return ScenarioReport(
-        name=name,
-        regime=regime,
-        checks=checks,
-        verdict="PASS" if all(r.passed for r in checks.values()) else "FAIL",
-        min_margin=min((r.min_margin for r in checks.values()), default=float("inf")),
-        runtime=time.perf_counter() - t0,
-        trajectory=trajectory,
-    )
+        """Every field but the trajectory, each check as its report JSON."""
+        payload = {key: value for key, value in vars(self).items() if key != "trajectory"}
+        return {**payload, "checks": {k: r.to_json() for k, r in sorted(self.checks.items())}}
 
 
 def _certify(scenario: Scenario) -> dict:
@@ -316,26 +298,33 @@ def run(scenario: Scenario) -> ScenarioReport:
             scenario.rho0, scenario.flow_spec, scenario.A, scenario.nu, scenario.times, dt=scenario.dt
         )
         checks = {"fast_floor": averaging.check_fast_bound(traj, certs["fast"], scenario.A, tol, name)}
-    return _finish(name, scenario.regime, checks, t0, trajectory=traj)
+    return ScenarioReport(
+        name=name,
+        regime=scenario.regime,
+        checks=checks,
+        verdict="PASS" if all(r.passed for r in checks.values()) else "FAIL",
+        min_margin=min((r.min_margin for r in checks.values()), default=float("inf")),
+        runtime=time.perf_counter() - t0,
+        trajectory=traj,
+    )
 
 
 def write_timeseries_csv(report: ScenarioReport, path: str | Path, kreport: int = 2) -> None:
-    """Time series CSV: t, l2, hneg1, mix_scale, per-mode energies for |k| <= kreport."""
+    """Time series CSV: t, l2, hneg1, mix_scale, per-mode energies for |k| <= kreport (at least 0)."""
+    if kreport < 0:
+        raise ValueError(f"kreport must be at least 0, got {kreport}")
     traj = report.trajectory
-    ks = [k for k in range(-kreport, kreport + 1)]
+    l2, hneg1 = l2_norm(traj), hneg1_norm(traj)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mix_scale = np.where(l2 > 0, hneg1 / l2, np.nan)
+    ks = np.arange(-kreport, kreport + 1)
+    energies = np.zeros((traj.times.size, ks.size))
+    inside = np.abs(ks) <= traj.lattice.kmax
+    energies[:, inside] = np.sum(np.abs(traj.coeff[:, ks[inside] + traj.lattice.kmax]) ** 2, axis=-1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "l2", "hneg1", "mix_scale"] + [f"E_{k}" for k in ks])
-        for t, f in zip(traj.times, traj.fields):
-            l2 = l2_norm(f)
-            row = [float(t), l2, hneg1_norm(f), (hneg1_norm(f) / l2 if l2 > 0 else float("nan"))]
-            for k in ks:
-                if abs(k) <= f.lattice.kmax:
-                    prof = x_mode(f, k)
-                    row.append(float(np.sum(np.abs(prof.coeff) ** 2)))
-                else:
-                    row.append(0.0)
-            writer.writerow(row)
+        writer.writerows(np.column_stack((traj.times, l2, hneg1, mix_scale, energies)).tolist())
 
 
 @dataclass

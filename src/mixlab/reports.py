@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import NamedTuple
+
+import numpy as np
 
 __all__ = ["BoundSample", "BoundReport", "make_report", "log_margin"]
 
@@ -14,30 +16,27 @@ __all__ = ["BoundSample", "BoundReport", "make_report", "log_margin"]
 _MARGIN_CAP = 1e300
 
 
-def log_margin(measured: float, log_envelope: float) -> float:
-    """Natural log of measured/envelope; -inf when the measurement vanished or either side is NaN."""
-    if math.isnan(measured) or math.isnan(log_envelope) or measured <= 0.0:
-        return -math.inf
-    return math.log(measured) - log_envelope
+def log_margin(measured: np.ndarray, log_envelope: np.ndarray) -> np.ndarray:
+    """Natural log of measured/envelope per sample; -inf where the measurement vanished or either side is NaN."""
+    ok = (measured > 0.0) & ~np.isnan(log_envelope)  # a NaN measurement is not > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ok, np.log(np.where(ok, measured, 1.0)) - log_envelope, -np.inf)
 
 
-def _clamp_exp(x: float) -> float:
-    if x == -math.inf:
-        return 0.0
-    if x > math.log(_MARGIN_CAP):
-        return _MARGIN_CAP
-    return math.exp(x)
+def _clamp_exp(x: np.ndarray) -> np.ndarray:
+    """e^x, with -inf read as 0 and anything above log(_MARGIN_CAP) as _MARGIN_CAP."""
+    with np.errstate(over="ignore"):
+        return np.where(x > math.log(_MARGIN_CAP), _MARGIN_CAP, np.exp(x))
 
 
-@dataclass(frozen=True)
-class BoundSample:
+class BoundSample(NamedTuple):
     t: float
     measured: float
     envelope: float
     margin: float
 
     def to_json(self) -> list[float]:
-        return [self.t, self.measured, self.envelope, self.margin]
+        return list(self)
 
 
 @dataclass
@@ -63,41 +62,32 @@ class BoundReport:
         return self.verdict == "PASS"
 
     def to_json(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "bound": self.bound,
-            "certificate": self.certificate,
-            "samples": [s.to_json() for s in self.samples],
-            "min_margin": self.min_margin,
-            "tol": self.tol,
-            "verdict": self.verdict,
-            "extras": self.extras,
-        }
+        return {**vars(self), "samples": [s.to_json() for s in self.samples]}
 
 
 def make_report(
     scenario: str,
     bound: str,
     certificate: dict,
-    states: Iterable[tuple[float, object]],
-    row: Callable[[float, object], tuple[float, float]],
+    times,
+    measured,
+    log_envelope,
     tol: float,
     extras: dict | None = None,
 ) -> BoundReport:
-    """Check one inequality over (t, field) states; ``row(t, field)`` gives (measured, log_envelope).
+    """Check one inequality at the sample ``times``: ``measured`` against e^``log_envelope``, one entry each.
 
-    Envelopes are supplied in log space so that astronomically steep certified
-    exponents neither overflow nor force a fake verdict.  A NaN on either
-    side counts as margin 0.
+    The three are arrays of one length (a scalar ``log_envelope`` holds at
+    every sample).  Envelopes are supplied in log space so that
+    astronomically steep certified exponents neither overflow nor force a
+    fake verdict.  A NaN on either side counts as margin 0.
     """
-    samples = []
-    worst = math.inf
-    for t, f in states:
-        t = float(t)
-        measured, log_env = row(t, f)
-        lm = log_margin(measured, log_env)
-        worst = min(worst, lm)
-        samples.append(BoundSample(t, measured, _clamp_exp(log_env), _clamp_exp(lm)))
+    times = np.asarray(times, dtype=float)
+    measured = np.asarray(measured, dtype=float)
+    log_envelope = np.broadcast_to(np.asarray(log_envelope, dtype=float), times.shape)
+    lm = log_margin(measured, log_envelope)
+    rows = np.column_stack((times, measured, _clamp_exp(log_envelope), _clamp_exp(lm)))
+    worst = float(np.min(lm, initial=math.inf))
     extras = extras or {}
     audits_ok = all(bool(v) for key, v in extras.items() if key.endswith("_ok"))
     ok = worst >= math.log(1.0 - tol) and audits_ok
@@ -105,8 +95,8 @@ def make_report(
         scenario=scenario,
         bound=bound,
         certificate=certificate,
-        samples=samples,
-        min_margin=float(_clamp_exp(worst) if samples else math.inf),
+        samples=[BoundSample(*row) for row in rows.tolist()],
+        min_margin=float(_clamp_exp(worst)) if times.size else math.inf,
         tol=tol,
         verdict="PASS" if ok else "FAIL",
         extras=extras,

@@ -23,6 +23,7 @@ import numpy as np
 from .flows import ShearSpec
 from .spectral import (
     FieldError,
+    Lattice,
     SpectralField2D,
     _y_index,
     grad_l2_sq,
@@ -42,21 +43,27 @@ def default_dt(k: int, M: float) -> float:
 
 @dataclass
 class FieldTrajectory:
-    """Reassembled fields at the sample times, and the step grid that produced them.
+    """The fields at the sample times as one coefficient stack, and the step grid that produced them.
 
-    ``diag_times`` holds t = 0 and every internal step edge, ``t + (i + 1) h``
-    for step i of a sample segment.  The exact inviscid map takes no steps
-    and leaves it empty (``nu`` is 0).  A caller that wants fields at every
-    step edge, as the dense energy-identity check does, samples there.
+    ``coeff[i]`` holds the field at ``times[i]`` on ``lattice``: ``coeff`` has
+    shape (len(times), 2 kmax + 1, 2 lmax + 1), and ``l2_norm(trajectory)``
+    is one norm per sample.  ``diag_times`` holds t = 0 and every internal
+    step edge, ``t + (i + 1) h`` for step i of a sample segment; the exact
+    inviscid map takes no steps and leaves it empty (``nu`` is 0).  A caller
+    that wants fields at every step edge, as the dense energy-identity check
+    does, samples there.
     """
 
     nu: float
     times: np.ndarray
-    fields: list[SpectralField2D]
+    lattice: Lattice
+    coeff: np.ndarray
     diag_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
-    def l2_series(self) -> np.ndarray:
-        return np.array([float(np.linalg.norm(f.coeff)) for f in self.fields])
+    @property
+    def fields(self) -> list[SpectralField2D]:
+        """Each sample as a SpectralField2D sharing its row of ``coeff``; edit the stack, not this list."""
+        return [SpectralField2D(self.lattice, c) for c in self.coeff]
 
 
 # Most bytes of steady step matrices a _ShearStepper caches (16 MB): one
@@ -192,25 +199,27 @@ def _segment_steps(t0: float, t1: float, dt_target: float) -> tuple[int, float]:
     return n, span / n
 
 
-def _march(nu: float, times, dt_target: float, state, advance, snapshot) -> FieldTrajectory:
+def _march(times, dt_target: float, state, advance) -> tuple[np.ndarray, np.ndarray]:
     """Advance ``state`` from t=0 through the sample times on one shared step grid.
 
     Each sample segment is one call ``advance(state, t, h, n)``, which
-    returns the state after its n steps of size h; ``snapshot(state)`` gives
-    the field stored at each sample time.
+    returns the state after its n steps of size h.  Returns the states at
+    the sample times, stacked on a new first axis, and the step grid: t = 0
+    and every step edge (a trajectory's ``diag_times``).
     """
     times = _check_times(times)
+    state = np.asarray(state)
+    samples = np.empty((times.size,) + state.shape, dtype=complex)
     edges = [np.zeros(1)]
-    fields: list[SpectralField2D] = []
     t = 0.0
-    for t_next in times:
+    for i, t_next in enumerate(times):
         if t_next > t:
             n, h = _segment_steps(t, t_next, dt_target)
             state = advance(state, t, h, n)
             edges.append(t + np.arange(n) * h + h)
             t = t_next
-        fields.append(snapshot(state))
-    return FieldTrajectory(nu, times, fields, np.concatenate(edges))
+        samples[i] = state
+    return samples, np.concatenate(edges)
 
 
 def evolve_shear(
@@ -220,24 +229,22 @@ def evolve_shear(
     times: np.ndarray,
     dt: float | None = None,
 ) -> FieldTrajectory:
-    """Integrate every x-mode of rho0 and reassemble fields at the sample times.
+    """Integrate every x-mode of rho0 and stack the fields at the sample times.
 
     All modes share one step grid (the most restrictive per-mode cap), so
     sample times on that grid give the fields at every step edge.
     """
+    times = _check_times(times)
     lattice = rho0.lattice
     rows = np.flatnonzero(np.any(np.abs(rho0.coeff) > 0.0, axis=1))
     active = rows - lattice.kmax
     if dt is None:
         dt = min((default_dt(int(k), shear.M) for k in active), default=1e-2)
     stepper = _ShearStepper(active, lattice.lmax, shear, nu)
-
-    def snapshot(coeffs: np.ndarray) -> SpectralField2D:
-        coeff = np.zeros(lattice.shape, dtype=complex)
-        coeff[rows] = coeffs
-        return SpectralField2D(lattice, coeff)
-
-    return _march(nu, times, dt, rho0.coeff[rows], stepper.advance, snapshot)
+    samples, diag_times = _march(times, dt, rho0.coeff[rows], stepper.advance)
+    coeff = np.zeros((times.size,) + lattice.shape, dtype=complex)
+    coeff[:, rows] = samples
+    return FieldTrajectory(nu, times, lattice, coeff, diag_times)
 
 
 @dataclass(frozen=True)
@@ -256,13 +263,13 @@ def dissipation_report(trajectory: FieldTrajectory) -> DissipationReport:
     1/2 ||rho||^2 with the trapezoid average of nu ||grad rho||^2, normalized
     by ||rho||^2 at the first sample; the dense check samples every step edge.
     """
-    e = np.array([l2_norm(f) ** 2 for f in trajectory.fields])
+    e = l2_norm(trajectory) ** 2
     if not e[0] > 0:
         raise FieldError("dissipation report needs a nonzero initial datum (||rho||^2 = 0 at the first sample)")
     ts = trajectory.times
     if ts.size < 2:
         raise FieldError("dissipation report needs dense time sampling (sample every step edge)")
-    g = np.array([grad_l2_sq(f) for f in trajectory.fields])
+    g = grad_l2_sq(trajectory)
     h = np.diff(ts)
     rate = 0.5 * np.diff(e) / h
     dissip = trajectory.nu * 0.5 * (g[1:] + g[:-1])

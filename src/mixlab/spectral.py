@@ -182,20 +182,31 @@ def zeros(lattice: Lattice) -> SpectralField2D:
     return SpectralField2D(lattice, np.zeros(lattice.shape, dtype=complex))
 
 
-def l2_norm(field: SpectralField2D) -> float:
-    """Parseval norm sqrt(sum |c(k,l)|^2) under the normalized measure."""
-    return float(np.linalg.norm(field.coeff))
+def _power(field: SpectralField2D) -> np.ndarray:
+    """|c(k,l)|^2 of every coefficient, as one new array."""
+    power = np.abs(field.coeff)
+    return np.multiply(power, power, out=power)
 
 
-def hneg1_norm(field: SpectralField2D) -> float:
-    """Homogeneous H^{-1} norm: weights 1/(k^2+l^2), origin excluded."""
+def l2_norm(field: SpectralField2D) -> float | np.ndarray:
+    """Parseval norm sqrt(sum |c(k,l)|^2) under the normalized measure.
+
+    It reduces over the last two axes of ``field.coeff``: one number for a
+    field, one per sample for a trajectory.
+    """
+    return np.sqrt(np.sum(_power(field), axis=(-2, -1)))
+
+
+def hneg1_norm(field: SpectralField2D) -> float | np.ndarray:
+    """Homogeneous H^{-1} norm: weights 1/(k^2+l^2), origin excluded; one per sample of a trajectory."""
     kmax, lmax = field.lattice.kmax, field.lattice.lmax
-    scale = max(1.0, float(np.max(np.abs(field.coeff))))
-    if abs(field.coeff[kmax, lmax]) > _SYMMETRY_TOL * scale:
+    power = _power(field)
+    scale = np.maximum(1.0, np.max(power, axis=(-2, -1)))
+    if np.any(power[..., kmax, lmax] > _SYMMETRY_TOL**2 * scale):
         raise FieldError("H^{-1} norm requires a mean-zero field")
     w = field.lattice.weight_grid()
     w[kmax, lmax] = 1.0  # origin coefficient is zero; avoid 0/0
-    return float(np.sqrt(np.sum(np.abs(field.coeff) ** 2 / w)))
+    return np.sqrt(np.sum(np.divide(power, w, out=power), axis=(-2, -1)))
 
 
 def mixing_scale(field: SpectralField2D) -> float:
@@ -359,9 +370,10 @@ def embed(field: SpectralField2D, lattice: Lattice) -> SpectralField2D:
     return SpectralField2D(lattice, coeff)
 
 
-def grad_l2_sq(field: SpectralField2D) -> float:
-    """||grad f||_2^2 = sum (k^2+l^2) |c|^2."""
-    return float(np.sum(field.lattice.weight_grid() * np.abs(field.coeff) ** 2))
+def grad_l2_sq(field: SpectralField2D) -> float | np.ndarray:
+    """||grad f||_2^2 = sum (k^2+l^2) |c|^2; one per sample of a trajectory."""
+    power = _power(field)
+    return np.sum(np.multiply(power, field.lattice.weight_grid(), out=power), axis=(-2, -1))
 
 
 def laplacian_l2(field: SpectralField2D) -> float:

@@ -128,7 +128,7 @@ def test_06_sharpness_family():
     assert fam.n == 4
     times = np.linspace(0.0, 2.0, 21)
     traj = evolve_shear(fam.rho0, fam.shear, nu, times)
-    l2s = traj.l2_series()
+    l2s = l2_norm(traj)
     slope = np.polyfit(times, np.log(l2s), 1)[0]
     rate = -float(slope)
     rate_ok = abs(rate - 4.0) <= 1e-8 and 4.0 <= nu * fam.n**2 <= 16.0

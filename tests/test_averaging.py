@@ -28,7 +28,7 @@ from mixlab.averaging import (
 from mixlab.averaging import DetectingSpectrum, SylvesterEstimate
 from mixlab.flows import FlowSpec, FlowTerm, preset_shear, time_average
 from mixlab.harness import Scenario
-from mixlab.shear import _march, dissipation_report, evolve_shear
+from mixlab.shear import FieldTrajectory, _march, dissipation_report, evolve_shear
 from mixlab.spectral import (
     FieldError,
     HarmonicTerm,
@@ -907,7 +907,7 @@ class TestEvolve2D:
         flow = FlowSpec((FlowTerm(1.0, 1, 0, "cos", "cos"), FlowTerm(1.0, 0, 1, "cos")), period=1.0)
         coarse = evolve_2d(rho0, flow, 30.0, NU, np.array([0.5]))
         traj = evolve_2d(rho0, flow, 30.0, NU, coarse.diag_times)  # sampled at every step edge
-        assert np.all(np.diff(traj.l2_series() ** 2) <= 1e-12)
+        assert np.all(np.diff(l2_norm(traj) ** 2) <= 1e-12)
         assert all(abs(f[(0, 0)]) == 0.0 for f in traj.fields)
 
     def test_energy_identity_on_step_edges(self):
@@ -975,10 +975,8 @@ def _reference_evolve_2d(rho0, flow, A, nu, times):
             coeff = step(coeff, t + i * h, h)
         return coeff
 
-    def snapshot(c):
-        return SpectralField2D(lattice, c.copy())
-
-    return _march(nu, times, dt_target, rho0.coeff, advance, snapshot)
+    samples, diag_times = _march(times, dt_target, rho0.coeff, advance)
+    return FieldTrajectory(nu, np.asarray(times), lattice, samples, diag_times)
 
 
 class TestEvolve2DReference:
@@ -1097,7 +1095,7 @@ class TestFastBound:
         traj = evolve_2d(rho0, SHEAR_FLOW, 1.0, NU, times, dt=2e-3)
         rep = check_fast_bound(traj, cert, 1.0)
         assert rep.passed
-        l2s = traj.l2_series()
+        l2s = l2_norm(traj)
         fitted = -(math.log(l2s[-1]) - math.log(l2s[0])) / (times[-1] - times[0])
         assert fitted <= rep.extras["rate_used"]
 

@@ -24,6 +24,8 @@ from mixlab.harness import (
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = ROOT / "scenarios" / "corpus"
 EXTRA_DIR = ROOT / "scenarios" / "extra"
+# the environment of a subprocess that imports mixlab from this checkout, installed or not
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def shipped(name: str) -> dict:
@@ -398,6 +400,21 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert [float(r["c2_over_nu"]) for r in rows] == pytest.approx([2.0, 2.0, 2.0])
 
+    @pytest.mark.parametrize("kind", ["c2", "mix"])
+    @pytest.mark.parametrize("route", ["scenario_file", "nu_flag"])
+    def test_certify_csv_with_nu_above_one_exits_2(self, kind, route, tmp_path, capsys):
+        """nu = 2 in the scenario, or --nu 1.5, is a valid scenario but has no nu-scaling table: bad input."""
+        scenario = tmp_path / "nu2.json"
+        scenario.write_text(json.dumps(scenario_with("heat_cosy", "nu", 2.0)))
+        flags = [] if route == "scenario_file" else ["--nu", "1.5"]
+        csv_path = tmp_path / "scaling.csv"
+        rc = cli_main(["certify", kind, "--scenario", str(scenario), *flags, "--csv", str(csv_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "certify: --csv nu-scaling table: nu values must lie in (0, 1]\n"
+        assert not csv_path.exists()
+
     def test_verify_inviscid_with_csv(self, tmp_path):
         csv_path = tmp_path / "series.csv"
         rc = cli_main(
@@ -639,6 +656,22 @@ class TestCli:
         with open(csv_path) as fh:
             assert next(csv.reader(fh)) == ["t", "l2", "hneg1", "mix_scale", "E_-1", "E_0", "E_1"]
 
+    def test_negative_kreport_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "series.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["simulate", "--scenario", str(CORPUS_DIR / "heat_cosy.json"), "--kreport", "-3",
+                      "--csv", str(csv_path)])
+        assert exc.value.code == 2
+        assert "--kreport: must be at least 0, got -3" in capsys.readouterr().err
+        assert not csv_path.exists()
+
+    def test_timeseries_csv_rejects_negative_kreport(self, tmp_path):
+        """scripts/mixing_portrait.py passes its own --kreport, so the writer checks it too."""
+        report = run(Scenario.from_json(shipped("heat_cosy")))
+        with pytest.raises(ValueError, match="kreport must be at least 0, got -1"):
+            write_timeseries_csv(report, tmp_path / "series.csv", kreport=-1)
+        assert not (tmp_path / "series.csv").exists()
+
     @pytest.mark.parametrize(
         "flags, reason",
         [
@@ -780,7 +813,7 @@ class TestCli:
 
     def test_entry_point_installed(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "mixlab.cli", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "mixlab.cli", "--help"], capture_output=True, text=True, env=SRC_ENV
         )
         assert proc.returncode == 0
         assert "simulate" in proc.stdout and "corpus" in proc.stdout
@@ -831,9 +864,8 @@ harness._certify(harness.Scenario.from_json(raw))
 loaded.append("scipy.linalg" in sys.modules)
 print(json.dumps(loaded))
 """
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     paths = [CORPUS_DIR / "heat_cosy.json", EXTRA_DIR / "inviscid_cosx_siny.json", EXTRA_DIR / "fast_shear_mean.json"]
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, paths)], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, paths)], capture_output=True, text=True, env=SRC_ENV)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], [], True]
 
@@ -841,9 +873,8 @@ print(json.dumps(loaded))
 def test_report_digest_repeats(tmp_path):
     """scripts/report_digest.py prints the same digests on a second run: timing is left out."""
     (tmp_path / "heat_cosy.json").write_text((CORPUS_DIR / "heat_cosy.json").read_text())
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     command = [sys.executable, str(ROOT / "scripts" / "report_digest.py"), str(tmp_path)]
-    first, second = (subprocess.run(command, capture_output=True, text=True, env=env, check=True) for _ in range(2))
+    first, second = (subprocess.run(command, capture_output=True, text=True, env=SRC_ENV, check=True) for _ in range(2))
     lines = first.stdout.splitlines()
     assert first.stdout == second.stdout
     assert [line.split()[1] for line in lines] == [str(tmp_path / "heat_cosy.json"), "all"]

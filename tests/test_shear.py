@@ -17,6 +17,7 @@ from mixlab.flows import FlowSpec, ShearSpec, ShearTerm, _time_factor, preset_sh
 from mixlab.harness import Scenario
 from mixlab import shear as shear_module
 from mixlab.shear import (
+    FieldTrajectory,
     _march,
     _ShearStepper,
     default_dt,
@@ -123,7 +124,7 @@ class TestEvolveShear:
         rho0 = field_from_terms(Lattice(2, 16), [HarmonicTerm(1.0, 1, 0)])
         cert = c2_certificate(rho0, SIN_Y.M, nu)
         traj = evolve_shear(rho0, SIN_Y, nu, np.linspace(0.0, 10.0, 21))
-        l2s = traj.l2_series()
+        l2s = l2_norm(traj)
         rate = -(math.log(l2s[-1]) - math.log(l2s[0])) / 10.0
         assert nu <= rate <= cert.c2
 
@@ -205,14 +206,11 @@ def oracle_evolve(rho0, shear, nu, times, dt):
             coeffs = [s.step(c, t + i * h, h) for s, c in zip(steppers, coeffs)]
         return coeffs
 
-    def snapshot(coeffs):
-        coeff = np.zeros(lattice.shape, dtype=complex)
-        for k, c in zip(active, coeffs):
-            coeff[k + lattice.kmax] = c
-        return SpectralField2D(lattice, coeff)
-
     state = [rho0.coeff[k + lattice.kmax] for k in active]
-    return _march(nu, times, dt, state, advance, snapshot)
+    samples, diag_times = _march(times, dt, state, advance)
+    coeff = np.zeros((len(times),) + lattice.shape, dtype=complex)
+    coeff[:, np.array(active) + lattice.kmax] = samples
+    return FieldTrajectory(nu, np.asarray(times), lattice, coeff, diag_times)
 
 
 @st.composite
@@ -362,7 +360,7 @@ class TestSegmentAdvance:
         """The 25 segments of linspace(0, 5, 26) at dt = 0.005 share 6 distinct step sizes, all kept."""
         stepper = _ShearStepper([-1, 1], lmax, SIN_Y, 0.1)
         state = np.ones((2, 2 * lmax + 1), dtype=complex)
-        _march(0.1, np.linspace(0.0, 5.0, 26), 0.005, state, stepper.advance, lambda c: None)
+        _march(np.linspace(0.0, 5.0, 26), 0.005, state, stepper.advance)
         assert len(stepper._matrix_cache) == 6
 
     def test_irregular_times_keep_the_matrix_cache_bounded(self):
@@ -375,7 +373,7 @@ class TestSegmentAdvance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(f.coeff.nbytes for f in got.fields) > 5 * 2**20  # the result alone
+        assert got.coeff.nbytes > 5 * 2**20  # the result alone
         assert peak <= 32 * 2**20  # one (2, 129, 129) stack per step size would be over 200 MB
 
     def test_wide_zero_shear_stays_elementwise(self, monkeypatch):
