@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -91,12 +91,17 @@ SYLVESTER_NODES = 8
 DAMPING_LEVELS = 10
 DAMPING_DOUBLINGS = 4
 
-# Steps of an evolve_2d segment whose stage weights are computed together: a
-# (64, 3, 3) real array, so memory does not grow with the segment's step count.
+# Steps of an evolve_2d segment whose stage factors are computed together: a
+# (64, 4, rows) complex array, so memory does not grow with the segment's step count.
 _WEIGHT_CHUNK = 64
 
-# RK4 update c + (h/6)(k1 + 2 k2 + 2 k3 + k4) of stages that carry h/2.
-_RK4_SUM = np.array([1.0, 2.0, 2.0, 1.0]) / 3.0
+# The RK4 stages k1..k4 of an evolve_2d step are taken at the fractions _RK4_TIMES
+# of h into the step and carry the multiples _RK4_STEPS of h, so the stage inputs
+# c + h/2 k1, c + h/2 k2 and c + h k3 are one add each, and the update
+# c + (h/6)(k1 + 2 k2 + 2 k3 + k4) is c + _RK4_SUM @ stages.
+_RK4_TIMES = np.array([0.0, 0.5, 0.5, 1.0])
+_RK4_STEPS = np.array([0.5, 0.5, 1.0, 0.5])
+_RK4_SUM = np.array([1.0, 2.0, 1.0, 1.0], dtype=complex) / 3.0
 
 
 class DetectionError(RuntimeError):
@@ -170,44 +175,36 @@ class _Drift:
     A velocity harmonic (p, q) with coefficients (a, b) sends the field
     coefficient c(k, l) to (k + p, l + q) with weight i (k a + l b); products
     that leave the lattice, or that start or land on (0, 0), are dropped.
-    Every product of every harmonic is held once, laid out by (harmonic,
-    destination), in one structure that both ``evolve_2d`` and
-    ``averaged_operator`` read: ``src[h, d]`` is the flat source
-    d - (p_h, q_h) of flat destination d, and ``vals[m, h, d]`` the
-    product's weight under ``velocities[m]``.  A dropped product reads the
-    (0, 0) slot with weight exactly 0, so the output does not depend on a
-    finite (0, 0) coefficient, and a time-periodic flow at phase theta, with
-    the weights (1, cos omega theta, sin omega theta) of its time modes, is
-    one gather and one sum over harmonics.
+    Every product is held once, in one structure that both ``evolve_2d`` and
+    ``averaged_operator`` read: one row per (time mode, harmonic) pair whose
+    weights are not all zero, ordered by mode, then by harmonic, so a
+    harmonic that appears in two time modes has two rows.  ``mode[r]``
+    indexes ``velocities``, ``src[r, d]`` is the flat source d - (p_r, q_r)
+    of flat destination d, and ``vals[r, d]`` the product's weight.  A
+    dropped product reads the (0, 0) slot with weight exactly 0, so the
+    output does not depend on a finite (0, 0) coefficient.  The drift of the
+    flat ``coeff`` under the time-mode factors ``tau`` (1, cos omega theta
+    and sin omega theta for a time-periodic flow at phase theta) is one
+    gather, one product and one contraction over rows,
+    ``tau[mode] @ (vals * coeff[src])``.
     """
 
     def __init__(self, velocities: list[SpectralVelocity], lattice: Lattice):
         vlat = velocities[0].lattice
         u = np.array([sv.u.ravel() for sv in velocities])
         v = np.array([sv.v.ravel() for sv in velocities])
-        cols = np.flatnonzero(np.any(u != 0, axis=0) | np.any(v != 0, axis=0))
+        mode, cols = np.nonzero((u != 0) | (v != 0))
         p, q = np.unravel_index(cols, vlat.shape)
         p, q = p - vlat.kmax, q - vlat.lmax
         kmax, lmax = lattice.kmax, lattice.lmax
         k, l = (g.ravel() for g in np.meshgrid(lattice.k_values(), lattice.l_values(), indexing="ij"))
-        # one row per harmonic, one column per destination coefficient
+        # one row per (mode, harmonic), one column per destination coefficient
         ks, ls = k - p[:, None], l - q[:, None]
         keep = (np.abs(ks) <= kmax) & (np.abs(ls) <= lmax) & ((ks != 0) | (ls != 0)) & ((k != 0) | (l != 0))
-        self.src = np.where(keep, (ks + kmax) * (2 * lmax + 1) + ls + lmax, k.size // 2)
-        self.vals = np.where(keep, 1j * (ks * u[:, cols, None] + ls * v[:, cols, None]), 0.0)
-        self._parts = self.vals.reshape(len(velocities), -1).view(float)  # real and imaginary parts
-
-    def weigh(self, weights: np.ndarray) -> np.ndarray:
-        """Product weights ``weights @ vals``: one (harmonic, destination) array per row of real ``weights``.
-
-        Real weights act on the real and imaginary parts apart, so the
-        product runs as one real matrix product on the float view of ``vals``.
-        """
-        return (weights @ self._parts).view(complex).reshape(weights.shape[:-1] + self.src.shape)
-
-    def convolve(self, coeff: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Sum over harmonics of weight * coeff[src]: the drift of the flat ``coeff`` under weights from ``weigh``."""
-        return (weights * coeff[self.src]).sum(axis=0, out=out)
+        src = np.where(keep, (ks + kmax) * (2 * lmax + 1) + ls + lmax, k.size // 2)
+        vals = np.where(keep, 1j * (ks * u[mode, cols, None] + ls * v[mode, cols, None]), 0.0)
+        nonzero = np.any(vals != 0, axis=1)
+        self.mode, self.src, self.vals = mode[nonzero], src[nonzero], vals[nonzero]
 
 
 def averaged_operator(flow: FlowSpec, nu: float, cutoff: Lattice | int) -> AveragedOperator:
@@ -233,12 +230,12 @@ def averaged_operator(flow: FlowSpec, nu: float, cutoff: Lattice | int) -> Avera
     matrix = np.zeros((n, n), dtype=complex)
     w = modes[:, 0] ** 2 + modes[:, 1] ** 2
     matrix[np.arange(n), np.arange(n)] = -nu * w.astype(float)
-    drift = _Drift([ubar], cutoff)
-    harmonic, dst = np.nonzero(drift.vals[0])
-    src = drift.src[harmonic, dst]
+    drift = _Drift([ubar], cutoff)  # every row is a const-mode row
+    row, dst = np.nonzero(drift.vals)
+    src = drift.src[row, dst]
     # the mode list is the raveled lattice without its centre, flat index n // 2
     rows, cols = dst - (dst > n // 2), src - (src > n // 2)
-    matrix[rows, cols] += drift.vals[0, harmonic, dst]
+    matrix[rows, cols] += drift.vals[row, dst]
     return AveragedOperator(nu, cutoff, matrix, modes, _mode_classes(n, rows, cols))
 
 
@@ -572,11 +569,15 @@ def sylvester_constant(op: AveragedOperator, spectrum: DetectingSpectrum) -> Syl
     no SVD.  The cost follows the largest class, not the number of modes.
 
     The operator is real-structured: with F the flip, F M F = conj(M), so
-    R(conj z) = F conj(R(z)) F, and the weights and the Riesz projector of a
+    the resolvent of a class's flip partner at z is the flipped conjugate of
+    its own at conj z, and the weights and the Riesz projector of a
     conjugation-closed cluster commute with the same map.  When lambda_nu is
-    real, node N - j of the N contour nodes is the conjugate of node j, so
-    the norms are evaluated at nodes 0..N/2 and copied to their mirrors;
-    at any other lambda_nu every node is evaluated.
+    real, node N - j of the N contour nodes is the conjugate of node j, so a
+    partner's norm at node j is its owner's at node N - j: only the owner of
+    each pair (the class whose first index is at most its partner's, as in
+    ``detecting_spectrum``) is evaluated, at all N nodes, and each node then
+    takes the larger of its own norm and its mirror's.  At any other
+    lambda_nu every class is evaluated at every node.
     """
     if spectrum.schur_blocks is None:
         raise ValueError("spectrum must carry its Schur factors (rerun detecting_spectrum)")
@@ -596,7 +597,7 @@ def sylvester_constant(op: AveragedOperator, spectrum: DetectingSpectrum) -> Syl
 
     thetas = 2.0 * np.pi * np.arange(SYLVESTER_NODES) / SYLVESTER_NODES
     nodes = lam + radius * np.exp(1j * thetas)
-    evaluated = SYLVESTER_NODES // 2 + 1 if lam.imag == 0.0 else SYLVESTER_NODES
+    owners_only = lam.imag == 0.0
     h1w = np.zeros(SYLVESTER_NODES)
     h2w = np.zeros(SYLVESTER_NODES)
 
@@ -609,20 +610,25 @@ def sylvester_constant(op: AveragedOperator, spectrum: DetectingSpectrum) -> Syl
         projectors[int(idx[0])] = (Z[:, :d], np.hstack([np.eye(d, dtype=complex), X]) @ Z.conj().T)
 
     for group in _size_groups(op.classes).values():
-        blocks, idx = _stacked_blocks(op.matrix, group)
+        idx = np.array(group)
+        if owners_only:
+            idx = idx[idx[:, 0] <= op.dim - 1 - idx[:, -1]]
+        blocks, idx = _stacked_blocks(op.matrix, idx)
         members = [(i, projectors[first]) for i, first in enumerate(idx[:, 0].tolist()) if first in projectors]
         eye = np.eye(idx.shape[1], dtype=complex)
         wh, w = w_half[idx], weights[idx]
-        for j, z in enumerate(nodes[:evaluated]):
+        for j, z in enumerate(nodes):
             resolvent = np.linalg.inv(z * eye - blocks)
             # R Pi_perp = R - (R p_left) p_right: rank-d correction, in place
             for i, (p_left, p_right) in members:
                 resolvent[i] -= (resolvent[i] @ p_left) @ p_right
             h1w[j] = max(h1w[j], float(np.max(_norm2(wh[:, :, None] * resolvent * wh[:, None, :]))))
             h2w[j] = max(h2w[j], float(np.max(_norm2(w[:, :, None] * resolvent))))
-    # h[N - j] = h[j] for the nodes not evaluated; empty when every node was
-    h1w[evaluated:] = h1w[SYLVESTER_NODES - evaluated : 0 : -1]
-    h2w[evaluated:] = h2w[SYLVESTER_NODES - evaluated : 0 : -1]
+    if owners_only:
+        # the partners' norms at node j are the owners' at node N - j
+        mirror = -np.arange(SYLVESTER_NODES) % SYLVESTER_NODES
+        h1w = np.maximum(h1w, h1w[mirror])
+        h2w = np.maximum(h2w, h2w[mirror])
 
     d = spectrum.d_nu
     g_inv_max = float(np.max(_norm2(np.linalg.inv(nodes[:, None, None] * np.eye(d) - spectrum.G))))
@@ -681,7 +687,7 @@ class FastCertificate:
         return math.log(self.prefactor) - c * t
 
     def to_json(self) -> dict:
-        return {"kind": "fast", **asdict(self)}
+        return {"kind": "fast", **vars(self), "a0_terms": dict(self.a0_terms)}
 
 
 def fast_certificate(
@@ -757,17 +763,22 @@ def evolve_2d(
     0.2 / (A 2 pi / L + lip kmax).
 
     The raveled lattice is advanced one sample segment at a time.  The heat
-    half-factor is computed once per segment.  The time-mode weights at every
-    step's start, midpoint and end, with h/2 folded in, come from one
-    vectorized cos and sin per run of ``_WEIGHT_CHUNK`` steps, so memory does
-    not grow with the step count.  Per step, one small matrix product weighs
-    the drift's products, each RK4 stage is one add, one gather, one product
-    and one sum over harmonics, and the update is one product with the RK4
-    weights.  The trajectory stacks the fields at the sample times only;
-    sample every step edge to audit the energy identity
+    half-factor is computed once per segment.  Each drift row (``_Drift``:
+    one per time mode and harmonic) takes a time factor, 1, cos(omega A t)
+    or sin(omega A t); the factors of the four RK4 stages of every step
+    (start, midpoint twice, end), with -h/2 folded in (-h for the third
+    stage, so every stage input is one add), come from one vectorized cos
+    and sin per run of ``_WEIGHT_CHUNK`` steps, cast to complex once, so
+    memory does not grow with the step count.  Per step, each RK4 stage is
+    one add, one gather, one product and one complex contraction
+    ``factors @ (vals * x[src])`` over the rows, and the update is one
+    product with the RK4 weights.  The trajectory stacks the fields at the
+    sample times only; sample every step edge to audit the energy identity
     (``shear.dissipation_report``).  On the two shipped fast scenarios
-    (lattices 8 and 6) a step takes 33 to 46 us on a 2-core x86 VM with one
-    BLAS thread, as the host's speed drifts.
+    (lattices 8 and 6) a step takes about 29 and 23 us on a 2-core x86 VM
+    with one BLAS thread; most of it is the fixed cost of some twenty small
+    numpy calls, so it grows slowly with the lattice
+    (``scripts/evolve2d_scaling.py``).
     """
     if not (nu > 0 and math.isfinite(nu)):
         raise FieldError(f"evolve_2d requires finite nu > 0, got {nu}")
@@ -778,31 +789,32 @@ def evolve_2d(
     dt_target = min(dt, cfl) if dt is not None else min(1e-2, cfl)
 
     drift = _Drift([flow.mode_velocity(m) for m in _TIME_MODES], lattice)
+    src, vals, mode = drift.src, drift.vals, drift.mode
     w = lattice.weight_grid().ravel()
     centre = w.size // 2
     has_advection = bool(flow.terms)
-    stages = np.empty((4, w.size), dtype=complex)  # the RK4 stages k1..k4, each times h/2
+    stages = np.empty((4, w.size), dtype=complex)  # the RK4 stages k1..k4, times h/2, h/2, h and h/2
 
-    def stage_weights(t0: np.ndarray, h: float) -> np.ndarray:
-        """(steps, 3, 3) time-mode weights of -(h/2) u . grad at each step's start, midpoint and end."""
-        phase = flow.omega * (A * (t0[:, None] + (0.0, 0.5 * h, h)))
-        return -0.5 * h * np.stack((np.ones_like(phase), np.cos(phase), np.sin(phase)), axis=-1)
+    def stage_factors(t0: np.ndarray, h: float) -> np.ndarray:
+        """(steps, 4, rows) complex time factors of each drift row in the four RK4 stages, with -h _RK4_STEPS folded in."""
+        phase = flow.omega * (A * (t0[:, None] + _RK4_TIMES * h))
+        tau = np.stack((np.ones_like(phase), np.cos(phase), np.sin(phase)), axis=-1)
+        return (-h * _RK4_STEPS[:, None] * tau[..., mode]).astype(complex)
 
     def advance(coeff: np.ndarray, t: float, h: float, n: int):
         half = np.exp(-0.5 * nu * w * h)
         for first in range(0, n, _WEIGHT_CHUNK):
             count = min(_WEIGHT_CHUNK, n - first)
             if has_advection:
-                weights = stage_weights(t + (first + np.arange(count)) * h, h)
+                factors = stage_factors(t + (first + np.arange(count)) * h, h)
             for j in range(count):
                 coeff = coeff * half
                 if has_advection:
-                    # stage inputs c + h/2 k1, c + h/2 k2 and c + h k3 are one add each
-                    start, mid, end = drift.weigh(weights[j])
-                    drift.convolve(coeff, start, out=stages[0])
-                    drift.convolve(coeff + stages[0], mid, out=stages[1])
-                    drift.convolve(coeff + stages[1], mid, out=stages[2])
-                    drift.convolve(coeff + 2.0 * stages[2], end, out=stages[3])
+                    f1, f2, f3, f4 = factors[j]
+                    np.matmul(f1, vals * coeff[src], out=stages[0])
+                    np.matmul(f2, vals * (coeff + stages[0])[src], out=stages[1])
+                    np.matmul(f3, vals * (coeff + stages[1])[src], out=stages[2])
+                    np.matmul(f4, vals * (coeff + stages[2])[src], out=stages[3])
                     coeff = coeff + _RK4_SUM @ stages
                 coeff = coeff * half
                 coeff[centre] = 0.0

@@ -17,7 +17,7 @@ Every intermediate constant is kept on the certificate records for audit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,7 +121,7 @@ class C2Certificate:
         return math.log(self.N) - self.c2 * t
 
     def to_json(self) -> dict:
-        return {"kind": "c2", **asdict(self)}
+        return {"kind": "c2", **vars(self), "records": tuple(dict(vars(r)) for r in self.records)}
 
 
 def mode_mk(k: int, M: float, nu: float, delta_k: float) -> int:
@@ -285,7 +285,7 @@ class MixCertificate:
     c_star: float
 
     def to_json(self) -> dict:
-        return {"kind": "mix", **asdict(self)}
+        return {"kind": "mix", **vars(self), "modes": tuple(dict(vars(m)) for m in self.modes)}
 
 
 def mixing_certificate(rho0: SpectralField2D, M: float, nu: float, c2: float) -> MixCertificate:
@@ -409,7 +409,7 @@ class NuScalingRow:
     branch: str
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def nu_scaling_report(rho0: SpectralField2D, M: float, nus: list[float]) -> list[NuScalingRow]:

@@ -5,7 +5,8 @@ scalar time factor (constant, or cos/sin of one full period).  Plane flows are
 specified through a streamfunction, so the velocity is divergence-free by
 construction.  Analytic bounds consumed by the certificates (M = sup|U|, the
 W^{1,1} seminorm of U, the Lipschitz size of u) are declared data validated
-against a sampling grid, not computed suprema.
+against a sampling grid, not computed suprema; a plane flow's Lipschitz size
+is sampled on a spatial grid but taken exactly over phase.
 """
 
 from __future__ import annotations
@@ -287,8 +288,9 @@ class FlowSpec:
     """Divergence-free plane flow from a streamfunction, periodic in its phase.
 
     The velocity is u = (-d_y psi, d_x psi).  ``lip`` declares a bound on the
-    sup over phase of max(|u|, |first derivatives of u|); it is validated
-    against sampled values on construction.
+    sup over phase of max(|u|, |first derivatives of u|); it is validated on
+    construction against that sup on a 128 x 128 grid, taken exactly in
+    phase (``_sampled_lip``), and is that value when not declared.
     """
 
     terms: tuple[FlowTerm, ...] = ()
@@ -359,25 +361,31 @@ class FlowSpec:
         u2 = _eval_coeffs_grid(sv.lattice, sv.v, x, y)
         return u1.real, u2.real
 
-    def _sampled_lip(self, n: int = 128, n_theta: int = 32) -> float:
-        if not self.terms:
-            return 0.0
+    def _sampled_lip(self, n: int = 128) -> float:
+        """max over the n x n grid and over every phase of |u|, |v| and their first derivatives.
+
+        Each of the six functions is a + b cos(omega theta) + c sin(omega theta)
+        at a grid point, with a, b and c its values under the const, cos and
+        sin terms, so its supremum over phase is exactly |a| + hypot(b, c);
+        the grids of one function are held at a time.
+        """
         x = np.linspace(0.0, _TWO_PI, n, endpoint=False)
-        thetas = [0.0] if self.is_steady() else np.linspace(0.0, self.period, n_theta, endpoint=False)
+        modes = [mode for mode in ("const", "cos", "sin") if any(t.time_mode == mode for t in self.terms)]
+        if not modes:
+            return 0.0
+        velocities = [self.mode_velocity(mode) for mode in modes]
+        lattice = velocities[0].lattice
+        ik = 1j * lattice.k_values()[:, None]
+        il = 1j * lattice.l_values()[None, :]
         worst = 0.0
-        k = None
-        for theta in thetas:
-            sv = self.velocity_coeffs(theta)
-            if k is None:
-                kk = sv.lattice.k_values()[:, None].astype(float)
-                ll = sv.lattice.l_values()[None, :].astype(float)
-                k = (kk, ll)
-            for comp in (sv.u, sv.v):
-                vals = _eval_coeffs_grid(sv.lattice, comp, x, x)
-                worst = max(worst, float(np.max(np.abs(vals))))
-                for dcomp in (1j * k[0] * comp, 1j * k[1] * comp):
-                    dvals = _eval_coeffs_grid(sv.lattice, dcomp, x, x)
-                    worst = max(worst, float(np.max(np.abs(dvals))))
+        for comp in ("u", "v"):
+            for weight in (1.0, ik, il):
+                grids = {
+                    mode: _eval_coeffs_grid(lattice, weight * getattr(sv, comp), x, x).real
+                    for mode, sv in zip(modes, velocities)
+                }
+                peak = np.abs(grids.get("const", 0.0)) + np.hypot(grids.get("cos", 0.0), grids.get("sin", 0.0))
+                worst = max(worst, float(np.max(peak)))
         return worst
 
 

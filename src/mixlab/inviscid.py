@@ -10,7 +10,7 @@ all-time floor ||theta(t)||_{H^{-1}} >= c_star / (1 + t^2).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,7 @@ class InviscidCertificate:
         return np.maximum(1.0, np.ceil(4.0 * v * v / self.S))
 
     def to_json(self) -> dict:
-        return {"kind": "inviscid", **asdict(self)}
+        return {"kind": "inviscid", **vars(self)}
 
 
 def _phase_bandwidth(phi_coeffs: np.ndarray, k: int) -> int:
@@ -208,7 +208,9 @@ def check_inviscid_bound(
     certified mode the mass above the window N(t) never exceeds half the
     conserved mode mass S; and, as the exact map conserves every x-mode's
     mass, the drifts of the mode masses from the first sample, summed over
-    the modes, stay below _MASS_TOL times the total mass there.
+    the modes, stay below _MASS_TOL times the total mass there.  A first
+    sample of zero mass makes that drift infinite (``null`` in the report
+    JSON) and fails the audit.
     """
     times, measured = trajectory.times, hneg1_norm(trajectory)
     extras = {}
@@ -219,7 +221,9 @@ def check_inviscid_bound(
         masses = np.sum(power, axis=-1)  # (sample, x-mode)
         drifts = np.sum(np.abs(masses - masses[0]), axis=-1)
         max_tail_ratio = float(np.max(tails, initial=0.0)) / (cert.S / 2.0)
-        max_mass_drift = float(np.max(drifts, initial=0.0) / np.sum(masses[0]))
+        total = float(np.sum(masses[0]))
+        # a zero first sample has no mass to drift from: the audit fails, with no division
+        max_mass_drift = float(np.max(drifts, initial=0.0)) / total if total > 0.0 else math.inf
         extras["max_tail_ratio"] = max_tail_ratio
         extras["tail_ok"] = bool(max_tail_ratio <= 1.0 + 1e-12)
         extras["max_mass_drift"] = max_mass_drift

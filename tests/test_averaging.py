@@ -150,8 +150,8 @@ class TestGalerkinDrift:
 
         drift = averaging._Drift([flow.mode_velocity(m) for m in averaging._TIME_MODES], lattice)
         phase = flow.omega * theta
-        weights = drift.weigh(np.array([1.0, math.cos(phase), math.sin(phase)]))
-        got = drift.convolve(f.coeff.ravel(), weights).reshape(lattice.shape)
+        got = _drift_at(drift, f.coeff.ravel(), np.array([1.0, math.cos(phase), math.sin(phase)]))
+        got = got.reshape(lattice.shape)
 
         n = 32  # the product has band 7, so no alias of it lands on |k| <= 5
         x = 2 * np.pi * np.arange(n) / n
@@ -175,7 +175,7 @@ class TestGalerkinDrift:
         velocities = [flow.mode_velocity(m) for m in averaging._TIME_MODES]
         weights = np.array(weights)
         drift = averaging._Drift(velocities, lattice)
-        got = drift.convolve(coeff.ravel(), drift.weigh(weights)).reshape(lattice.shape)
+        got = _drift_at(drift, coeff.ravel(), weights).reshape(lattice.shape)
         want = _slice_loop_drift(velocities, lattice, coeff, weights)
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
 
@@ -196,10 +196,9 @@ class TestGalerkinDrift:
         coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         coeff[n // 2] = 0.0
         drift = averaging._Drift([flow.mode_velocity(m) for m in averaging._TIME_MODES], lattice)
-        w = drift.weigh(np.array(weights))
-        want = drift.convolve(coeff, w)
+        want = _drift_at(drift, coeff, np.array(weights))
         coeff[n // 2] = centre
-        assert np.array_equal(drift.convolve(coeff, w), want)
+        assert np.array_equal(_drift_at(drift, coeff, np.array(weights)), want)
 
     @given(flow_terms, st.sampled_from([(2, 5), (5, 3), (4, 4), (6, 2)]))
     @settings(max_examples=40, deadline=None)
@@ -210,6 +209,44 @@ class TestGalerkinDrift:
             warnings.simplefilter("ignore")  # bands beyond cutoff / 2 are truncated on both sides alike
             op = averaged_operator(flow, NU, cutoff)
         assert np.array_equal(op.matrix, _harmonic_fill(time_average(flow), NU, cutoff, op.modes))
+
+    def test_harmonic_in_two_time_modes_has_a_row_per_mode(self):
+        """psi harmonic (1, 0) in the const and cos modes, (0, 1) in cos and sin: one row per (mode, harmonic)."""
+        flow = FlowSpec(
+            (
+                FlowTerm(1.0, 1, 0, "cos", "const"),
+                FlowTerm(0.6, 1, 0, "sin", "cos"),
+                FlowTerm(0.8, 0, 1, "cos", "cos"),
+                FlowTerm(-0.4, 0, 1, "sin", "sin"),
+            ),
+            period=1.3,
+        )
+        lattice = Lattice(4, 3)
+        velocities = [flow.mode_velocity(m) for m in averaging._TIME_MODES]
+        drift = averaging._Drift(velocities, lattice)
+        # each real term has the velocity harmonics +-(kx, ky); rows come ordered by mode
+        assert drift.mode.tolist() == [0, 0, 1, 1, 1, 1, 2, 2]
+        assert drift.src.shape == drift.vals.shape == (8, math.prod(lattice.shape))
+        assert np.all(np.any(drift.vals != 0, axis=1))
+        rng = np.random.default_rng(5)
+        coeff = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
+        coeff[lattice.kmax, lattice.lmax] = 0.0
+        for weights in (np.array([1.0, 0.3, -0.7]), np.array([0.0, 1.0, 0.0]), np.array([-0.5, 0.0, 2.0])):
+            got = _drift_at(drift, coeff.ravel(), weights).reshape(lattice.shape)
+            want = _slice_loop_drift(velocities, lattice, coeff, weights)
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+        # the stepper contracts the same rows
+        rho0 = field_from_terms(lattice, [HarmonicTerm(1.0, 1, 1), HarmonicTerm(0.5, 2, 0, "sin")])
+        times = np.array([0.0, 0.05, 0.3])
+        got = evolve_2d(rho0, flow, 37.0, NU, times)
+        want = _reference_evolve_2d(rho0, flow, 37.0, NU, times)
+        assert np.array_equal(got.diag_times, want.diag_times)
+        assert np.max(np.abs(got.coeff - want.coeff)) <= 1e-12 * np.max(np.abs(want.coeff))
+
+
+def _drift_at(drift, coeff, weights):
+    """The drift of the flat coeff under real time-mode weights, as an evolve_2d stage contracts it."""
+    return weights[drift.mode].astype(complex) @ (drift.vals * coeff[drift.src])
 
 
 def _shift(p, n):
@@ -787,7 +824,7 @@ class TestSylvester:
 
     @staticmethod
     def _counted_sylvester(monkeypatch, op, spec):
-        """sylvester_constant with np.linalg.inv counted: the estimate and the number of contour nodes evaluated."""
+        """sylvester_constant with np.linalg.inv counted: the estimate, the classes stacked per size group, and the group's class count."""
         calls = []
         inv = np.linalg.inv
 
@@ -798,32 +835,40 @@ class TestSylvester:
         monkeypatch.setattr(np.linalg, "inv", counting)
         syl = sylvester_constant(op, spec)
         monkeypatch.undo()
-        # one stacked inverse per size group and evaluated node, plus the one for g_inv_max
-        groups = len(averaging._size_groups(op.classes))
-        assert (len(calls) - 1) % groups == 0
-        return syl, (len(calls) - 1) // groups
+        # one stacked inverse per size group and contour node, in group order, plus the one for g_inv_max
+        groups = averaging._size_groups(op.classes)
+        assert len(calls) == len(groups) * averaging.SYLVESTER_NODES + 1
+        stacks = [calls[i * averaging.SYLVESTER_NODES : (i + 1) * averaging.SYLVESTER_NODES] for i in range(len(groups))]
+        for (size, group), shapes in zip(groups.items(), stacks):
+            assert len(set(shapes)) == 1 and shapes[0][1:] == (size, size)
+        return syl, [shapes[0][0] for shapes in stacks], [len(group) for group in groups.values()]
 
     def test_real_lambda_mirrors_nodes(self, monkeypatch):
-        """A real lambda_nu evaluates nodes 0..N/2 and copies each norm to node N - j, exactly."""
+        """A real lambda_nu evaluates only each flip pair's owner, at all N nodes; the norms are palindromic, exactly."""
         op = averaged_operator(SHEAR_FLOW, NU, 6)
         rho0 = cos_y(Lattice(6, 6))
         spec = detecting_spectrum(op, rho0)
         assert spec.lambda_nu.imag == 0.0
-        syl, evaluated = self._counted_sylvester(monkeypatch, op, spec)
-        assert evaluated == averaging.SYLVESTER_NODES // 2 + 1
+        syl, stacked, _ = self._counted_sylvester(monkeypatch, op, spec)
+        owners = [
+            sum(int(idx[0] <= op.dim - 1 - idx[-1]) for idx in group)
+            for group in averaging._size_groups(op.classes).values()
+        ]
+        assert stacked == owners
+        assert sum(owners) < len(op.classes)  # the shear's classes pair up, so partners are skipped
         _, _, norms = _dense_oracle(op, rho0)
         for got, key in ((syl.h1_weighted_norms, "h1w"), (syl.h2_weighted_norms, "h2w")):
             assert np.array_equal(got[1:], got[1:][::-1]), key
             np.testing.assert_allclose(got, norms[key], rtol=1e-10, atol=0.0, err_msg=key)
 
     def test_complex_lambda_evaluates_every_node(self, monkeypatch):
-        """The complex cluster of an x-mode datum has no mirror: all 8 nodes match the dense oracle."""
+        """The complex cluster of an x-mode datum has no mirror: every class at all 8 nodes matches the dense oracle."""
         op = averaged_operator(SHEAR_FLOW, NU, 8)
         rho0 = field_from_terms(Lattice(8, 8), [HarmonicTerm(1.0, 1, 0)])
         spec = detecting_spectrum(op, rho0)
         assert spec.lambda_nu.imag != 0.0
-        syl, evaluated = self._counted_sylvester(monkeypatch, op, spec)
-        assert evaluated == averaging.SYLVESTER_NODES
+        syl, stacked, counts = self._counted_sylvester(monkeypatch, op, spec)
+        assert stacked == counts
         _, gap, norms = _dense_oracle(op, rho0)
         assert syl.gap == pytest.approx(gap, rel=1e-10, abs=0.0)
         for got, key in ((syl.h1_weighted_norms, "h1w"), (syl.h2_weighted_norms, "h2w")):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from mixlab.flows import (
@@ -167,6 +168,71 @@ class TestDeclaredBounds:
             assert np.array_equal(rows[i], ref)
             assert np.array_equal(sh.dy_sample(t, Y), dy_ref)
             assert np.array_equal(dy_rows[i], dy_ref)
+
+
+def _grid_values(coeff, n):
+    """Values of the real field with the given centred coefficients on the n x n grid 2 pi (i, j) / n, by FFT."""
+    kmax, lmax = (s // 2 for s in coeff.shape)
+    padded = np.zeros((n, n), dtype=complex)
+    k, l = np.meshgrid(np.arange(-kmax, kmax + 1), np.arange(-lmax, lmax + 1), indexing="ij")
+    padded[k % n, l % n] = coeff
+    return (n * n * np.fft.ifft2(padded)).real
+
+
+def _phase_sampled_lip(flow, n=128, phases=4096, chunk=128):
+    """max of |u|, |v| and their first derivatives on the n x n grid, sampled at `phases` evenly spaced phases.
+
+    Each function is recovered from its values at the phases 0, L/4 and L/2 as a + b cos + c sin.
+    """
+    at = [flow.velocity_coeffs(theta) for theta in (0.0, flow.period / 4, flow.period / 2)]
+    lat = at[0].lattice
+    ik, il = 1j * lat.k_values()[:, None], 1j * lat.l_values()[None, :]
+    w = 2 * np.pi * np.arange(phases) / phases
+    tau = np.stack((np.ones_like(w), np.cos(w), np.sin(w)), axis=1)
+    values = np.empty((chunk, n * n))
+    worst = 0.0
+    for comp in ("u", "v"):
+        for weight in (1.0, ik, il):
+            f0, f1, f2 = (_grid_values(weight * getattr(sv, comp), n).ravel() for sv in at)
+            abc = np.stack(((f0 + f2) / 2, (f0 - f2) / 2, f1 - (f0 + f2) / 2))
+            for first in range(0, phases, chunk):
+                np.abs(np.matmul(tau[first : first + chunk], abc, out=values), out=values)
+                worst = max(worst, float(values.max()))
+    return worst
+
+
+flow_terms = st.lists(
+    st.tuples(
+        st.floats(-2.0, 2.0),
+        st.integers(-2, 2),
+        st.integers(-2, 2),
+        st.sampled_from(["cos", "sin"]),
+        st.sampled_from(["const", "cos", "sin"]),
+    ).filter(lambda t: (t[1], t[2]) != (0, 0)),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestLipExactInPhase:
+    @given(flow_terms, st.sampled_from([1.0, 1.3, TWO_PI]))
+    @example([(1.0, 0, 1, "cos", "const"), (1.0, 1, 0, "cos", "cos")], 1.0)  # fast_shear_mean
+    @settings(max_examples=6, deadline=None)
+    def test_brackets_phase_sampling(self, terms, period):
+        """lip is the sup over phase: a 4096-phase sampling reaches it within the sampling's cosine loss, never above."""
+        flow = FlowSpec(tuple(FlowTerm(*t) for t in terms), period=period)
+        sampled = _phase_sampled_lip(flow)
+        scale = 1e-12 * max(1.0, flow.lip)
+        assert sampled <= flow.lip + scale
+        # the peak of a + R cos(phi - phi0) lies within pi / 4096 of a sample
+        assert flow.lip <= sampled + flow.lip * (1.0 - math.cos(math.pi / 4096)) + scale
+
+    def test_steady_and_shipped_values(self):
+        # psi = -2 sin x sin y: u = 2 sin x cos y, so |u| and |du/dx| = |2 cos x cos y| peak at 2 on the grid
+        assert preset_flow("cellular").lip == pytest.approx(2.0, abs=1e-12)
+        assert FlowSpec(()).lip == 0.0
+        # the shipped fast flows declare lip = 1.0, which the exact value accepts
+        FlowSpec((FlowTerm(1.0, 0, 1, "cos", "const"), FlowTerm(1.0, 1, 0, "cos", "cos")), period=1.0, lip=1.0)
 
 
 class TestJson:

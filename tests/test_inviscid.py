@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.fft import next_fast_len
 from scipy.special import jv
 
 from mixlab import inviscid
+from mixlab.harness import json_text
 from mixlab.flows import ShearSpec, ShearTerm, preset_shear
 from mixlab.inviscid import check_inviscid_bound, evolve_inviscid, inviscid_certificate
 from mixlab.shear import evolve_shear
@@ -263,6 +266,20 @@ class TestBoundCheck:
         assert rep.extras["max_mass_drift"] == pytest.approx(2e-6, rel=1e-3)
         assert not rep.extras["mass_ok"]
         assert rep.verdict == "FAIL"
+
+    def test_zero_first_sample_fails_the_audit_without_warning(self):
+        theta0 = cos_x()
+        cert = inviscid_certificate(theta0, SIN_Y)
+        traj = evolve_inviscid(theta0, SIN_Y, [0.0, 1.0, 2.0])
+        traj.coeff[0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_inviscid_bound(traj, cert)
+            text = json_text(rep.to_json())
+        assert rep.extras["max_mass_drift"] == math.inf
+        assert not rep.extras["mass_ok"]
+        assert rep.verdict == "FAIL"
+        assert json.loads(text)["extras"]["max_mass_drift"] is None
 
     def test_mass_loss_in_uncertified_mode_fails_the_check(self):
         theta0 = field_from_terms(Lattice(3, 2), [HarmonicTerm(1.0, 1, 0), HarmonicTerm(1.0, 2, 1)])

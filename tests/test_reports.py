@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from mixlab.certificates import (
     check_mixing_bound,
     check_upper_envelope,
     mixing_certificate,
+    nu_scaling_report,
 )
 from mixlab.flows import preset_shear
 from mixlab.inviscid import InviscidCertificate, check_inviscid_bound, inviscid_certificate
@@ -238,6 +240,41 @@ class TestChecksAgainstPerSampleOracle:
 
 class TestCertificateJson:
     """Field-derived serialization must keep exactly these keys."""
+
+    @staticmethod
+    def _assert_matches_asdict(cert, kind):
+        """to_json is the dataclasses.asdict form, key order and JSON text included, and owns its nested values."""
+        want = asdict(cert) if kind is None else {"kind": kind, **asdict(cert)}
+        blob = cert.to_json()
+        assert blob == want
+        assert list(blob) == list(want)
+        assert json.dumps(blob) == json.dumps(want)
+        # emptying the blob's dicts and records leaves the certificate as it was
+        for value in blob.values():
+            for item in [value] if isinstance(value, dict) else value if isinstance(value, tuple) else []:
+                item.clear()
+        assert cert.to_json() == want
+
+    @pytest.mark.parametrize("kx, ky", [(1, 0), (0, 1)], ids=["x_modes", "heat_only"])
+    def test_c2_matches_asdict(self, kx, ky):
+        self._assert_matches_asdict(c2_certificate(_field(kx, ky), 1.0, 0.1), "c2")
+
+    def test_mix_matches_asdict(self):
+        rho0 = _field(1, 0)
+        self._assert_matches_asdict(mixing_certificate(rho0, 1.0, 0.1, c2_certificate(rho0, 1.0, 0.1).c2), "mix")
+
+    @pytest.mark.parametrize("kx, ky", [(1, 0), (0, 1)], ids=["mode", "stationary"])
+    def test_inviscid_matches_asdict(self, kx, ky):
+        self._assert_matches_asdict(inviscid_certificate(_field(kx, ky), preset_shear("couette")), "inviscid")
+
+    def test_fast_matches_asdict(self):
+        raw = json.loads((ROOT / "scenarios" / "extra" / "fast_shear_mean.json").read_text())
+        raw["cutoff"] = 4
+        self._assert_matches_asdict(harness._certify(harness.Scenario.from_json(raw))["fast"], "fast")
+
+    def test_nu_scaling_row_matches_asdict(self):
+        for row in nu_scaling_report(_field(1, 0), 1.0, [0.1, 0.05]):
+            self._assert_matches_asdict(row, None)
 
     def test_c2_x_branch(self):
         blob = c2_certificate(_field(1, 0), 1.0, 0.1).to_json()

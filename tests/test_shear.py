@@ -464,3 +464,20 @@ def test_shear_scaling_script_smoke():
         assert line["us_per_mode_step"] == pytest.approx(1e6 * line["evolve_shear_s"] / 2000)
     assert [line["slope"] is None for line in lines] == [True, False, True, False]
     assert all(math.isfinite(line["slope"]) for line in lines[1::2])
+
+
+def test_evolve2d_scaling_script_smoke():
+    """scripts/evolve2d_scaling.py prints one JSON line per lattice, with slopes in D from the second on."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, str(ROOT / "scripts" / "evolve2d_scaling.py"), "--lattice", "2", "4"]
+    proc = subprocess.run(command, capture_output=True, text=True, env=env, check=True)
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(line["lattice"], line["D"]) for line in lines] == [(2, 25), (4, 81)]
+    # two 0.1 segments under the CFL cap 0.2 / (100 * 2 pi + lip * L) of fast_shear_mean
+    assert [line["steps"] for line in lines] == [632, 634]
+    for line in lines:
+        assert line["scenario"] == "fast_shear_mean"
+        assert line["evolve_2d_s"] > 0.0
+        assert line["us_per_step"] == pytest.approx(1e6 * line["evolve_2d_s"] / line["steps"])
+    assert lines[0]["slope"] is None
+    assert math.isfinite(lines[1]["slope"])
