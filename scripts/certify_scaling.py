@@ -10,9 +10,12 @@ certificate itself (which takes the damping constant).  ``--mean shear``
 steady flow with streamfunction cos y + 0.7 cos x, whose mean couples every
 mode into one class, so the dense path of a single class is timed by the
 same command.  One JSON line per cutoff gives the operator dimension ``n``,
-the mode-class sizes as {size: count}, the fastest of REPEATS wall times of
-each stage, and each stage's log-log slope in ``n`` from the previous cutoff
-(null on the first line), so the scaling exponent is visible:
+the mode-class sizes as {size: count}, ``real_classes`` (the classes whose
+block is a real matrix, run in real arithmetic), ``resolvents`` (the class
+blocks the Sylvester constant inverts, summed over its contour nodes), the
+fastest of REPEATS wall times of each stage, and each stage's log-log slope
+in ``n`` from the previous cutoff (null on the first line), so the scaling
+exponent is visible:
 
     PYTHONPATH=src python scripts/certify_scaling.py --cutoffs 6 8 10 12 16 24
     PYTHONPATH=src python scripts/certify_scaling.py --mean coupled --cutoffs 4 6 8
@@ -30,6 +33,8 @@ from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
+
 from mixlab import averaging
 from mixlab.flows import FlowSpec, FlowTerm
 from mixlab.harness import Scenario
@@ -41,8 +46,8 @@ SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "extra" / "fas
 COUPLED = FlowSpec((FlowTerm(1.0, 0, 1, "cos"), FlowTerm(0.7, 1, 0, "cos")))
 
 
-def time_chain(scenario, cutoff: int) -> tuple[averaging.AveragedOperator, dict]:
-    """One pass of the certificate chain at this cutoff: the operator and each stage's wall time."""
+def time_chain(scenario, cutoff: int) -> tuple[averaging.AveragedOperator, averaging.SylvesterEstimate, dict]:
+    """One pass of the certificate chain at this cutoff: the operator, its Sylvester estimate, each stage's time."""
     lattice = Lattice(cutoff, cutoff)
     t0 = perf_counter()
     op = averaging.averaged_operator(scenario.flow_spec, scenario.nu, lattice)
@@ -54,7 +59,7 @@ def time_chain(scenario, cutoff: int) -> tuple[averaging.AveragedOperator, dict]
     averaging.fast_certificate(scenario.flow_spec, scenario.rho0, scenario.nu, scenario.eta, spectrum, syl)
     t4 = perf_counter()
     times = dict(zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)))
-    return op, times
+    return op, syl, times
 
 
 def main(argv=None) -> int:
@@ -70,8 +75,8 @@ def main(argv=None) -> int:
     previous = None
     for cutoff in args.cutoffs:
         passes = [time_chain(scenario, cutoff) for _ in range(REPEATS)]
-        op = passes[0][0]
-        best = {stage: min(times[stage] for _, times in passes) for stage in STAGES}
+        op, syl, _ = passes[0]
+        best = {stage: min(times[stage] for _, _, times in passes) for stage in STAGES}
         best["total"] = sum(best[stage] for stage in STAGES)
         slope = None
         if previous is not None and previous[0] != op.dim:
@@ -82,6 +87,8 @@ def main(argv=None) -> int:
             "cutoff": cutoff,
             "n": op.dim,
             "class_sizes": {str(s): sizes[s] for s in sorted(sizes)},
+            "real_classes": sum(not op.matrix[np.ix_(idx, idx)].imag.any() for idx in op.classes),
+            "resolvents": syl.resolvents,
             "stages_s": best,
             "slope": slope,
         }

@@ -125,6 +125,12 @@ class AveragedOperator:
     exactly.  The flip of a class ``idx`` is therefore a class,
     ``dim - 1 - idx[::-1]`` (its flip partner, possibly itself), whose block
     is the reversed conjugate of the block of ``idx``.
+
+    A cos-phase stream function (every term ``cos(kx x + ky y)``) has real
+    Fourier coefficients, its drift weights ``i (k a + l b)`` are real, and
+    every class block is a real matrix (the imaginary part is exactly 0, as
+    on both shipped fast scenarios).  The certificate then runs those blocks
+    in real arithmetic (``detecting_spectrum``, ``sylvester_constant``).
     """
 
     nu: float
@@ -276,9 +282,14 @@ def _size_groups(classes) -> dict[int, list]:
 
 
 def _stacked_blocks(matrix: np.ndarray, group: list) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal blocks of equal-size classes as an (m, s, s) stack, with their (m, s) indices."""
+    """The diagonal blocks of equal-size classes as an (m, s, s) stack, with their (m, s) indices.
+
+    A stack whose imaginary part is exactly zero comes out real, so numpy
+    hands it to real LAPACK.
+    """
     idx = np.array(group)
-    return matrix[idx[:, :, None], idx[:, None, :]], idx
+    blocks = matrix[idx[:, :, None], idx[:, None, :]]
+    return (blocks if blocks.imag.any() else blocks.real), idx
 
 
 @dataclass(frozen=True)
@@ -381,7 +392,13 @@ def detecting_spectrum(op: AveragedOperator, rho0: SpectralField2D) -> Detecting
     flip partner of a class is a class whose block is the flipped conjugate
     (``AveragedOperator``), so its eigenvalues are the conjugates: of each
     pair, only the class with the lower first index calls ``eigvals``, and
-    a class that is its own flip is computed whole.
+    a class that is its own flip is computed whole.  A stack of equal-size
+    blocks whose imaginary part is exactly zero calls it in real arithmetic
+    (``dgeev``), so its conjugate pairs come out exactly conjugate and its
+    real eigenvalues exactly real.  When every class holding the cluster is
+    real and every cluster eigenvalue is exactly real, the cluster is
+    closed under conjugation, the trace of G is real, and lambda_nu is
+    returned exactly real (its real part, so gamma_nu, unchanged).
     Clusters are visited by increasing decay rate; for each, the invariant
     subspace is taken from a sorted Schur decomposition of every class that
     holds a cluster eigenvalue, and the datum's bilinear pairing with its
@@ -450,6 +467,11 @@ def detecting_spectrum(op: AveragedOperator, rho0: SpectralField2D) -> Detecting
             np.max(np.linalg.norm(op.matrix @ basis_matrix - basis_matrix @ G, axis=0))
         )
         lam = complex(np.mean(np.diag(G)))
+        real_blocks = not any(op.matrix[np.ix_(idx, idx)].imag.any() for idx, *_ in schur_blocks)
+        if real_blocks and not eigs[cluster].imag.any():
+            # a real cluster of real blocks is closed under conjugation, so the
+            # trace of G is real and its imaginary part is complex-Schur noise
+            lam = complex(lam.real)
         sorted_eigs = eigs[np.argsort(-eigs.real)]
         return DetectingSpectrum(
             eigenvalues=sorted_eigs,
@@ -541,6 +563,7 @@ class SylvesterEstimate:
     h1_weighted_norms: np.ndarray
     h2_weighted_norms: np.ndarray
     flag: str = "estimated at truncation, not rigorous"
+    resolvents: int = 0  # class blocks inverted, summed over contour nodes
 
 
 def _norm2(stack: np.ndarray) -> np.ndarray:
@@ -575,9 +598,21 @@ def sylvester_constant(op: AveragedOperator, spectrum: DetectingSpectrum) -> Syl
     real, node N - j of the N contour nodes is the conjugate of node j, so a
     partner's norm at node j is its owner's at node N - j: only the owner of
     each pair (the class whose first index is at most its partner's, as in
-    ``detecting_spectrum``) is evaluated, at all N nodes, and each node then
-    takes the larger of its own norm and its mirror's.  At any other
-    lambda_nu every class is evaluated at every node.
+    ``detecting_spectrum``) is evaluated, and each node then takes the
+    larger of its own norm and its mirror's.  At any other lambda_nu every
+    class is evaluated at every node.
+
+    A class block that is itself real (a stack whose imaginary part is
+    exactly zero, ``AveragedOperator``) has R(conj z) = conj R(z), and the
+    Riesz projector of a conjugation-closed cluster is real: when lambda_nu
+    is real, a real stack is evaluated only at nodes 0..N/2 (on or above
+    the real axis), and node N - j takes node j's norms, on top of the
+    owners-only pairing.  The nodes are built exactly conjugate-symmetric,
+    so nodes 0 and N/2 are exactly real; there a real stack with no cluster
+    member is inverted at a real z, so the inverse, the Gram product and its
+    eigenvalues all run in real arithmetic (a member's projector is complex,
+    so its stack keeps complex z).  ``resolvents`` counts the class blocks
+    inverted, summed over nodes.
     """
     if spectrum.schur_blocks is None:
         raise ValueError("spectrum must carry its Schur factors (rerun detecting_spectrum)")
@@ -595,11 +630,19 @@ def sylvester_constant(op: AveragedOperator, spectrum: DetectingSpectrum) -> Syl
     weights = 1.0 + (op.modes[:, 0] ** 2 + op.modes[:, 1] ** 2).astype(float)
     w_half = np.sqrt(weights)
 
-    thetas = 2.0 * np.pi * np.arange(SYLVESTER_NODES) / SYLVESTER_NODES
-    nodes = lam + radius * np.exp(1j * thetas)
+    # the unit nodes are exactly conjugate-symmetric, unit[N - j] = conj(unit[j]), and
+    # unit[0] = 1 and unit[N/2] = -1 are exactly real
+    index = np.arange(SYLVESTER_NODES)
+    mirror = -index % SYLVESTER_NODES
+    upper = index <= mirror  # nodes 0..N/2, on or above the real axis
+    unit = np.exp(2j * np.pi * index / SYLVESTER_NODES)
+    unit[2 * index == SYLVESTER_NODES] = -1.0
+    unit[~upper] = unit[mirror[~upper]].conj()
+    nodes = lam + radius * unit
     owners_only = lam.imag == 0.0
     h1w = np.zeros(SYLVESTER_NODES)
     h2w = np.zeros(SYLVESTER_NODES)
+    resolvents = 0
 
     # Riesz projection of the cluster from each member class's block-decoupled
     # Schur form: P = Z [[I, X], [0, 0]] Z^H with T11 X - X T22 = T12; rank d.
@@ -615,18 +658,23 @@ def sylvester_constant(op: AveragedOperator, spectrum: DetectingSpectrum) -> Syl
             idx = idx[idx[:, 0] <= op.dim - 1 - idx[:, -1]]
         blocks, idx = _stacked_blocks(op.matrix, idx)
         members = [(i, projectors[first]) for i, first in enumerate(idx[:, 0].tolist()) if first in projectors]
-        eye = np.eye(idx.shape[1], dtype=complex)
+        real = np.isrealobj(blocks)
+        eye = np.eye(idx.shape[1])
         wh, w = w_half[idx], weights[idx]
-        for j, z in enumerate(nodes):
+        # a real stack's norms at node N - j are its own at node j when lambda_nu is real
+        for j in np.flatnonzero(upper) if real and owners_only else range(SYLVESTER_NODES):
+            z = nodes[j]
+            if real and not members and z.imag == 0.0:
+                z = float(z.real)  # a real resolvent: inv, Gram product and eigvalsh run real
             resolvent = np.linalg.inv(z * eye - blocks)
+            resolvents += len(idx)
             # R Pi_perp = R - (R p_left) p_right: rank-d correction, in place
             for i, (p_left, p_right) in members:
                 resolvent[i] -= (resolvent[i] @ p_left) @ p_right
             h1w[j] = max(h1w[j], float(np.max(_norm2(wh[:, :, None] * resolvent * wh[:, None, :]))))
             h2w[j] = max(h2w[j], float(np.max(_norm2(w[:, :, None] * resolvent))))
     if owners_only:
-        # the partners' norms at node j are the owners' at node N - j
-        mirror = -np.arange(SYLVESTER_NODES) % SYLVESTER_NODES
+        # node N - j takes node j's norms: a partner's are its owner's mirrored, a real stack's its own
         h1w = np.maximum(h1w, h1w[mirror])
         h2w = np.maximum(h2w, h2w[mirror])
 
@@ -635,7 +683,7 @@ def sylvester_constant(op: AveragedOperator, spectrum: DetectingSpectrum) -> Syl
 
     contour_factor = radius * g_inv_max
     value = max(1.0, contour_factor * float(np.max(np.maximum(h1w, h2w))))
-    return SylvesterEstimate(value, gap, radius, nodes, h1w, h2w)
+    return SylvesterEstimate(value, gap, radius, nodes, h1w, h2w, resolvents=resolvents)
 
 
 def c_r_constant(L: float) -> float:

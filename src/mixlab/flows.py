@@ -413,7 +413,10 @@ def preset_shear(name: str) -> ShearSpec:
 
 
 def preset_flow(name: str) -> FlowSpec:
-    """Named flows: "zero" and the steady "cellular" flow psi = sin x sin y."""
+    """Named flows: "zero" and the steady "cellular" flow psi = cos(x + y) - cos(x - y) = -2 sin x sin y.
+
+    The cellular velocity is u = (2 sin x cos y, -2 cos x sin y), so its ``lip`` is 2.0.
+    """
     if name == "zero":
         return FlowSpec(())
     if name == "cellular":

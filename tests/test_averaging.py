@@ -536,12 +536,15 @@ def _dense_oracle(op, rho0, n_nodes=8):
     weights = 1.0 + (op.modes[:, 0] ** 2 + op.modes[:, 1] ** 2).astype(float)
     w_half = np.sqrt(weights)
     norms = {"h1w": [], "h2w": []}
+    g_inv_max = 0.0
     for theta in 2.0 * np.pi * np.arange(n_nodes) / n_nodes:
         z = lam + 0.5 * gap * np.exp(1j * theta)
         resolvent = np.linalg.inv(z * np.eye(op.dim) - op.matrix)
         r_proj = resolvent - (resolvent @ basis) @ p_right
         norms["h1w"].append(np.linalg.norm(w_half[:, None] * r_proj * w_half[None, :], 2))
         norms["h2w"].append(np.linalg.norm(weights[:, None] * r_proj, 2))
+        g_inv_max = max(g_inv_max, np.linalg.norm(np.linalg.inv(z * np.eye(d) - G), 2))
+    norms["value"] = max(1.0, 0.5 * gap * g_inv_max * max(max(norms["h1w"]), max(norms["h2w"])))
     return spectrum, gap, norms
 
 
@@ -566,6 +569,22 @@ def averaged_flows(draw):
         flow = [FlowTerm(draw(ampl), 0, 1, draw(phase)), FlowTerm(draw(ampl), 1, 0, draw(phase))]
         flow += terms(st.integers(1, 2), st.integers(-2, 2), max_size=2)
     return FlowSpec(tuple(flow), period=1.0)
+
+
+@st.composite
+def mixed_phase_means(draw):
+    """Steady flows of band 1 whose terms take the cos or the sin phase at random.
+
+    A cos-phase stream function gives real class blocks; a sin-phase term
+    makes the blocks it reaches complex, so one flow can hold both kinds.
+    """
+    term = st.builds(
+        lambda a, kl, phase: FlowTerm(a, *kl, phase),
+        st.floats(0.2, 1.5),
+        st.sampled_from([(0, 1), (1, 0), (1, 1), (1, -1)]),
+        st.sampled_from(["cos", "sin"]),
+    )
+    return FlowSpec(tuple(draw(st.lists(term, min_size=1, max_size=3))), period=1.0)
 
 
 datum_terms = st.lists(
@@ -615,6 +634,35 @@ class TestPerClassAlgebra:
         for got, key in ((syl.h1_weighted_norms, "h1w"), (syl.h2_weighted_norms, "h2w")):
             np.testing.assert_allclose(got, want_norms[key], rtol=1e-10, atol=0.0, err_msg=key)
 
+    @given(mixed_phase_means(), datum_terms, st.integers(3, 6), st.floats(0.05, 0.5))
+    @example(  # every block real: the half contour and the real-axis nodes
+        FlowSpec((FlowTerm(1.0, 0, 1, "cos"), FlowTerm(0.7, 1, 0, "cos")), period=1.0),
+        [HarmonicTerm(1.0, 0, 1)],
+        5,
+        0.1,
+    )
+    @example(  # a sin-phase shear: complex blocks beside the real k = 0 singletons, and a real lambda_nu
+        FlowSpec((FlowTerm(1.0, 0, 1, "cos"), FlowTerm(0.5, 0, 1, "sin")), period=1.0),
+        [HarmonicTerm(1.0, 0, 1), HarmonicTerm(0.5, 1, 0, "sin")],
+        4,
+        0.2,
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_mixed_phase_sylvester_matches_dense_oracle(self, flow, terms, cutoff, nu):
+        """Real and complex class blocks alike: the estimate and its node norms are the dense oracle's."""
+        op = averaged_operator(flow, nu, cutoff)
+        rho0 = field_from_terms(Lattice(cutoff, cutoff), terms)
+        try:
+            _, _, want = _dense_oracle(op, rho0)
+        except (DetectionError, ClusterIsolationError) as exc:
+            with pytest.raises(type(exc)):
+                sylvester_constant(op, detecting_spectrum(op, rho0))
+            return
+        syl = sylvester_constant(op, detecting_spectrum(op, rho0))
+        assert syl.value == pytest.approx(want["value"], rel=1e-10, abs=0.0)
+        for got, key in ((syl.h1_weighted_norms, "h1w"), (syl.h2_weighted_norms, "h2w")):
+            np.testing.assert_allclose(got, want[key], rtol=1e-10, atol=0.0, err_msg=key)
+
 
 class TestDetectingSpectrum:
     def test_diagonal_case(self):
@@ -641,6 +689,21 @@ class TestDetectingSpectrum:
         assert spec.Q > 1e-3
         assert spec.residual <= 1e-8
         assert spec.gamma_nu > NU  # enhanced decay on nonzero x-modes
+
+    @pytest.mark.parametrize("flow", [COUPLED_FLOW, SHEAR_MEAN], ids=["coupled", "shear_mean"])
+    def test_real_stack_eigenvalues_pair_exactly(self, flow):
+        """Real blocks go to the real solver: every conjugate pair comes out exactly conjugate, every
+        real eigenvalue exactly real, and the spectrum is the complex solver's to 1e-12 after sorting.
+        The coupled mean is one self-flipped class, so there the pairs come from the solver alone."""
+        op = averaged_operator(flow, NU, 6)
+        assert not op.matrix.imag.any()
+        eigs = detecting_spectrum(op, cos_y(Lattice(6, 6))).eigenvalues
+        assert np.array_equal(np.sort(eigs), np.sort(eigs.conj()))
+        assert np.any(eigs.imag != 0.0) and np.any(eigs.imag == 0.0)
+        want = np.linalg.eigvals(op.matrix)
+        assert want.dtype == complex
+        by_value = lambda z: z[np.lexsort((z.imag, np.round(z.real, 8)))]
+        np.testing.assert_allclose(by_value(eigs), by_value(want), rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
 
     def test_no_detection_raises(self, monkeypatch):
         op = averaged_operator(ZERO_FLOW, NU, 3)
@@ -824,51 +887,106 @@ class TestSylvester:
 
     @staticmethod
     def _counted_sylvester(monkeypatch, op, spec):
-        """sylvester_constant with np.linalg.inv counted: the estimate, the classes stacked per size group, and the group's class count."""
+        """sylvester_constant with np.linalg.inv counted.
+
+        Returns the estimate and, per size group, the number of classes stacked
+        and the dtype of the stack inverted at each evaluated node.  A group
+        of real blocks takes N/2 + 1 stacked inverses (nodes 0..N/2) when
+        lambda_nu is real; any other group takes N.  One more inverse is
+        g_inv_max's.
+        """
         calls = []
         inv = np.linalg.inv
 
         def counting(a):
-            calls.append(a.shape)
+            calls.append((a.shape, a.dtype))
             return inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", counting)
         syl = sylvester_constant(op, spec)
         monkeypatch.undo()
-        # one stacked inverse per size group and contour node, in group order, plus the one for g_inv_max
+        n_nodes = averaging.SYLVESTER_NODES
         groups = averaging._size_groups(op.classes)
-        assert len(calls) == len(groups) * averaging.SYLVESTER_NODES + 1
-        stacks = [calls[i * averaging.SYLVESTER_NODES : (i + 1) * averaging.SYLVESTER_NODES] for i in range(len(groups))]
-        for (size, group), shapes in zip(groups.items(), stacks):
-            assert len(set(shapes)) == 1 and shapes[0][1:] == (size, size)
-        return syl, [shapes[0][0] for shapes in stacks], [len(group) for group in groups.values()]
+        real = [all(not op.matrix[np.ix_(idx, idx)].imag.any() for idx in group) for group in groups.values()]
+        counts = [n_nodes // 2 + 1 if r and spec.lambda_nu.imag == 0.0 else n_nodes for r in real]
+        assert len(calls) == sum(counts) + 1
+        stacked, dtypes, start = [], [], 0
+        for size, count in zip(groups, counts):
+            shapes = {shape for shape, _ in calls[start : start + count]}
+            assert len(shapes) == 1
+            ((m, *block),) = shapes
+            assert block == [size, size]
+            stacked.append(m)
+            dtypes.append([dtype for _, dtype in calls[start : start + count]])
+            start += count
+        assert syl.resolvents == sum(m * count for m, count in zip(stacked, counts))
+        return syl, stacked, dtypes
 
     def test_real_lambda_mirrors_nodes(self, monkeypatch):
-        """A real lambda_nu evaluates only each flip pair's owner, at all N nodes; the norms are palindromic, exactly."""
+        """A real lambda_nu evaluates only each flip pair's owner; a real stack only at nodes 0..N/2, in
+        real arithmetic at the real nodes 0 and N/2 unless it holds a cluster member; the norms are
+        palindromic, exactly, and match the dense oracle."""
         op = averaged_operator(SHEAR_FLOW, NU, 6)
         rho0 = cos_y(Lattice(6, 6))
         spec = detecting_spectrum(op, rho0)
         assert spec.lambda_nu.imag == 0.0
-        syl, stacked, _ = self._counted_sylvester(monkeypatch, op, spec)
-        owners = [
-            sum(int(idx[0] <= op.dim - 1 - idx[-1]) for idx in group)
-            for group in averaging._size_groups(op.classes).values()
-        ]
+        syl, stacked, dtypes = self._counted_sylvester(monkeypatch, op, spec)
+        groups = averaging._size_groups(op.classes).values()
+        owners = [sum(int(idx[0] <= op.dim - 1 - idx[-1]) for idx in group) for group in groups]
         assert stacked == owners
         assert sum(owners) < len(op.classes)  # the shear's classes pair up, so partners are skipped
+        members = {int(idx[0]) for idx, *_ in spec.schur_blocks}
+        held = [any(int(idx[0]) in members for idx in group) for group in groups]
+        assert any(held) and not all(held)  # a stack with a cluster member and one without
+        half = averaging.SYLVESTER_NODES // 2
+        for kinds, with_member in zip(dtypes, held):
+            assert len(kinds) == half + 1  # every block of the cos-phase shear is real
+            real_nodes = [j for j, kind in enumerate(kinds) if kind == np.float64]
+            assert real_nodes == ([] if with_member else [0, half])
         _, _, norms = _dense_oracle(op, rho0)
         for got, key in ((syl.h1_weighted_norms, "h1w"), (syl.h2_weighted_norms, "h2w")):
             assert np.array_equal(got[1:], got[1:][::-1]), key
             np.testing.assert_allclose(got, norms[key], rtol=1e-10, atol=0.0, err_msg=key)
 
+    def test_nodes_are_exactly_conjugate_symmetric(self):
+        """Node N - j is the conjugate of node j, bit for bit, and nodes 0 and N/2 are real."""
+        op = averaged_operator(SHEAR_FLOW, NU, 6)
+        spec = detecting_spectrum(op, cos_y(Lattice(6, 6)))
+        syl = sylvester_constant(op, spec)
+        n_nodes = averaging.SYLVESTER_NODES
+        mirror = -np.arange(n_nodes) % n_nodes
+        assert np.array_equal(syl.nodes[mirror], syl.nodes.conj())
+        assert syl.nodes[0] == spec.lambda_nu + syl.radius
+        assert syl.nodes[n_nodes // 2] == spec.lambda_nu - syl.radius
+        assert syl.nodes[0].imag == 0.0 and syl.nodes[n_nodes // 2].imag == 0.0
+
+    def test_coupled_real_cluster_takes_the_half_contour(self, monkeypatch):
+        """The one-class cos-phase coupled mean: a real cluster of a real block has an exactly real
+        lambda_nu, so its one stack is inverted at N/2 + 1 nodes, and the estimate is the dense oracle's."""
+        op = averaged_operator(COUPLED_FLOW, NU, 5)
+        rho0 = cos_y(Lattice(5, 5))
+        spec = detecting_spectrum(op, rho0)
+        assert len(op.classes) == 1 and not op.matrix.imag.any()
+        assert spec.lambda_nu.imag == 0.0
+        assert spec.gamma_nu == -np.mean(np.diag(spec.G)).real  # the real part is the Schur trace's
+        syl, stacked, dtypes = self._counted_sylvester(monkeypatch, op, spec)
+        assert stacked == [1] and len(dtypes[0]) == averaging.SYLVESTER_NODES // 2 + 1
+        want_spec, _, want = _dense_oracle(op, rho0)
+        assert spec.gamma_nu == pytest.approx(want_spec["gamma_nu"], rel=1e-10, abs=0.0)
+        assert syl.value == pytest.approx(want["value"], rel=1e-10, abs=0.0)
+        for got, key in ((syl.h1_weighted_norms, "h1w"), (syl.h2_weighted_norms, "h2w")):
+            np.testing.assert_allclose(got, want[key], rtol=1e-10, atol=0.0, err_msg=key)
+
     def test_complex_lambda_evaluates_every_node(self, monkeypatch):
-        """The complex cluster of an x-mode datum has no mirror: every class at all 8 nodes matches the dense oracle."""
+        """The complex cluster of an x-mode datum has no mirror: every class at all 8 nodes, in complex
+        arithmetic, matches the dense oracle."""
         op = averaged_operator(SHEAR_FLOW, NU, 8)
         rho0 = field_from_terms(Lattice(8, 8), [HarmonicTerm(1.0, 1, 0)])
         spec = detecting_spectrum(op, rho0)
         assert spec.lambda_nu.imag != 0.0
-        syl, stacked, counts = self._counted_sylvester(monkeypatch, op, spec)
-        assert stacked == counts
+        syl, stacked, dtypes = self._counted_sylvester(monkeypatch, op, spec)
+        assert stacked == [len(group) for group in averaging._size_groups(op.classes).values()]
+        assert all(kind == np.complex128 for kinds in dtypes for kind in kinds)
         _, gap, norms = _dense_oracle(op, rho0)
         assert syl.gap == pytest.approx(gap, rel=1e-10, abs=0.0)
         for got, key in ((syl.h1_weighted_norms, "h1w"), (syl.h2_weighted_norms, "h2w")):
@@ -1188,10 +1306,16 @@ def test_certify_scaling_script_smoke():
         assert line["n"] == (2 * c + 1) ** 2 - 1
         assert sum(int(s) * m for s, m in line["class_sizes"].items()) == line["n"]
         assert len(line["class_sizes"]) > 1  # the shear mean splits into classes
+        # every block of the cos-phase shear mean is real, and its classes pair up under the flip:
+        # one owner of each pair, at nodes 0..N/2
+        assert line["real_classes"] == sum(line["class_sizes"].values())
+        assert line["resolvents"] == line["real_classes"] // 2 * (averaging.SYLVESTER_NODES // 2 + 1)
         assert set(line["stages_s"]) == stages and all(t > 0.0 for t in line["stages_s"].values())
     assert lines[0]["slope"] is None
     assert set(lines[1]["slope"]) == stages and all(math.isfinite(s) for s in lines[1]["slope"].values())
     (coupled,) = run("--mean", "coupled", "--cutoffs", "4")
     assert coupled["cutoff"] == 4 and coupled["n"] == 80
     assert coupled["class_sizes"] == {"80": 1}
+    assert coupled["real_classes"] == 1  # a real cluster of the real block: the half contour
+    assert coupled["resolvents"] == averaging.SYLVESTER_NODES // 2 + 1
     assert set(coupled["stages_s"]) == stages and coupled["slope"] is None
