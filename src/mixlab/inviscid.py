@@ -16,7 +16,7 @@ import numpy as np
 
 from .flows import ShearSpec, phase_integral
 from .reports import BoundReport, make_report
-from .shear import FieldTrajectory, _check_times
+from .shear import FieldTrajectory, _check_times, _is_real, _mirror_rows
 from .spectral import (
     FieldError,
     Lattice,
@@ -123,12 +123,16 @@ def evolve_inviscid(theta0: SpectralField2D, shear: ShearSpec, times) -> FieldTr
     form one stacked array that one batched FFT returns to coefficients; the
     blocks hold at most _GRID_BUDGET grid values.  The stacked fields share
     one lattice, enlarged in l so the phase is resolved at the worst sample
-    time; check_inviscid_bound audits the conserved mode masses.
+    time; check_inviscid_bound audits the conserved mode masses.  A real
+    datum, exactly conjugate-symmetric, has only its rows with k > 0 moved;
+    each k < 0 row is then the conjugate of its mirror row, filled in place.
     """
     times = _check_times(times)
     lattice = theta0.lattice
+    c = theta0.coeff
     ks = lattice.k_values()
-    rows = np.flatnonzero(np.any(np.abs(theta0.coeff) > 0.0, axis=1) & (ks != 0))
+    real = _is_real(c)
+    rows = np.flatnonzero(np.any(np.abs(c) > 0.0, axis=1) & ((ks > 0) if real else (ks != 0)))
     ks = ks[rows]
     phis = np.array([phase_integral(shear, float(t)) for t in times])
     k_top = int(np.max(np.abs(ks), initial=0))
@@ -137,7 +141,7 @@ def evolve_inviscid(theta0: SpectralField2D, shear: ShearSpec, times) -> FieldTr
     ny = next_fast_len(2 * (2 * out_lattice.lmax + 1))
     moved = []
     if rows.size:
-        datum = y_grid_values(theta0.coeff[rows], ny)
+        datum = y_grid_values(c[rows], ny)
         block = max(1, _GRID_BUDGET // (rows.size * ny))
         moved = [
             (s, _phase_block(phis[s : s + block], ks, datum, out_lattice.lmax)) for s in range(0, len(times), block)
@@ -146,6 +150,9 @@ def evolve_inviscid(theta0: SpectralField2D, shear: ShearSpec, times) -> FieldTr
     coeff = np.repeat(embed(theta0, out_lattice).coeff[None], len(times), axis=0)
     for s, m in moved:
         coeff[s : s + len(m), rows] = m
+    if real:
+        moved = m = None  # numpy copies the mirror fill's source rows: free the moved rows first
+        _mirror_rows(coeff, lattice.kmax)
     return FieldTrajectory(0.0, times, out_lattice, coeff)
 
 

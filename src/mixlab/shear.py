@@ -6,10 +6,12 @@ coefficient space and a unimodular grid-space advection factor sampled at the
 substep midpoint, applied to all active modes at once.  A steady shear's step
 is one cached matrix per step size; a time-periodic shear's rows stay on the
 padded y-grid for a whole sample segment, one FFT pair and two multiplies a
-step, with the advection factors of many steps made by one exp.  Both
-structural facts the lower-bound proofs rely on are preserved exactly:
-advection never changes a mode's energy, diffusion damps coefficient (k,l) by
-precisely e^{-nu (k^2+l^2) dt}.
+step, with the advection factors of many steps made by one exp.  A real
+datum stays real, so only its rows with k >= 0 are stepped and each k < 0
+row is filled as the conjugate of its mirror.  Both structural facts the
+lower-bound proofs rely on are preserved exactly: advection never changes a
+mode's energy, diffusion damps coefficient (k,l) by precisely
+e^{-nu (k^2+l^2) dt}.
 """
 
 from __future__ import annotations
@@ -232,19 +234,40 @@ def evolve_shear(
     """Integrate every x-mode of rho0 and stack the fields at the sample times.
 
     All modes share one step grid (the most restrictive per-mode cap), so
-    sample times on that grid give the fields at every step edge.
+    sample times on that grid give the fields at every step edge.  A real
+    datum, exactly conjugate-symmetric (c(-k,-l) = conj c(k,l)), has only
+    its active rows with k >= 0 stepped: the solution stays real, so every
+    k < 0 row of the stack is the conjugate of its mirror row, filled in
+    place.  Any other datum has all its active rows stepped.
     """
     times = _check_times(times)
     lattice = rho0.lattice
-    rows = np.flatnonzero(np.any(np.abs(rho0.coeff) > 0.0, axis=1))
+    c = rho0.coeff
+    rows = np.flatnonzero(np.any(np.abs(c) > 0.0, axis=1))
     active = rows - lattice.kmax
     if dt is None:
         dt = min((default_dt(int(k), shear.M) for k in active), default=1e-2)
+    real = _is_real(c)
+    if real:
+        rows, active = rows[active >= 0], active[active >= 0]
     stepper = _ShearStepper(active, lattice.lmax, shear, nu)
-    samples, diag_times = _march(times, dt, rho0.coeff[rows], stepper.advance)
+    samples, diag_times = _march(times, dt, c[rows], stepper.advance)
     coeff = np.zeros((times.size,) + lattice.shape, dtype=complex)
     coeff[:, rows] = samples
+    if real:
+        samples = None  # numpy copies the mirror fill's source rows: free the stepped rows first
+        _mirror_rows(coeff, lattice.kmax)
     return FieldTrajectory(nu, times, lattice, coeff, diag_times)
+
+
+def _is_real(coeff: np.ndarray) -> bool:
+    """Whether coefficients are exactly conjugate-symmetric, c(-k,-l) = conj c(k,l), with no tolerance."""
+    return np.array_equal(coeff, coeff[::-1, ::-1].conj())
+
+
+def _mirror_rows(coeff: np.ndarray, kmax: int) -> None:
+    """Fill the k < 0 rows of a real field stack in place from its k > 0 rows: c(-k,-l) = conj c(k,l)."""
+    np.conjugate(coeff[:, :kmax:-1, ::-1], out=coeff[:, :kmax])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from scipy.fft import next_fast_len
 from scipy.special import jv
 
 from mixlab import inviscid
-from mixlab.harness import json_text
+from mixlab.harness import Scenario, json_text
 from mixlab.flows import ShearSpec, ShearTerm, preset_shear
 from mixlab.inviscid import check_inviscid_bound, evolve_inviscid, inviscid_certificate
 from mixlab.shear import evolve_shear
 from mixlab.spectral import HarmonicTerm, Lattice, SpectralField2D, embed, field_from_terms, l2_norm
 
 SIN_Y = preset_shear("couette")
+EXTRA_DIR = Path(__file__).resolve().parent.parent / "scenarios" / "extra"
 
 
 def cos_x(lattice=Lattice(2, 2)):
@@ -183,6 +185,44 @@ def test_stacked_map_matches_dense_reference(case):
         assert np.max(np.abs(state.coeff - ref)) <= 1e-12 * scale
         for k in theta0.lattice.k_values():
             assert mode_mass(state, k) == pytest.approx(mode_mass(theta0, k), rel=1e-12)
+
+
+def all_rows_map(theta0, shear, times):
+    """The map of a real datum as the sum of the maps of its k > 0 and k <= 0 parts.
+
+    Neither part is real, so each has every active row moved.
+    """
+    positive = theta0.coeff * (theta0.lattice.k_values() > 0)[:, None]
+    parts = [evolve_inviscid(SpectralField2D(theta0.lattice, c), shear, times) for c in (positive, theta0.coeff - positive)]
+    assert parts[0].lattice == parts[1].lattice
+    return parts[0].coeff + parts[1].coeff
+
+
+@settings(max_examples=30, deadline=None)
+@given(_transport_cases())
+def test_real_datum_map_is_exactly_real(case):
+    """A real datum moves its k > 0 rows only: the stack is exactly real and agrees with every row moved."""
+    theta0, shear, times = case
+    traj = evolve_inviscid(theta0, shear, times)
+    np.testing.assert_array_equal(traj.coeff, traj.coeff[:, ::-1, ::-1].conj())
+    want = all_rows_map(theta0, shear, times)
+    assert want.shape == traj.coeff.shape
+    assert np.max(np.abs(traj.coeff - want)) <= 1e-13 * l2_norm(theta0)
+
+
+def test_real_datum_keeps_the_shipped_audit():
+    """On inviscid_cosx_siny the audit of the real-datum map reads as that of the map of every row."""
+    scenario = Scenario.from_file(EXTRA_DIR / "inviscid_cosx_siny.json")
+    theta0, shear, times = scenario.rho0, scenario.shear_spec, scenario.times
+    cert = inviscid_certificate(theta0, shear)
+    traj = evolve_inviscid(theta0, shear, times)
+    got = check_inviscid_bound(traj, cert).extras
+    traj.coeff[...] = all_rows_map(theta0, shear, times)
+    want = check_inviscid_bound(traj, cert).extras
+    assert got["tail_ok"] and got["mass_ok"]
+    assert (got["tail_ok"], got["mass_ok"], got["max_tail_ratio"]) == (
+        want["tail_ok"], want["mass_ok"], want["max_tail_ratio"]
+    )
 
 
 def test_blocked_sample_times_are_bit_identical(monkeypatch):

@@ -227,6 +227,16 @@ def shear_specs(draw):
     return ShearSpec(tuple(terms), period=draw(st.floats(0.5, 2 * math.pi)))
 
 
+def real_datum(lattice, ks, seed):
+    """Random coefficients on the rows +-k, k in ks, made exactly conjugate-symmetric, with mean zero."""
+    rng = np.random.default_rng(seed)
+    coeff = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
+    coeff = 0.5 * (coeff + np.conj(coeff[::-1, ::-1]))
+    coeff[~np.isin(np.abs(lattice.k_values()), list(ks))] = 0.0
+    coeff[lattice.kmax, lattice.lmax] = 0.0
+    return SpectralField2D(lattice, coeff)
+
+
 class TestStackedStepper:
     @given(
         shear_specs(),
@@ -252,6 +262,45 @@ class TestStackedStepper:
         for g, w in zip(got.fields, want.fields):
             assert np.max(np.abs(g.coeff - w.coeff)) <= 1e-12 * np.max(np.abs(w.coeff))
         np.testing.assert_array_equal(got.diag_times, want.diag_times)
+
+    @given(
+        shear_specs(),
+        st.integers(2, 12),
+        st.sets(st.integers(0, 3), min_size=1),
+        st.floats(0.01, 1.0),
+        st.floats(1e-3, 0.05),
+        st.lists(st.floats(0.01, 0.15), min_size=1, max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_real_datum_matches_per_mode_oracle(self, shear, lmax, ks, nu, dt, gaps, seed):
+        """A real datum steps its k >= 0 rows only; the stack is exactly real and agrees with every row stepped."""
+        rho0 = real_datum(Lattice(3, lmax), ks, seed)
+        times = np.cumsum(gaps)
+        got = evolve_shear(rho0, shear, nu, times, dt=dt)
+        np.testing.assert_array_equal(got.coeff, got.coeff[:, ::-1, ::-1].conj())
+        want = oracle_evolve(rho0, shear, nu, times, dt)
+        for g, w in zip(got.fields, want.fields):
+            assert np.max(np.abs(g.coeff - w.coeff)) <= 1e-12 * np.max(np.abs(w.coeff))
+        np.testing.assert_array_equal(got.diag_times, want.diag_times)
+
+    @pytest.mark.parametrize("shear", [SIN_Y, TIME_SIN_Y], ids=["steady", "time_periodic"])
+    def test_stepped_rows(self, monkeypatch, shear):
+        """Only an exactly real datum drops its k < 0 rows from the stepper."""
+        rho0 = real_datum(Lattice(3, 6), {0, 1, 3}, seed=1)
+        nudged = rho0.coeff.copy()
+        nudged[4, 8] += 1e-15  # within the realness tolerance of SpectralField2D, but not exact
+        seen = []
+
+        class Recording(_ShearStepper):
+            def __init__(self, ks, *args):
+                seen.append(list(ks))
+                super().__init__(ks, *args)
+
+        monkeypatch.setattr(shear_module, "_ShearStepper", Recording)
+        for datum in (rho0, one_row(rho0, -1), SpectralField2D(rho0.lattice, nudged, validate_real=True)):
+            evolve_shear(datum, shear, 0.1, np.array([0.1]))
+        assert seen == [[0, 1, 3], [-1], [-3, -1, 0, 1, 3]]
 
 
 def loop_bounds(shear: ShearSpec, ny: int = 512) -> tuple[float, float]:
@@ -460,6 +509,7 @@ def test_shear_scaling_script_smoke():
     ]
     for line in lines:
         assert line["mode_steps"] == 2000  # 1000 steps of dt 0.005 to t = 5, x-modes k = +-1
+        assert line["stepped_rows"] == 1  # the real datum cos x steps its k = 1 row only
         assert line["evolve_shear_s"] > 0.0
         assert line["us_per_mode_step"] == pytest.approx(1e6 * line["evolve_shear_s"] / 2000)
     assert [line["slope"] is None for line in lines] == [True, False, True, False]
