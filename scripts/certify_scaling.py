@@ -13,9 +13,11 @@ same command.  One JSON line per cutoff gives the operator dimension ``n``,
 the mode-class sizes as {size: count}, ``real_classes`` (the classes whose
 block is a real matrix, run in real arithmetic), ``resolvents`` (the class
 blocks the Sylvester constant inverts, summed over its contour nodes), the
-fastest of REPEATS wall times of each stage, and each stage's log-log slope
-in ``n`` from the previous cutoff (null on the first line), so the scaling
-exponent is visible:
+fastest of REPEATS wall times of each stage, each stage's log-log slope in
+``n`` from the previous cutoff (null on the first line), so the scaling
+exponent is visible, and ``peak_rss_mb``, the process's peak resident memory
+so far (``resource.getrusage``), which therefore never falls from one line to
+the next:
 
     PYTHONPATH=src python scripts/certify_scaling.py --cutoffs 6 8 10 12 16 24
     PYTHONPATH=src python scripts/certify_scaling.py --mean coupled --cutoffs 4 6 8
@@ -28,6 +30,7 @@ import argparse
 import dataclasses
 import json
 import math
+import resource
 import sys
 from collections import Counter
 from pathlib import Path
@@ -87,10 +90,11 @@ def main(argv=None) -> int:
             "cutoff": cutoff,
             "n": op.dim,
             "class_sizes": {str(s): sizes[s] for s in sorted(sizes)},
-            "real_classes": sum(not op.matrix[np.ix_(idx, idx)].imag.any() for idx in op.classes),
+            "real_classes": int(sum(np.count_nonzero(~blocks.imag.any(axis=(1, 2))) for _, blocks in op.groups)),
             "resolvents": syl.resolvents,
             "stages_s": best,
             "slope": slope,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }
         print(json.dumps(line), flush=True)
         previous = (op.dim, best)

@@ -114,17 +114,24 @@ class ClusterIsolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class AveragedOperator:
-    """Dense matrix of nu*Laplacian + ubar.grad on mean-zero lattice modes.
+    """nu*Laplacian + ubar.grad on mean-zero lattice modes, held as its class blocks.
 
     ``classes`` are the mode classes: the connected components of the
-    matrix's nonzero pattern, each an ascending index array, ordered by first
-    index.  No entry links two classes, so each is an invariant block.
+    operator's coupling graph, each an ascending index array, ordered by
+    first index.  No entry links two classes, so each is an invariant block.
+    ``groups`` holds, per class size s in order of first appearance,
+    ``(idx, blocks)``: the (m, s) indices of the classes of that size,
+    ordered by first index, and the (m, s, s) stack of their blocks,
+    ``blocks[r][a, b]`` the entry at row ``idx[r, a]`` and column
+    ``idx[r, b]``.  A stack whose imaginary part is exactly zero is stored
+    real, so numpy hands it to real LAPACK.
 
-    The flow is real, so the matrix is real-structured: with ``f =
-    flip_permutation()``, ``matrix[np.ix_(f, f)]`` equals ``matrix.conj()``
-    exactly.  The flip of a class ``idx`` is therefore a class,
-    ``dim - 1 - idx[::-1]`` (its flip partner, possibly itself), whose block
-    is the reversed conjugate of the block of ``idx``.
+    The flow is real, so the operator is real-structured: with ``f =
+    flip_permutation()``, the operator conjugated by the flip equals its
+    complex conjugate exactly.  The flip of a class ``idx`` is therefore a
+    class, ``dim - 1 - idx[::-1]`` (its flip partner, possibly itself), of
+    the same size, whose block is the reversed conjugate of the block of
+    ``idx``.
 
     A cos-phase stream function (every term ``cos(kx x + ky y)``) has real
     Fourier coefficients, its drift weights ``i (k a + l b)`` are real, and
@@ -135,16 +142,13 @@ class AveragedOperator:
 
     nu: float
     cutoff: Lattice
-    matrix: np.ndarray
     modes: np.ndarray  # (n, 2) integer rows (k, l)
     classes: tuple = dataclass_field(repr=False)
+    groups: tuple = dataclass_field(repr=False)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def mode_index(self) -> dict:
-        return {(int(k), int(l)): i for i, (k, l) in enumerate(self.modes)}
+        return self.modes.shape[0]
 
     def field_to_vec(self, f: SpectralField2D) -> np.ndarray:
         """Coefficients on ``modes``: the raveled lattice without its centre (0, 0), index dim // 2."""
@@ -214,12 +218,15 @@ class _Drift:
 
 
 def averaged_operator(flow: FlowSpec, nu: float, cutoff: Lattice | int) -> AveragedOperator:
-    """Assemble the averaged drift-diffusion operator as a dense matrix.
+    """Assemble the averaged drift-diffusion operator as its stacks of class blocks.
 
-    The drift block is the Galerkin drift of ubar, the spectral convolution
+    The drift is the Galerkin drift of ubar, the spectral convolution
     ``evolve_2d`` also steps with; products falling outside the truncation are
     dropped, so ubar should be band-limited within cutoff/2 for the
-    convolution to be exact.
+    convolution to be exact.  The diffusion diagonal and every drift product
+    are written straight into the block stacks (``AveragedOperator.groups``);
+    no n x n matrix is formed.  A harmonic links each destination to one
+    source, and no harmonic is (0, 0), so every entry is written once.
     """
     if isinstance(cutoff, int):
         cutoff = Lattice(cutoff, cutoff)
@@ -233,16 +240,35 @@ def averaged_operator(flow: FlowSpec, nu: float, cutoff: Lattice | int) -> Avera
         )
     modes = _mode_list(cutoff)
     n = modes.shape[0]
-    matrix = np.zeros((n, n), dtype=complex)
-    w = modes[:, 0] ** 2 + modes[:, 1] ** 2
-    matrix[np.arange(n), np.arange(n)] = -nu * w.astype(float)
+    diagonal = -nu * (modes[:, 0] ** 2 + modes[:, 1] ** 2).astype(float)
     drift = _Drift([ubar], cutoff)  # every row is a const-mode row
     row, dst = np.nonzero(drift.vals)
     src = drift.src[row, dst]
     # the mode list is the raveled lattice without its centre, flat index n // 2
     rows, cols = dst - (dst > n // 2), src - (src > n // 2)
-    matrix[rows, cols] += drift.vals[row, dst]
-    return AveragedOperator(nu, cutoff, matrix, modes, _mode_classes(n, rows, cols))
+    vals = drift.vals[row, dst]
+    classes = _mode_classes(n, rows, cols)
+    by_size: dict[int, list] = {}
+    for idx in classes:
+        by_size.setdefault(idx.size, []).append(idx)
+    stacked = [np.array(group) for group in by_size.values()]
+    # each mode's class size, the row of its class in that size's stack, and its place in the class
+    size, slot, place = (np.empty(n, dtype=int) for _ in range(3))
+    for idx in stacked:
+        m, s = idx.shape
+        size[idx], slot[idx], place[idx] = s, np.arange(m)[:, None], np.arange(s)
+    groups = []
+    for idx in stacked:
+        m, s = idx.shape
+        entry = size[rows] == s  # both ends of a drift entry lie in one class
+        entries = vals[entry]
+        if not entries.imag.any():
+            entries = entries.real  # the diagonal is real, so the stack is real when its drift entries are
+        blocks = np.zeros((m, s, s), dtype=entries.dtype)
+        blocks[:, np.arange(s), np.arange(s)] = diagonal[idx]
+        blocks[slot[rows[entry]], place[rows[entry]], place[cols[entry]]] = entries
+        groups.append((idx, blocks))
+    return AveragedOperator(nu, cutoff, modes, classes, tuple(groups))
 
 
 def _mode_classes(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -273,36 +299,19 @@ def _mode_classes(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarra
     return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
 
 
-def _size_groups(classes) -> dict[int, list]:
-    """Classes grouped by size, so equal-size blocks stack into one batched call."""
-    groups: dict[int, list] = {}
-    for idx in classes:
-        groups.setdefault(idx.size, []).append(idx)
-    return groups
-
-
-def _stacked_blocks(matrix: np.ndarray, group: list) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal blocks of equal-size classes as an (m, s, s) stack, with their (m, s) indices.
-
-    A stack whose imaginary part is exactly zero comes out real, so numpy
-    hands it to real LAPACK.
-    """
-    idx = np.array(group)
-    blocks = matrix[idx[:, :, None], idx[:, None, :]]
-    return (blocks if blocks.imag.any() else blocks.real), idx
-
-
 @dataclass(frozen=True)
 class DetectingSpectrum:
     """Detecting root-space data of the averaged operator for a given datum.
 
     ``basis_matrix`` has orthonormal columns (Schur vectors of the cluster,
-    one column group per member class) with matrix @ basis = basis @ G
-    exactly at truncation, G block-diagonal over those classes; lambda_nu is
-    the cluster eigenvalue and gamma_nu = -Re lambda_nu its decay rate.
-    ``schur_blocks`` holds, per member class, ``(idx, T, Z, d)``: its mode
-    indices, its sorted complex Schur form and the number of leading cluster
-    columns.
+    one column group per member class) that the operator maps to
+    ``basis_matrix @ G`` exactly at truncation, G block-diagonal over those
+    classes; lambda_nu is the cluster eigenvalue and gamma_nu = -Re lambda_nu
+    its decay rate.  ``residual`` is the largest column norm of that
+    identity's defect, taken per member class with block B_c as
+    ``B_c Z[:, :d] - Z[:, :d] T[:d, :d]``.  ``schur_blocks`` holds, per
+    member class, ``(idx, T, Z, d)``: its mode indices, its sorted complex
+    Schur form and the number of leading cluster columns.
     """
 
     eigenvalues: np.ndarray  # all eigenvalues sorted by -Re ascending
@@ -417,12 +426,11 @@ def detecting_spectrum(op: AveragedOperator, rho0: SpectralField2D) -> Detecting
     rho_flipped = rho_vec[flip]
 
     eig_parts, owner_parts = [], []
-    for group in _size_groups(op.classes).values():
-        idx = np.array(group)
+    for idx, blocks in op.groups:
         partner = op.dim - 1 - idx[:, -1]  # first index of each class's flip partner, of the same size
         computed = idx[:, 0] <= partner
         eig = np.empty(idx.shape, dtype=complex)
-        eig[computed] = np.linalg.eigvals(_stacked_blocks(op.matrix, idx[computed])[0])
+        eig[computed] = np.linalg.eigvals(blocks[computed])
         # the rows are ordered by first index, so a partner's row is found by bisection
         eig[~computed] = eig[np.searchsorted(idx[:, 0], partner[~computed])].conj()
         eig_parts.append(eig.ravel())
@@ -430,7 +438,8 @@ def detecting_spectrum(op: AveragedOperator, rho0: SpectralField2D) -> Detecting
     eigs = np.concatenate(eig_parts)
     owner = np.concatenate(owner_parts)
     clusters = _cluster_eigenvalues(eigs, cluster_tol)
-    class_of = {int(idx[0]): idx for idx in op.classes}
+    # a class is named by its first index; its indices and block are a row of its size's stack
+    class_of = {int(idx[0]): (idx, block) for group in op.groups for idx, block in zip(*group)}
 
     for cluster in clusters:
         center = complex(np.mean(eigs[cluster]))
@@ -444,8 +453,8 @@ def detecting_spectrum(op: AveragedOperator, rho0: SpectralField2D) -> Detecting
         members = np.union1d(owner[cluster], owner[np.abs(eigs - center) <= cluster_tol])
         schur_blocks = []
         for first in members.tolist():
-            idx = class_of[first]
-            T, Z, sdim = sla.schur(op.matrix[np.ix_(idx, idx)], output="complex", sort=near)
+            idx, block = class_of[first]
+            T, Z, sdim = sla.schur(block, output="complex", sort=near)
             if sdim:
                 schur_blocks.append((idx, T, Z, int(sdim)))
         sdim = sum(b[3] for b in schur_blocks)
@@ -463,11 +472,13 @@ def detecting_spectrum(op: AveragedOperator, rho0: SpectralField2D) -> Detecting
         if Q <= EPS_DETECT * rho_norm:
             continue
         fields = [op.vec_to_field(basis_matrix[:, j]) for j in range(sdim)]
-        residual = float(
-            np.max(np.linalg.norm(op.matrix @ basis_matrix - basis_matrix @ G, axis=0))
+        blocks = [class_of[int(idx[0])][1] for idx, *_ in schur_blocks]
+        residual = max(
+            float(np.max(np.linalg.norm(B @ Z[:, :d] - Z[:, :d] @ T[:d, :d], axis=0)))
+            for B, (_, T, Z, d) in zip(blocks, schur_blocks)
         )
         lam = complex(np.mean(np.diag(G)))
-        real_blocks = not any(op.matrix[np.ix_(idx, idx)].imag.any() for idx, *_ in schur_blocks)
+        real_blocks = not any(B.imag.any() for B in blocks)
         if real_blocks and not eigs[cluster].imag.any():
             # a real cluster of real blocks is closed under conjugation, so the
             # trace of G is real and its imaginary part is complex-Schur noise
@@ -652,11 +663,10 @@ def sylvester_constant(op: AveragedOperator, spectrum: DetectingSpectrum) -> Syl
         X = sla.solve_sylvester(T[:d, :d], -T[d:, d:], T[:d, d:])
         projectors[int(idx[0])] = (Z[:, :d], np.hstack([np.eye(d, dtype=complex), X]) @ Z.conj().T)
 
-    for group in _size_groups(op.classes).values():
-        idx = np.array(group)
+    for idx, blocks in op.groups:
         if owners_only:
-            idx = idx[idx[:, 0] <= op.dim - 1 - idx[:, -1]]
-        blocks, idx = _stacked_blocks(op.matrix, idx)
+            owners = idx[:, 0] <= op.dim - 1 - idx[:, -1]
+            idx, blocks = idx[owners], blocks[owners]
         members = [(i, projectors[first]) for i, first in enumerate(idx[:, 0].tolist()) if first in projectors]
         real = np.isrealobj(blocks)
         eye = np.eye(idx.shape[1])

@@ -260,11 +260,6 @@ class SpectralVelocity:
     u: np.ndarray
     v: np.ndarray
 
-    def divergence_max(self) -> float:
-        k = self.lattice.k_values()[:, None].astype(float)
-        l = self.lattice.l_values()[None, :].astype(float)
-        return float(np.max(np.abs(1j * k * self.u + 1j * l * self.v)))
-
     def max_band(self) -> int:
         mags = np.abs(self.u) + np.abs(self.v)
         idx = np.argwhere(mags > 1e-14)
@@ -315,9 +310,6 @@ class FlowSpec:
     def max_band(self) -> int:
         return max((max(abs(t.kx), abs(t.ky)) for t in self.terms), default=0)
 
-    def is_steady(self) -> bool:
-        return all(t.time_mode == "const" for t in self.terms)
-
     def velocity_lattice(self) -> Lattice:
         b = max(1, self.max_band)
         return Lattice(b, b)
@@ -353,13 +345,6 @@ class FlowSpec:
             v[i, j] += 1j * term.kx * psi_p
             v[im, jm] += 1j * (-term.kx) * psi_m
         return SpectralVelocity(lattice, u, v)
-
-    def velocity_grid(self, theta: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Velocity components sampled on the tensor grid x (x) y."""
-        sv = self.velocity_coeffs(theta)
-        u1 = _eval_coeffs_grid(sv.lattice, sv.u, x, y)
-        u2 = _eval_coeffs_grid(sv.lattice, sv.v, x, y)
-        return u1.real, u2.real
 
     def _sampled_lip(self, n: int = 128) -> float:
         """max over the n x n grid and over every phase of |u|, |v| and their first derivatives.

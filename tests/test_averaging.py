@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -51,20 +52,43 @@ def cos_y(lattice):
     return field_from_terms(lattice, [HarmonicTerm(1.0, 0, 1)])
 
 
+def _dense(op):
+    """The operator as a dense n x n complex matrix, scattered from its class-block stacks."""
+    matrix = np.zeros((op.dim, op.dim), dtype=complex)
+    for idx, blocks in op.groups:
+        matrix[idx[:, :, None], idx[:, None, :]] = blocks
+    return matrix
+
+
+def _velocity_grid(flow, theta, x, y):
+    """u = -d_y psi and v = d_x psi of the stream function's terms at phase theta, on the grid x (x) y."""
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    u, v = np.zeros_like(X), np.zeros_like(X)
+    tau = {"const": 1.0, "cos": math.cos(flow.omega * theta), "sin": math.sin(flow.omega * theta)}
+    for t in flow.terms:
+        arg = t.kx * X + t.ky * Y
+        slope = t.ampl * tau[t.time_mode] * (-np.sin(arg) if t.phase == "cos" else np.cos(arg))
+        u -= t.ky * slope
+        v += t.kx * slope
+    return u, v
+
+
 class TestAveragedOperator:
     def test_zero_velocity_is_diagonal(self):
         op = averaged_operator(ZERO_FLOW, NU, 4)
         w = (op.modes[:, 0] ** 2 + op.modes[:, 1] ** 2).astype(float)
-        assert np.array_equal(np.diag(op.matrix), -NU * w)
-        assert np.max(np.abs(op.matrix - np.diag(np.diag(op.matrix)))) == 0.0
+        matrix = _dense(op)
+        assert np.array_equal(np.diag(matrix), -NU * w)
+        assert np.max(np.abs(matrix - np.diag(np.diag(matrix)))) == 0.0
 
     def test_shear_leaves_k0_columns_diagonal(self):
         op = averaged_operator(SHEAR_FLOW, NU, 6)
-        idx = op.mode_index()
+        idx = {(int(k), int(l)): i for i, (k, l) in enumerate(op.modes)}
+        matrix = _dense(op)
         for l in range(-6, 7):
             if l == 0:
                 continue
-            col = op.matrix[:, idx[(0, l)]].copy()
+            col = matrix[:, idx[(0, l)]].copy()
             col[idx[(0, l)]] = 0.0
             assert np.max(np.abs(col)) == 0.0
 
@@ -83,12 +107,12 @@ class TestAveragedOperator:
 
         f = embed(SpectralField2D(f_lat, coeff), cutoff)
         op = averaged_operator(flow, NU, cutoff)
-        out_vec = op.matrix @ op.field_to_vec(f)
+        out_vec = _dense(op) @ op.field_to_vec(f)
         out = op.vec_to_field(out_vec)
 
         n = 64
         x = 2 * np.pi * np.arange(n) / n
-        u1, u2 = flow.velocity_grid(0.0, x, x)
+        u1, u2 = _velocity_grid(flow, 0.0, x, x)
         dfx = grid_sample(_dx(f), n, n)
         dfy = grid_sample(_dy(f), n, n)
         lap = grid_sample(_lap(f), n, n)
@@ -105,7 +129,8 @@ class TestAveragedOperator:
         cutoff = Lattice(8, 8)
         flow = FlowSpec((FlowTerm(0.9, 1, 1, "cos"), FlowTerm(0.4, 0, 2, "sin")))
         op = averaged_operator(flow, NU, cutoff)
-        drift = op.matrix - np.diag(np.diag(op.matrix))
+        matrix = _dense(op)
+        drift = matrix - np.diag(np.diag(matrix))
         rng = np.random.default_rng(11)
         for _ in range(5):
             coeff = rng.standard_normal(cutoff.shape) + 1j * rng.standard_normal(cutoff.shape)
@@ -155,7 +180,7 @@ class TestGalerkinDrift:
 
         n = 32  # the product has band 7, so no alias of it lands on |k| <= 5
         x = 2 * np.pi * np.arange(n) / n
-        u1, u2 = flow.velocity_grid(theta, x, x)
+        u1, u2 = _velocity_grid(flow, theta, x, x)
         want = synthesize(u1 * grid_sample(_dx(f), n, n) + u2 * grid_sample(_dy(f), n, n), lattice)
         assert np.max(np.abs(got - want.coeff)) <= 1e-10
 
@@ -208,7 +233,7 @@ class TestGalerkinDrift:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # bands beyond cutoff / 2 are truncated on both sides alike
             op = averaged_operator(flow, NU, cutoff)
-        assert np.array_equal(op.matrix, _harmonic_fill(time_average(flow), NU, cutoff, op.modes))
+        assert np.array_equal(_dense(op), _harmonic_fill(time_average(flow), NU, cutoff, op.modes))
 
     def test_harmonic_in_two_time_modes_has_a_row_per_mode(self):
         """psi harmonic (1, 0) in the const and cos modes, (0, 1) in cos and sin: one row per (mode, harmonic)."""
@@ -319,25 +344,30 @@ SHEAR_MEAN = FlowSpec(  # fast_shear_mean: ubar = (cos y, 0) up to sign, the x-h
 COUPLED_FLOW = FlowSpec((FlowTerm(1.0, 0, 1, "cos"), FlowTerm(0.7, 1, 0, "cos")))
 
 
+def _reference_matrix(flow, op):
+    """The dense matrix filled harmonic by harmonic, independent of the class blocks: the pattern the classes split."""
+    return _harmonic_fill(time_average(flow), op.nu, op.cutoff, op.modes)
+
+
 class TestModeClasses:
     @staticmethod
-    def _check_partition(op):
+    def _check_partition(op, flow):
         labels = np.full(op.dim, -1)
         for c, idx in enumerate(op.classes):
             assert np.all(labels[idx] == -1)
             labels[idx] = c
         assert np.all(labels >= 0)
-        rows, cols = np.nonzero(op.matrix)
+        rows, cols = np.nonzero(_reference_matrix(flow, op))
         assert np.array_equal(labels[rows], labels[cols])
 
     def test_zero_flow_has_singletons(self):
         op = averaged_operator(ZERO_FLOW, NU, 4)
-        self._check_partition(op)
+        self._check_partition(op, ZERO_FLOW)
         assert len(op.classes) == op.dim
 
     def test_shear_mean_splits_by_x_wavenumber(self):
         op = averaged_operator(SHEAR_MEAN, NU, 10)
-        self._check_partition(op)
+        self._check_partition(op, SHEAR_MEAN)
         assert len(op.classes) == 40  # 20 nonzero k of 21 modes each, 20 lone k = 0 modes
         assert max(idx.size for idx in op.classes) == 21
         for idx in op.classes:
@@ -346,12 +376,12 @@ class TestModeClasses:
 
     def test_coupled_flow_is_one_class(self):
         op = averaged_operator(COUPLED_FLOW, NU, 8)
-        self._check_partition(op)
+        self._check_partition(op, COUPLED_FLOW)
         assert len(op.classes) == 1 and op.classes[0].size == op.dim == 288
 
     @staticmethod
-    def _assert_union_find_classes(op):
-        want = _union_find_classes(op.matrix)
+    def _assert_union_find_classes(op, flow):
+        want = _union_find_classes(_reference_matrix(flow, op))
         assert len(op.classes) == len(want)
         for got, ref in zip(op.classes, want):
             assert np.array_equal(got, ref)
@@ -360,7 +390,7 @@ class TestModeClasses:
     def test_shipped_flows_match_union_find(self, name):
         flow = Scenario.from_file(EXTRA_DIR / f"{name}.json").flow_spec
         for cutoff in range(4, 17):
-            self._assert_union_find_classes(averaged_operator(flow, NU, cutoff))
+            self._assert_union_find_classes(averaged_operator(flow, NU, cutoff), flow)
 
     @given(flow_terms, st.sampled_from([(1, 1), (2, 5), (5, 3), (4, 4), (6, 2)]))
     @settings(max_examples=60, deadline=None)
@@ -369,7 +399,7 @@ class TestModeClasses:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # bands beyond cutoff / 2 are truncated
             op = averaged_operator(flow, NU, Lattice(*shape))
-        self._assert_union_find_classes(op)
+        self._assert_union_find_classes(op, flow)
 
 
 def _union_find_classes(matrix):
@@ -506,10 +536,11 @@ def _dense_oracle(op, rho0, n_nodes=8):
     candidate cluster, the Riesz projector from it, and dense resolvents."""
     tol = 1e-6 * op.nu
     rho_flipped = op.field_to_vec(rho0)[op.flip_permutation()]
-    eigs = np.linalg.eigvals(op.matrix)
+    matrix = _dense(op)
+    eigs = np.linalg.eigvals(matrix)
     for cluster in averaging._cluster_eigenvalues(eigs, tol):
         center = complex(np.mean(eigs[cluster]))
-        T, Z, d = sla.schur(op.matrix, output="complex", sort=lambda z: abs(z - center) <= tol)
+        T, Z, d = sla.schur(matrix, output="complex", sort=lambda z: abs(z - center) <= tol)
         if d == 0:
             continue
         basis, G = Z[:, :d], T[:d, :d]
@@ -539,7 +570,7 @@ def _dense_oracle(op, rho0, n_nodes=8):
     g_inv_max = 0.0
     for theta in 2.0 * np.pi * np.arange(n_nodes) / n_nodes:
         z = lam + 0.5 * gap * np.exp(1j * theta)
-        resolvent = np.linalg.inv(z * np.eye(op.dim) - op.matrix)
+        resolvent = np.linalg.inv(z * np.eye(op.dim) - matrix)
         r_proj = resolvent - (resolvent @ basis) @ p_right
         norms["h1w"].append(np.linalg.norm(w_half[:, None] * r_proj * w_half[None, :], 2))
         norms["h2w"].append(np.linalg.norm(weights[:, None] * r_proj, 2))
@@ -601,13 +632,28 @@ datum_terms = st.lists(
 
 
 class TestPerClassAlgebra:
+    @given(mixed_phase_means(), st.integers(3, 6), st.floats(0.05, 0.5))
+    @settings(max_examples=30, deadline=None)
+    def test_groups_stack_every_class_once(self, flow, cutoff, nu):
+        """One stack per class size, in order of first appearance, rows by first index; a stack is real
+        exactly when its imaginary part is 0."""
+        op = averaged_operator(flow, nu, cutoff)
+        assert [idx.shape[1] for idx, _ in op.groups] == list(dict.fromkeys(idx.size for idx in op.classes))
+        for idx, blocks in op.groups:
+            assert blocks.shape == idx.shape + idx.shape[1:]
+            assert np.all(np.diff(idx[:, 0]) > 0)
+            assert np.isrealobj(blocks) or blocks.imag.any()
+        rows = sorted(tuple(row.tolist()) for idx, _ in op.groups for row in idx)
+        assert rows == sorted(tuple(idx.tolist()) for idx in op.classes)
+
     @given(averaged_flows(), st.integers(4, 6), st.floats(0.05, 0.5))
     @settings(max_examples=40, deadline=None)
     def test_flip_conjugates_matrix_and_pairs_classes(self, flow, cutoff, nu):
         """F M F = conj(M) exactly, and the flip of every class is a class: the pairing detecting_spectrum reads."""
         op = averaged_operator(flow, nu, cutoff)
         f = op.flip_permutation()
-        assert np.array_equal(op.matrix[np.ix_(f, f)], op.matrix.conj())
+        matrix = _dense(op)
+        assert np.array_equal(matrix[np.ix_(f, f)], matrix.conj())
         classes = {tuple(idx.tolist()) for idx in op.classes}
         for idx in op.classes:
             assert tuple((op.dim - 1 - idx[::-1]).tolist()) in classes
@@ -626,9 +672,12 @@ class TestPerClassAlgebra:
         spec = detecting_spectrum(op, rho0)
         for key, want in want_spec.items():
             assert getattr(spec, key) == pytest.approx(want, rel=1e-10, abs=0.0), key
-        assert np.max(np.abs(op.matrix @ spec.basis_matrix - spec.basis_matrix @ spec.G)) <= 1e-10 * np.max(
-            np.abs(op.matrix)
-        )
+        matrix = _dense(op)
+        residual = matrix @ spec.basis_matrix - spec.basis_matrix @ spec.G
+        assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(matrix))
+        # the per-class residual is the dense one's largest column norm, to a few rounding units of the operator
+        rounding = 2.0 * np.finfo(float).eps * np.max(np.abs(matrix))
+        assert spec.residual == pytest.approx(np.max(np.linalg.norm(residual, axis=0)), rel=0.0, abs=rounding)
         syl = sylvester_constant(op, spec)
         assert syl.gap == pytest.approx(want_gap, rel=1e-10, abs=0.0)
         for got, key in ((syl.h1_weighted_norms, "h1w"), (syl.h2_weighted_norms, "h2w")):
@@ -696,11 +745,12 @@ class TestDetectingSpectrum:
         real eigenvalue exactly real, and the spectrum is the complex solver's to 1e-12 after sorting.
         The coupled mean is one self-flipped class, so there the pairs come from the solver alone."""
         op = averaged_operator(flow, NU, 6)
-        assert not op.matrix.imag.any()
+        matrix = _dense(op)
+        assert not matrix.imag.any()
         eigs = detecting_spectrum(op, cos_y(Lattice(6, 6))).eigenvalues
         assert np.array_equal(np.sort(eigs), np.sort(eigs.conj()))
         assert np.any(eigs.imag != 0.0) and np.any(eigs.imag == 0.0)
-        want = np.linalg.eigvals(op.matrix)
+        want = np.linalg.eigvals(matrix)
         assert want.dtype == complex
         by_value = lambda z: z[np.lexsort((z.imag, np.round(z.real, 8)))]
         np.testing.assert_allclose(by_value(eigs), by_value(want), rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
@@ -906,12 +956,12 @@ class TestSylvester:
         syl = sylvester_constant(op, spec)
         monkeypatch.undo()
         n_nodes = averaging.SYLVESTER_NODES
-        groups = averaging._size_groups(op.classes)
-        real = [all(not op.matrix[np.ix_(idx, idx)].imag.any() for idx in group) for group in groups.values()]
+        real = [not blocks.imag.any() for _, blocks in op.groups]
         counts = [n_nodes // 2 + 1 if r and spec.lambda_nu.imag == 0.0 else n_nodes for r in real]
         assert len(calls) == sum(counts) + 1
         stacked, dtypes, start = [], [], 0
-        for size, count in zip(groups, counts):
+        for (idx, _), count in zip(op.groups, counts):
+            size = idx.shape[1]
             shapes = {shape for shape, _ in calls[start : start + count]}
             assert len(shapes) == 1
             ((m, *block),) = shapes
@@ -931,7 +981,7 @@ class TestSylvester:
         spec = detecting_spectrum(op, rho0)
         assert spec.lambda_nu.imag == 0.0
         syl, stacked, dtypes = self._counted_sylvester(monkeypatch, op, spec)
-        groups = averaging._size_groups(op.classes).values()
+        groups = [idx for idx, _ in op.groups]
         owners = [sum(int(idx[0] <= op.dim - 1 - idx[-1]) for idx in group) for group in groups]
         assert stacked == owners
         assert sum(owners) < len(op.classes)  # the shear's classes pair up, so partners are skipped
@@ -966,7 +1016,7 @@ class TestSylvester:
         op = averaged_operator(COUPLED_FLOW, NU, 5)
         rho0 = cos_y(Lattice(5, 5))
         spec = detecting_spectrum(op, rho0)
-        assert len(op.classes) == 1 and not op.matrix.imag.any()
+        assert len(op.classes) == 1 and not _dense(op).imag.any()
         assert spec.lambda_nu.imag == 0.0
         assert spec.gamma_nu == -np.mean(np.diag(spec.G)).real  # the real part is the Schur trace's
         syl, stacked, dtypes = self._counted_sylvester(monkeypatch, op, spec)
@@ -985,12 +1035,30 @@ class TestSylvester:
         spec = detecting_spectrum(op, rho0)
         assert spec.lambda_nu.imag != 0.0
         syl, stacked, dtypes = self._counted_sylvester(monkeypatch, op, spec)
-        assert stacked == [len(group) for group in averaging._size_groups(op.classes).values()]
+        assert stacked == [len(idx) for idx, _ in op.groups]
         assert all(kind == np.complex128 for kinds in dtypes for kind in kinds)
         _, gap, norms = _dense_oracle(op, rho0)
         assert syl.gap == pytest.approx(gap, rel=1e-10, abs=0.0)
         for got, key in ((syl.h1_weighted_norms, "h1w"), (syl.h2_weighted_norms, "h2w")):
             np.testing.assert_allclose(got, norms[key], rtol=1e-10, atol=0.0, err_msg=key)
+
+    def test_chain_at_cutoff_32_stays_small(self):
+        """The chain holds class blocks, never an n x n matrix: on the fast_shear_mean flow at cutoff 32
+        (n = 4224, a dense complex matrix of 285 MB) the traced peak of the operator, the detecting
+        spectrum and the Sylvester constant stays below 50 MB."""
+        assert callable(sla.schur)  # scipy.linalg is imported before tracing, so its import is not counted
+        scenario = Scenario.from_file(EXTRA_DIR / "fast_shear_mean.json")
+        lattice = Lattice(32, 32)
+        rho0 = field_from_terms(lattice, scenario.initial_terms)
+        tracemalloc.start()
+        try:
+            op = averaged_operator(scenario.flow_spec, scenario.nu, lattice)
+            syl = sylvester_constant(op, detecting_spectrum(op, rho0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.dim == 4224 and syl.value >= 1.0
+        assert peak < 50e6
 
     def test_degenerate_gap_raises(self, monkeypatch):
         op = averaged_operator(ZERO_FLOW, NU, 4)
@@ -1311,7 +1379,9 @@ def test_certify_scaling_script_smoke():
         assert line["real_classes"] == sum(line["class_sizes"].values())
         assert line["resolvents"] == line["real_classes"] // 2 * (averaging.SYLVESTER_NODES // 2 + 1)
         assert set(line["stages_s"]) == stages and all(t > 0.0 for t in line["stages_s"].values())
+        assert line["peak_rss_mb"] > 0.0
     assert lines[0]["slope"] is None
+    assert lines[1]["peak_rss_mb"] >= lines[0]["peak_rss_mb"]  # the process's peak so far
     assert set(lines[1]["slope"]) == stages and all(math.isfinite(s) for s in lines[1]["slope"].values())
     (coupled,) = run("--mean", "coupled", "--cutoffs", "4")
     assert coupled["cutoff"] == 4 and coupled["n"] == 80
