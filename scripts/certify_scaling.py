@@ -32,7 +32,6 @@ import json
 import math
 import resource
 import sys
-from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
@@ -85,11 +84,10 @@ def main(argv=None) -> int:
         if previous is not None and previous[0] != op.dim:
             log_n = math.log(op.dim / previous[0])
             slope = {stage: math.log(best[stage] / previous[1][stage]) / log_n for stage in best}
-        sizes = Counter(idx.size for idx in op.classes)
         line = {
             "cutoff": cutoff,
             "n": op.dim,
-            "class_sizes": {str(s): sizes[s] for s in sorted(sizes)},
+            "class_sizes": {str(size): count for size, count in sorted(idx.shape[::-1] for idx, _ in op.groups)},
             "real_classes": int(sum(np.count_nonzero(~blocks.imag.any(axis=(1, 2))) for _, blocks in op.groups)),
             "resolvents": syl.resolvents,
             "stages_s": best,

@@ -28,7 +28,6 @@ from .spectral import (
     Lattice,
     SpectralField2D,
     embed,
-    h2_norm,
     l2_norm,
 )
 
@@ -116,18 +115,17 @@ class ClusterIsolationError(RuntimeError):
 class AveragedOperator:
     """nu*Laplacian + ubar.grad on mean-zero lattice modes, held as its class blocks.
 
-    ``classes`` are the mode classes: the connected components of the
-    operator's coupling graph, each an ascending index array, ordered by
-    first index.  No entry links two classes, so each is an invariant block.
+    The mode classes are the connected components of the operator's coupling
+    graph; no entry links two classes, so each is an invariant block.
     ``groups`` holds, per class size s in order of first appearance,
-    ``(idx, blocks)``: the (m, s) indices of the classes of that size,
-    ordered by first index, and the (m, s, s) stack of their blocks,
-    ``blocks[r][a, b]`` the entry at row ``idx[r, a]`` and column
+    ``(idx, blocks)``: the (m, s) ascending indices of the classes of that
+    size, rows ordered by first index, and the (m, s, s) stack of their
+    blocks, ``blocks[r][a, b]`` the entry at row ``idx[r, a]`` and column
     ``idx[r, b]``.  A stack whose imaginary part is exactly zero is stored
     real, so numpy hands it to real LAPACK.
 
-    The flow is real, so the operator is real-structured: with ``f =
-    flip_permutation()``, the operator conjugated by the flip equals its
+    The flow is real, so the operator is real-structured: conjugated by the
+    flip (k, l) -> (-k, -l), which reverses the mode list, it equals its
     complex conjugate exactly.  The flip of a class ``idx`` is therefore a
     class, ``dim - 1 - idx[::-1]`` (its flip partner, possibly itself), of
     the same size, whose block is the reversed conjugate of the block of
@@ -143,7 +141,6 @@ class AveragedOperator:
     nu: float
     cutoff: Lattice
     modes: np.ndarray  # (n, 2) integer rows (k, l)
-    classes: tuple = dataclass_field(repr=False)
     groups: tuple = dataclass_field(repr=False)
 
     @property
@@ -155,25 +152,11 @@ class AveragedOperator:
         g = embed(f, self.cutoff) if f.lattice != self.cutoff else f
         return np.delete(g.coeff.ravel(), self.dim // 2)
 
-    def vec_to_field(self, vec: np.ndarray) -> SpectralField2D:
-        return SpectralField2D(self.cutoff, np.insert(vec, self.dim // 2, 0.0).reshape(self.cutoff.shape))
-
-    def flip_permutation(self) -> np.ndarray:
-        """Index permutation sending mode (k,l) to (-k,-l); realizes the bilinear pairing.
-
-        The mode list is point symmetric about the removed centre, so this is the reversal.
-        """
-        return np.arange(self.dim)[::-1]
-
 
 def _mode_list(cutoff: Lattice) -> np.ndarray:
-    modes = [
-        (k, l)
-        for k in range(-cutoff.kmax, cutoff.kmax + 1)
-        for l in range(-cutoff.lmax, cutoff.lmax + 1)
-        if not (k == 0 and l == 0)
-    ]
-    return np.array(modes, dtype=int)
+    """The (k, l) rows of the raveled lattice without its centre: the order of ``field_to_vec``."""
+    k, l = np.meshgrid(cutoff.k_values(), cutoff.l_values(), indexing="ij")
+    return np.delete(np.stack((k.ravel(), l.ravel()), axis=1), k.size // 2, axis=0)
 
 
 _TIME_MODES = ("const", "cos", "sin")
@@ -268,7 +251,7 @@ def averaged_operator(flow: FlowSpec, nu: float, cutoff: Lattice | int) -> Avera
         blocks[:, np.arange(s), np.arange(s)] = diagonal[idx]
         blocks[slot[rows[entry]], place[rows[entry]], place[cols[entry]]] = entries
         groups.append((idx, blocks))
-    return AveragedOperator(nu, cutoff, modes, classes, tuple(groups))
+    return AveragedOperator(nu, cutoff, modes, tuple(groups))
 
 
 def _mode_classes(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -303,23 +286,23 @@ def _mode_classes(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarra
 class DetectingSpectrum:
     """Detecting root-space data of the averaged operator for a given datum.
 
-    ``basis_matrix`` has orthonormal columns (Schur vectors of the cluster,
-    one column group per member class) that the operator maps to
-    ``basis_matrix @ G`` exactly at truncation, G block-diagonal over those
-    classes; lambda_nu is the cluster eigenvalue and gamma_nu = -Re lambda_nu
-    its decay rate.  ``residual`` is the largest column norm of that
-    identity's defect, taken per member class with block B_c as
-    ``B_c Z[:, :d] - Z[:, :d] T[:d, :d]``.  ``schur_blocks`` holds, per
-    member class, ``(idx, T, Z, d)``: its mode indices, its sorted complex
-    Schur form and the number of leading cluster columns.
+    ``schur_blocks`` holds, per member class of the cluster, ``(idx, T, Z,
+    d)``: its mode indices, its sorted complex Schur form and the number of
+    leading cluster columns.  The detecting basis is the columns ``Z[:, :d]``
+    of every member class, each on the modes ``idx`` and zero elsewhere:
+    orthonormal, and mapped by the operator to the basis times G exactly at
+    truncation, G block-diagonal with blocks ``T[:d, :d]``.  lambda_nu is the
+    cluster eigenvalue and gamma_nu = -Re lambda_nu its decay rate.  q0, K0
+    and K2 are taken class by class: the pairing of the datum with the
+    columns, their norm, and their norm weighted by (1 + k^2 + l^2)^2.
+    ``residual`` is the largest column norm of the defect ``B_c Z[:, :d] -
+    Z[:, :d] T[:d, :d]`` over the member classes, B_c the class block.
     """
 
     eigenvalues: np.ndarray  # all eigenvalues sorted by -Re ascending
     lambda_nu: complex
     gamma_nu: float
     d_nu: int
-    basis: list
-    basis_matrix: np.ndarray
     G: np.ndarray
     q0: np.ndarray
     Q: float
@@ -328,7 +311,7 @@ class DetectingSpectrum:
     g_norm: float
     residual: float
     cluster_tol: float
-    schur_blocks: tuple = dataclass_field(repr=False, default=None)
+    schur_blocks: tuple = dataclass_field(repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -396,7 +379,7 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> list[np.ndarray]:
 def detecting_spectrum(op: AveragedOperator, rho0: SpectralField2D) -> DetectingSpectrum:
     """Find the slowest-decaying eigenvalue cluster whose root space sees rho0.
 
-    The operator is evaluated class by class (``op.classes``): eigenvalues
+    The operator is evaluated class by class (``op.groups``): eigenvalues
     come from each class's diagonal block and are clustered together.  The
     flip partner of a class is a class whose block is the flipped conjugate
     (``AveragedOperator``), so its eigenvalues are the conjugates: of each
@@ -421,9 +404,8 @@ def detecting_spectrum(op: AveragedOperator, rho0: SpectralField2D) -> Detecting
     rho_norm = l2_norm(rho0)
     if rho_norm == 0.0:
         raise FieldError("detecting spectrum requires a nonzero datum")
-    rho_vec = op.field_to_vec(rho0)
-    flip = op.flip_permutation()
-    rho_flipped = rho_vec[flip]
+    # the bilinear pairing reads the datum at (-k, -l): the mode list reversed
+    rho_flipped = op.field_to_vec(rho0)[::-1]
 
     eig_parts, owner_parts = [], []
     for idx, blocks in op.groups:
@@ -457,22 +439,16 @@ def detecting_spectrum(op: AveragedOperator, rho0: SpectralField2D) -> Detecting
             T, Z, sdim = sla.schur(block, output="complex", sort=near)
             if sdim:
                 schur_blocks.append((idx, T, Z, int(sdim)))
-        sdim = sum(b[3] for b in schur_blocks)
-        if sdim == 0:
+        if not schur_blocks:
             continue
-        basis_matrix = np.zeros((op.dim, sdim), dtype=complex)
-        G = np.zeros((sdim, sdim), dtype=complex)
-        j = 0
-        for idx, T, Z, d in schur_blocks:
-            basis_matrix[idx, j : j + d] = Z[:, :d]
-            G[j : j + d, j : j + d] = T[:d, :d]
-            j += d
-        q0 = basis_matrix.T @ rho_flipped  # bilinear pairing <rho0, phi_j>
+        columns = [(idx, Z[:, :d]) for idx, _, Z, d in schur_blocks]  # the detecting basis, class by class
+        q0 = np.concatenate([phi.T @ rho_flipped[idx] for idx, phi in columns])  # bilinear pairing <rho0, phi_j>
         Q = float(np.linalg.norm(q0))
         if Q <= EPS_DETECT * rho_norm:
             continue
-        fields = [op.vec_to_field(basis_matrix[:, j]) for j in range(sdim)]
+        G = sla.block_diag(*(T[:d, :d] for _, T, _, d in schur_blocks))
         blocks = [class_of[int(idx[0])][1] for idx, *_ in schur_blocks]
+        h2_weight = (1.0 + (op.modes[:, 0] ** 2 + op.modes[:, 1] ** 2).astype(float)) ** 2
         residual = max(
             float(np.max(np.linalg.norm(B @ Z[:, :d] - Z[:, :d] @ T[:d, :d], axis=0)))
             for B, (_, T, Z, d) in zip(blocks, schur_blocks)
@@ -488,14 +464,12 @@ def detecting_spectrum(op: AveragedOperator, rho0: SpectralField2D) -> Detecting
             eigenvalues=sorted_eigs,
             lambda_nu=lam,
             gamma_nu=-lam.real,
-            d_nu=int(sdim),
-            basis=fields,
-            basis_matrix=basis_matrix,
+            d_nu=G.shape[0],
             G=G,
             q0=q0,
             Q=Q,
-            K0=float(np.linalg.norm(basis_matrix)),
-            K2=float(math.sqrt(sum(h2_norm(f) ** 2 for f in fields))),
+            K0=float(np.linalg.norm(np.concatenate([phi.ravel() for _, phi in columns]))),
+            K2=math.sqrt(sum(np.sum(h2_weight[idx, None] * np.abs(phi) ** 2) for idx, phi in columns)),
             g_norm=float(np.linalg.norm(G, 2)),
             residual=residual,
             cluster_tol=cluster_tol,
@@ -591,7 +565,7 @@ def _norm2(stack: np.ndarray) -> np.ndarray:
 def sylvester_constant(op: AveragedOperator, spectrum: DetectingSpectrum) -> SylvesterEstimate:
     """Numerically estimate the Sylvester-resolvent constant for the detecting cluster.
 
-    Evaluated class by class (``op.classes``): the resolvent, the Riesz
+    Evaluated class by class (``op.groups``): the resolvent, the Riesz
     projector and the H^1/H^2 weights are all block-diagonal over the mode
     classes, so each 2-norm is the largest over the classes.  Every class,
     member of the cluster or not, is inverted and normed in one batched
@@ -625,8 +599,6 @@ def sylvester_constant(op: AveragedOperator, spectrum: DetectingSpectrum) -> Syl
     so its stack keeps complex z).  ``resolvents`` counts the class blocks
     inverted, summed over nodes.
     """
-    if spectrum.schur_blocks is None:
-        raise ValueError("spectrum must carry its Schur factors (rerun detecting_spectrum)")
     lam = spectrum.lambda_nu
     eigs = spectrum.eigenvalues
     others = eigs[np.abs(eigs - lam) > spectrum.cluster_tol]

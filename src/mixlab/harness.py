@@ -83,7 +83,7 @@ _REQUIRED = object()
 # other regime rejects the field.  cutoff is the one integer among them.
 _REGIME_FIELDS = {
     "nu": (("diffusive_shear", "fast_oscillation"), _REQUIRED, "finite and > 0", _finite_positive),
-    "A": (("fast_oscillation",), _REQUIRED, "finite and >= 0", lambda x: x >= 0 and math.isfinite(x)),
+    "A": (("fast_oscillation",), _REQUIRED, "finite and > 0", _finite_positive),
     "dt": (("diffusive_shear", "fast_oscillation"), None, "positive and finite", _finite_positive),
     "eta": (("fast_oscillation",), None, "in (0, 1]", lambda e: 0.0 < e <= 1.0),
     "cutoff": (("fast_oscillation",), 16, "at least 1", lambda c: c >= 1),
@@ -107,7 +107,8 @@ def _regime_field(data: dict, regime: str, key: str):
 def _scenario_fields(data: dict) -> dict:
     """The Scenario fields of a scenario JSON, each checked against its one rule.
 
-    A value of the wrong JSON type, or an object key that no field is read
+    A fast-oscillation ``cutoff`` must also hold the datum: every wavenumber
+    of a terms datum, or the whole lattice of a coeffs datum.  A value of the wrong JSON type, or an object key that no field is read
     from, raises FieldError (``json_number``, ``known_keys``) or FlowSpecError
     (the flow-spec reader); ``Scenario.from_json`` turns both into a
     SchemaError.
@@ -174,6 +175,12 @@ def _scenario_fields(data: dict) -> dict:
 
     tolerances = known_keys(_object(data.get("tolerances", {}), "tolerances"), ("margin",), "tolerances")
     margin = tolerances.get("margin", 1e-6)
+    regime_fields = {key: _regime_field(data, regime, key) for key in _REGIME_FIELDS}
+    cutoff = regime_fields["cutoff"]
+    # the detecting spectrum rebuilds a terms datum on the cutoff lattice and embeds a coeffs datum there whole
+    extent = max(max(abs(t.kx), abs(t.ky)) for t in terms) if terms else max(kmax, lmax)
+    if cutoff is not None and extent > cutoff:
+        raise SchemaError(f"invalid field: cutoff must be at least {extent} to hold initial_data, got {cutoff}")
     return {
         "name": name,
         "regime": regime,
@@ -182,7 +189,7 @@ def _scenario_fields(data: dict) -> dict:
         "initial_terms": terms,
         "shear_spec": spec if spec_key == "shear" else None,
         "flow_spec": spec if spec_key == "flow" else None,
-        **{key: _regime_field(data, regime, key) for key in _REGIME_FIELDS},
+        **regime_fields,
         "times": shear._check_times(times),
         "tol": _number(margin, "tolerances.margin", "finite and in [0, 1)", lambda m: 0.0 <= m < 1.0),
     }

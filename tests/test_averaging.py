@@ -60,6 +60,27 @@ def _dense(op):
     return matrix
 
 
+def _classes(op):
+    """The mode classes: the rows of every class-block stack, ordered by first index."""
+    return sorted((row for idx, _ in op.groups for row in idx), key=lambda row: row[0])
+
+
+def _field(op, vec):
+    """The lattice field whose coefficients on ``op.modes`` are ``vec``, with 0 at the centre."""
+    return SpectralField2D(op.cutoff, np.insert(vec, op.dim // 2, 0.0).reshape(op.cutoff.shape))
+
+
+def _basis(op, spec):
+    """The detecting basis as lattice fields, scattered from the cluster columns of each member class."""
+    fields = []
+    for idx, _, Z, d in spec.schur_blocks:
+        for column in Z[:, :d].T:
+            vec = np.zeros(op.dim, dtype=complex)
+            vec[idx] = column
+            fields.append(_field(op, vec))
+    return fields
+
+
 def _velocity_grid(flow, theta, x, y):
     """u = -d_y psi and v = d_x psi of the stream function's terms at phase theta, on the grid x (x) y."""
     X, Y = np.meshgrid(x, y, indexing="ij")
@@ -108,7 +129,7 @@ class TestAveragedOperator:
         f = embed(SpectralField2D(f_lat, coeff), cutoff)
         op = averaged_operator(flow, NU, cutoff)
         out_vec = _dense(op) @ op.field_to_vec(f)
-        out = op.vec_to_field(out_vec)
+        out = _field(op, out_vec)
 
         n = 64
         x = 2 * np.pi * np.arange(n) / n
@@ -353,7 +374,7 @@ class TestModeClasses:
     @staticmethod
     def _check_partition(op, flow):
         labels = np.full(op.dim, -1)
-        for c, idx in enumerate(op.classes):
+        for c, idx in enumerate(_classes(op)):
             assert np.all(labels[idx] == -1)
             labels[idx] = c
         assert np.all(labels >= 0)
@@ -363,27 +384,30 @@ class TestModeClasses:
     def test_zero_flow_has_singletons(self):
         op = averaged_operator(ZERO_FLOW, NU, 4)
         self._check_partition(op, ZERO_FLOW)
-        assert len(op.classes) == op.dim
+        assert len(_classes(op)) == op.dim
 
     def test_shear_mean_splits_by_x_wavenumber(self):
         op = averaged_operator(SHEAR_MEAN, NU, 10)
         self._check_partition(op, SHEAR_MEAN)
-        assert len(op.classes) == 40  # 20 nonzero k of 21 modes each, 20 lone k = 0 modes
-        assert max(idx.size for idx in op.classes) == 21
-        for idx in op.classes:
+        classes = _classes(op)
+        assert len(classes) == 40  # 20 nonzero k of 21 modes each, 20 lone k = 0 modes
+        assert max(idx.size for idx in classes) == 21
+        for idx in classes:
             k = np.unique(op.modes[idx, 0])
             assert k.size == 1 and (idx.size == 21) == (k[0] != 0)
 
     def test_coupled_flow_is_one_class(self):
         op = averaged_operator(COUPLED_FLOW, NU, 8)
         self._check_partition(op, COUPLED_FLOW)
-        assert len(op.classes) == 1 and op.classes[0].size == op.dim == 288
+        classes = _classes(op)
+        assert len(classes) == 1 and classes[0].size == op.dim == 288
 
     @staticmethod
     def _assert_union_find_classes(op, flow):
         want = _union_find_classes(_reference_matrix(flow, op))
-        assert len(op.classes) == len(want)
-        for got, ref in zip(op.classes, want):
+        got_classes = _classes(op)
+        assert len(got_classes) == len(want)
+        for got, ref in zip(got_classes, want):
             assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("name", ["fast_shear_mean", "fast_averaging_study"])
@@ -531,11 +555,21 @@ class TestNorm2:
         np.testing.assert_allclose(averaging._norm2(stack), want, rtol=1e-13, atol=0.0)
 
 
+def _basis_constants(op, basis, rho0):
+    """q0, K0 and K2 of an n x d basis matrix: the datum's bilinear pairing with the columns, their norm, and
+    the root of the sum of their squared h2_norm as lattice fields."""
+    return {
+        "q0": basis.T @ op.field_to_vec(rho0)[::-1],  # the pairing reads (-k, -l): the mode list reversed
+        "K0": np.linalg.norm(basis),
+        "K2": math.sqrt(sum(h2_norm(_field(op, column)) ** 2 for column in basis.T)),
+    }
+
+
 def _dense_oracle(op, rho0, n_nodes=8):
     """The whole-matrix algorithm: a sorted Schur form of the full matrix per
     candidate cluster, the Riesz projector from it, and dense resolvents."""
     tol = 1e-6 * op.nu
-    rho_flipped = op.field_to_vec(rho0)[op.flip_permutation()]
+    rho_flipped = op.field_to_vec(rho0)[::-1]  # the pairing reads (-k, -l): the mode list reversed
     matrix = _dense(op)
     eigs = np.linalg.eigvals(matrix)
     for cluster in averaging._cluster_eigenvalues(eigs, tol):
@@ -550,13 +584,13 @@ def _dense_oracle(op, rho0, n_nodes=8):
     else:
         raise DetectionError("oracle found no detecting cluster")
     lam = complex(np.mean(np.diag(G)))
-    fields = [op.vec_to_field(basis[:, j]) for j in range(d)]
+    constants = _basis_constants(op, basis, rho0)
     spectrum = {
         "gamma_nu": -lam.real,
         "d_nu": d,
         "Q": np.linalg.norm(q0),
-        "K0": np.linalg.norm(basis),
-        "K2": math.sqrt(sum(h2_norm(f) ** 2 for f in fields)),
+        "K0": constants["K0"],
+        "K2": constants["K2"],
         "g_norm": np.linalg.norm(G, 2),
     }
     gap = float(np.min(np.abs(eigs[np.abs(eigs - lam) > tol] - lam)))
@@ -638,27 +672,35 @@ class TestPerClassAlgebra:
         """One stack per class size, in order of first appearance, rows by first index; a stack is real
         exactly when its imaginary part is 0."""
         op = averaged_operator(flow, nu, cutoff)
-        assert [idx.shape[1] for idx, _ in op.groups] == list(dict.fromkeys(idx.size for idx in op.classes))
+        assert [idx.shape[1] for idx, _ in op.groups] == list(dict.fromkeys(idx.size for idx in _classes(op)))
         for idx, blocks in op.groups:
             assert blocks.shape == idx.shape + idx.shape[1:]
             assert np.all(np.diff(idx[:, 0]) > 0)
             assert np.isrealobj(blocks) or blocks.imag.any()
         rows = sorted(tuple(row.tolist()) for idx, _ in op.groups for row in idx)
-        assert rows == sorted(tuple(idx.tolist()) for idx in op.classes)
+        assert rows == sorted(tuple(idx.tolist()) for idx in _union_find_classes(_reference_matrix(flow, op)))
 
     @given(averaged_flows(), st.integers(4, 6), st.floats(0.05, 0.5))
     @settings(max_examples=40, deadline=None)
     def test_flip_conjugates_matrix_and_pairs_classes(self, flow, cutoff, nu):
         """F M F = conj(M) exactly, and the flip of every class is a class: the pairing detecting_spectrum reads."""
         op = averaged_operator(flow, nu, cutoff)
-        f = op.flip_permutation()
+        f = np.arange(op.dim)[::-1]  # (k, l) -> (-k, -l) reverses the mode list
         matrix = _dense(op)
         assert np.array_equal(matrix[np.ix_(f, f)], matrix.conj())
-        classes = {tuple(idx.tolist()) for idx in op.classes}
-        for idx in op.classes:
+        classes = {tuple(idx.tolist()) for idx in _classes(op)}
+        for idx in _classes(op):
             assert tuple((op.dim - 1 - idx[::-1]).tolist()) in classes
 
     @given(averaged_flows(), datum_terms, st.integers(4, 6), st.floats(0.05, 0.5))
+    @example(SHEAR_MEAN, [HarmonicTerm(1.0, 1, 0)], 5, 0.1)  # a complex cluster in two real classes
+    @example(COUPLED_FLOW, [HarmonicTerm(1.0, 0, 1)], 4, 0.1)  # one real class
+    @example(  # a mixed sin/cos shear mean: the cluster lies in two complex blocks, beside real singletons
+        FlowSpec((FlowTerm(1.0, 0, 1, "cos"), FlowTerm(0.5, 0, 1, "sin")), period=1.0),
+        [HarmonicTerm(1.0, 1, 0, "sin")],
+        4,
+        0.2,
+    )
     @settings(max_examples=25, deadline=None)
     def test_matches_dense_oracle(self, flow, terms, cutoff, nu):
         op = averaged_operator(flow, nu, cutoff)
@@ -672,8 +714,14 @@ class TestPerClassAlgebra:
         spec = detecting_spectrum(op, rho0)
         for key, want in want_spec.items():
             assert getattr(spec, key) == pytest.approx(want, rel=1e-10, abs=0.0), key
+        # q0, K0 and K2, taken class by class, are the dense basis's
+        basis = np.array([op.field_to_vec(f) for f in _basis(op, spec)]).T
+        constants = _basis_constants(op, basis, rho0)
+        assert np.linalg.norm(spec.q0 - constants["q0"]) <= 1e-10 * np.linalg.norm(constants["q0"])
+        for key in ("K0", "K2"):
+            assert getattr(spec, key) == pytest.approx(constants[key], rel=1e-10, abs=0.0), key
         matrix = _dense(op)
-        residual = matrix @ spec.basis_matrix - spec.basis_matrix @ spec.G
+        residual = matrix @ basis - basis @ spec.G
         assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(matrix))
         # the per-class residual is the dense one's largest column norm, to a few rounding units of the operator
         rounding = 2.0 * np.finfo(float).eps * np.max(np.abs(matrix))
@@ -984,7 +1032,7 @@ class TestSylvester:
         groups = [idx for idx, _ in op.groups]
         owners = [sum(int(idx[0] <= op.dim - 1 - idx[-1]) for idx in group) for group in groups]
         assert stacked == owners
-        assert sum(owners) < len(op.classes)  # the shear's classes pair up, so partners are skipped
+        assert sum(owners) < len(_classes(op))  # the shear's classes pair up, so partners are skipped
         members = {int(idx[0]) for idx, *_ in spec.schur_blocks}
         held = [any(int(idx[0]) in members for idx in group) for group in groups]
         assert any(held) and not all(held)  # a stack with a cluster member and one without
@@ -1016,7 +1064,7 @@ class TestSylvester:
         op = averaged_operator(COUPLED_FLOW, NU, 5)
         rho0 = cos_y(Lattice(5, 5))
         spec = detecting_spectrum(op, rho0)
-        assert len(op.classes) == 1 and not _dense(op).imag.any()
+        assert len(_classes(op)) == 1 and not _dense(op).imag.any()
         assert spec.lambda_nu.imag == 0.0
         assert spec.gamma_nu == -np.mean(np.diag(spec.G)).real  # the real part is the Schur trace's
         syl, stacked, dtypes = self._counted_sylvester(monkeypatch, op, spec)
@@ -1073,14 +1121,11 @@ class TestFastCertificate:
     def test_arithmetic_with_unit_constants(self, monkeypatch):
         # D = 1, C_S = 1, C_R = 1, M = 1, S_nu = 3 -> K = 9e6, A0 >= 3.6e7
         lat = Lattice(2, 2)
-        basis = [field_from_terms(lat, [HarmonicTerm(math.sqrt(2), 0, 1)])]
         spec = DetectingSpectrum(
             eigenvalues=np.array([-0.1 + 0j, -0.4 + 0j]),
             lambda_nu=-0.1 + 0j,
             gamma_nu=0.1,
             d_nu=1,
-            basis=basis,
-            basis_matrix=np.ones((1, 1), dtype=complex),
             G=np.array([[-0.1 + 0j]]),
             q0=np.array([0.5 + 0j]),
             Q=0.5,
@@ -1089,6 +1134,7 @@ class TestFastCertificate:
             g_norm=0.1,
             residual=0.0,
             cluster_tol=1e-7,
+            schur_blocks=(),
         )
         syl = SylvesterEstimate(1.0, 0.3, 0.15, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1))
         rho0 = cos_y(lat)
@@ -1279,7 +1325,7 @@ class TestObservables:
         rho0 = field_from_terms(Lattice(6, 6), [HarmonicTerm(1.0, 1, 0)])
         spec = detecting_spectrum(op, rho0)
         traj = evolve_2d(rho0, SHEAR_FLOW, 0.0, NU, np.array([0.0]))
-        q = observable_series(traj, spec.basis)
+        q = observable_series(traj, _basis(op, spec))
         assert np.linalg.norm(q[0]) == pytest.approx(spec.Q, rel=1e-12)
 
     def test_steady_flow_eigen_observable_law(self):
@@ -1289,7 +1335,7 @@ class TestObservables:
         spec = detecting_spectrum(op, rho0)
         times = np.linspace(0.0, 2.0, 9)
         traj = evolve_2d(rho0, SHEAR_FLOW, 0.0, NU, times, dt=1e-3)
-        q = observable_series(traj, spec.basis)
+        q = observable_series(traj, _basis(op, spec))
         q0 = q[0]
         for i, t in enumerate(times):
             pred = sla.expm(spec.G.T * t) @ q0

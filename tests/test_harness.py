@@ -20,6 +20,7 @@ from mixlab.harness import (
     run,
     write_timeseries_csv,
 )
+from mixlab.spectral import HarmonicTerm, Lattice, field_from_terms, field_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = ROOT / "scenarios" / "corpus"
@@ -139,6 +140,7 @@ class TestSchema:
             ("fast_averaging_study", "A", float("nan")),
             ("fast_averaging_study", "A", float("inf")),
             ("fast_averaging_study", "A", -1.0),
+            ("fast_averaging_study", "A", 0.0),
             ("fast_averaging_study", "eta", 0.0),
             ("fast_averaging_study", "eta", -0.1),
             ("fast_averaging_study", "eta", float("nan")),
@@ -162,6 +164,26 @@ class TestSchema:
         raw = scenario_with(name, key, value)
         with pytest.raises(SchemaError, match=f"invalid field: {re.escape(key)} must be"):
             Scenario.from_json(raw)
+
+    @pytest.mark.parametrize("form", ["terms", "coeffs"])
+    def test_fast_datum_beyond_cutoff_rejected(self, form):
+        """A terms datum must lie within the cutoff, and a coeffs datum's whole lattice too: the spectrum
+        rebuilds the one on the cutoff lattice and embeds the other there."""
+        raw = shipped("fast_shear_mean")
+        extent = 4
+        if form == "terms":
+            raw["initial_data"]["terms"][0]["ky"] = extent
+        else:
+            raw["lattice"] = {"kmax": extent, "lmax": extent}
+            raw["initial_data"] = field_to_json(field_from_terms(Lattice(extent, extent), [HarmonicTerm(1.0, 0, 1)]))
+        raw["cutoff"] = extent - 1
+        with pytest.raises(SchemaError, match=f"invalid field: cutoff must be at least {extent} to hold initial_data"):
+            Scenario.from_json(raw)
+        raw["cutoff"] = extent
+        _, spectrum = harness._fast_spectrum(Scenario.from_json(raw))  # a cutoff that reaches the datum is enough
+        assert spectrum.Q > 0.0
+        for name in ("fast_shear_mean", "fast_averaging_study"):
+            assert Scenario.from_file(EXTRA_DIR / f"{name}.json").cutoff >= 1
 
     @pytest.mark.parametrize(
         "name, key, value, message",
@@ -546,6 +568,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"{command[0]}: invalid field: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["spectrum"], ["certify", "fast"], ["verify", "fast"], ["simulate"]])
+    def test_datum_beyond_cutoff_override_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(scenario_with("fast_shear_mean", "initial_data.terms.0.ky", 3)))
+        rc = cli_main([*command, "--scenario", str(path), "--cutoff", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"{command[0]}: invalid field: cutoff must be at least 3 to hold initial_data, got 2\n"
 
     def test_complex_coeffs_datum_exits_2(self, tmp_path, capsys):
         path = tmp_path / "complex.json"
